@@ -33,9 +33,9 @@ def main():
     member_tx = tx_intra(D_SIZE, AREA, CLUSTERS, p)
     print(f"member -> head data packet : {member_tx:.3e} J")
     print(f"head setup (adv/syn/join)  : "
-          f"{setup_energy_chn(msgs, 0.0, AREA, NODES, CLUSTERS, p):.3e} J")
+          f"{setup_energy_chn(msgs, AREA, NODES, CLUSTERS, p):.3e} J")
     print(f"member setup (handshake)   : "
-          f"{setup_energy_nchn(msgs, 0.0, AREA, CLUSTERS, p):.3e} J")
+          f"{setup_energy_nchn(msgs, AREA, CLUSTERS, p):.3e} J")
 
     print()
     print("=== Uplink cost vs base-station distance (fourth power) ===")
@@ -43,7 +43,7 @@ def main():
     members = NODES // CLUSTERS - 1
     for r in (50, 100, 150, 200, 250, 350, 500):
         uplink = tx_to_bs(D_SIZE, r, p)
-        head_frame = frame_consumption_chn(members, D_SIZE, r, AREA, NODES, CLUSTERS, p)
+        head_frame = frame_consumption_chn(members, D_SIZE, r, NODES, CLUSTERS, p)
         stint = 20 * head_frame  # twenty-frame round of head duty
         print(f"{r:>6} {uplink:>12.3e} {uplink / member_tx:>12.1f}x "
               f"{BATTERY / stint:>15.1f}")

@@ -10,13 +10,11 @@ plotting and comparison.
 from .arena import (
     ArenaConfig,
     distance,
-    estimate_distance_to_bs,
     place_nodes,
     step_mobility,
     substream,
 )
 from .election import (
-    ElectionOutcome,
     EmptyNetworkError,
     LeachState,
     RrchState,
@@ -50,11 +48,10 @@ from .metrics import (
     read_summary_json,
     summarize,
 )
-from .network import Network, Node
+from .network import Network
 from .simulator import (
     POLICIES,
     SCENARIOS,
-    FrameRecord,
     ScenarioConfig,
     SimConfig,
     SimTrace,
@@ -69,11 +66,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ArenaConfig",
     "distance",
-    "estimate_distance_to_bs",
     "place_nodes",
     "step_mobility",
     "substream",
-    "ElectionOutcome",
     "EmptyNetworkError",
     "LeachState",
     "RrchState",
@@ -103,10 +98,8 @@ __all__ = [
     "read_summary_json",
     "summarize",
     "Network",
-    "Node",
     "POLICIES",
     "SCENARIOS",
-    "FrameRecord",
     "ScenarioConfig",
     "SimConfig",
     "SimTrace",

@@ -12,7 +12,6 @@ __all__ = [
     "substream",
     "place_nodes",
     "distance",
-    "estimate_distance_to_bs",
     "step_mobility",
     "PLACEMENT",
     "MOBILITY",
@@ -54,8 +53,15 @@ class ArenaConfig:
             raise ValueError(f"arena side must be positive, got {self.side_a!r}")
         if self.node_count < 1:
             raise ValueError(f"node count must be >= 1, got {self.node_count!r}")
-        if len(self.bs_position) != 2:
-            raise ValueError("base-station position must be an (x, y) pair")
+        try:
+            finite = len(self.bs_position) == 2 and all(map(math.isfinite, self.bs_position))
+        except TypeError:  # not a sequence, or not numbers
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"base-station position must be two finite numbers, got {self.bs_position!r}"
+            )
+        object.__setattr__(self, "bs_position", tuple(self.bs_position))
 
 
 def place_nodes(cfg: ArenaConfig) -> np.ndarray:
@@ -73,12 +79,6 @@ def distance(a, b) -> float:
     ax, ay = float(a[0]), float(a[1])
     bx, by = float(b[0]), float(b[1])
     return math.hypot(ax - bx, ay - by)
-
-
-def estimate_distance_to_bs(node, bs) -> float:
-    """Distance a node infers to the base station from received signal
-    strength; ranging is idealized, so this is the exact distance."""
-    return distance(node, bs)
 
 
 def _reflect(coords: np.ndarray, side: float) -> np.ndarray:

@@ -161,7 +161,9 @@ def _config_for(inv: CliInvocation, seed: int, policy=None, nodes=None) -> SimCo
 
     def put(section, key, value):
         if value is not None:
-            data.setdefault(section, {})[key] = value
+            target = data.setdefault(section, {})
+            if isinstance(target, dict):  # config_from_dict rejects the rest
+                target[key] = value
 
     put("arena", "node_count", nodes if nodes is not None else
         (inv.nodes[0] if inv.nodes else None))

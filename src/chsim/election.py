@@ -7,6 +7,10 @@ multicast by each new head) and differ only in how winners are picked:
 * residual-energy argmax within each current cluster (the default),
 * probabilistic self-election with an epoch rotation constraint (LEACH),
 * fixed clusters with round-robin headship in ascending node-id order (RRCH).
+
+A policy writes its charges, head flags and cluster labels into the
+:class:`~chsim.network.Network` it is given and returns only the tuple
+of elected head ids.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .network import NO_CLUSTER, Network
 
 __all__ = [
     "EmptyNetworkError",
-    "ElectionOutcome",
     "geometric_partition",
     "dchne_elect",
     "dchne_reelect_cluster",
@@ -40,21 +43,6 @@ __all__ = [
 
 class EmptyNetworkError(ValueError):
     """An election was attempted with no alive node left."""
-
-
-@dataclass(frozen=True)
-class ElectionOutcome:
-    """Result of one election round.
-
-    ``chn_ids[k]`` is the node id heading cluster ``k``; ``membership``
-    maps every participating node id to its cluster; and
-    ``control_energy_charged`` records the joules each participant paid
-    for the election's control traffic.
-    """
-
-    chn_ids: tuple[int, ...]
-    membership: dict[int, int]
-    control_energy_charged: dict[int, float]
 
 
 def geometric_partition(positions, k: int, rng, iterations: int = 20) -> np.ndarray:
@@ -100,15 +88,13 @@ def _nearest_head(net: Network, member_idx: np.ndarray, head_idx: np.ndarray) ->
     return (deltas**2).sum(axis=2).argmin(axis=1)
 
 
-def _charge_preamble(
-    net: Network, msgs: ControlMessageSizes, params: EnergyParams, charged: np.ndarray
-) -> np.ndarray:
+def _charge_preamble(net: Network, msgs: ControlMessageSizes, params: EnergyParams) -> np.ndarray:
     """Charge the base-station trigger to every alive node and return the
     indices still alive afterwards."""
     alive_idx = np.nonzero(net.alive)[0]
     if len(alive_idx) == 0:
         raise EmptyNetworkError("no alive nodes to elect from")
-    charged[alive_idx] += net.debit(alive_idx, msgs.d_preamble * params.e_radio)
+    net.debit(alive_idx, msgs.d_preamble * params.e_radio)
     alive_idx = np.nonzero(net.alive)[0]
     if len(alive_idx) == 0:
         raise EmptyNetworkError("no node survived the election trigger")
@@ -125,40 +111,31 @@ def _setup_costs(
     """(head, member) setup-phase cost per node, at the configured network
     size and cluster count."""
     s = len(net)
-    head_cost = setup_energy_chn(msgs, 0.0, area_side, s, c, params) + tx_intra(
+    head_cost = setup_energy_chn(msgs, area_side, s, c, params) + tx_intra(
         msgs.d_announce, area_side, c, params
     )
-    member_cost = setup_energy_nchn(msgs, 0.0, area_side, c, params)
+    member_cost = setup_energy_nchn(msgs, area_side, c, params)
     return head_cost, member_cost
 
 
 def _install(
     net: Network,
     head_idx: np.ndarray,
+    head_cluster: np.ndarray,
     member_idx: np.ndarray,
     member_cluster: np.ndarray,
     cost_head: float,
     cost_member: float,
-    charged: np.ndarray,
-) -> ElectionOutcome:
-    """Charge setup costs, write head/cluster state, build the outcome."""
-    charged[head_idx] += net.debit(head_idx, cost_head)
+) -> tuple[int, ...]:
+    """Charge setup costs, write head/cluster state, return the head ids."""
+    net.debit(head_idx, cost_head)
     if len(member_idx):
-        charged[member_idx] += net.debit(member_idx, cost_member)
+        net.debit(member_idx, cost_member)
     net.head[:] = False
     net.head[head_idx] = True
-    net.cluster[head_idx] = np.arange(len(head_idx))
+    net.cluster[head_idx] = head_cluster
     net.cluster[member_idx] = member_cluster
-    membership = {int(net.ids[i]): int(net.cluster[i]) for i in head_idx}
-    membership.update(
-        (int(net.ids[i]), int(k)) for i, k in zip(member_idx, member_cluster)
-    )
-    paid = np.nonzero(charged > 0.0)[0]
-    return ElectionOutcome(
-        chn_ids=tuple(int(net.ids[i]) for i in head_idx),
-        membership=membership,
-        control_energy_charged={int(net.ids[i]): float(charged[i]) for i in paid},
-    )
+    return tuple(int(net.ids[i]) for i in head_idx)
 
 
 def dchne_elect(
@@ -168,7 +145,7 @@ def dchne_elect(
     msgs: ControlMessageSizes,
     area_side: float,
     partition_rng=None,
-) -> ElectionOutcome:
+) -> tuple[int, ...]:
     """Elect the highest-residual node of each current cluster as its head.
 
     Every alive node is charged for receiving the election trigger; each
@@ -182,8 +159,7 @@ def dchne_elect(
     """
     if c < 1:
         raise ValueError(f"cluster count must be >= 1, got {c}")
-    charged = np.zeros(len(net))
-    alive_idx = _charge_preamble(net, msgs, params, charged)
+    alive_idx = _charge_preamble(net, msgs, params)
     labels = net.cluster[alive_idx]
     if np.all(labels == NO_CLUSTER):
         if partition_rng is None:
@@ -197,9 +173,11 @@ def dchne_elect(
     ]
     head_idx = np.array(sorted(heads, key=lambda i: int(net.ids[i])), dtype=int)
     member_idx = alive_idx[~np.isin(alive_idx, head_idx)]
-    member_cluster = _nearest_head(net, member_idx, head_idx) if len(member_idx) else np.array([], dtype=int)
+    member_cluster = _nearest_head(net, member_idx, head_idx)
     cost_head, cost_member = _setup_costs(net, c, params, msgs, area_side)
-    return _install(net, head_idx, member_idx, member_cluster, cost_head, cost_member, charged)
+    return _install(
+        net, head_idx, np.arange(len(head_idx)), member_idx, member_cluster, cost_head, cost_member
+    )
 
 
 def dchne_reelect_cluster(
@@ -251,7 +229,7 @@ def leach_elect(
     area_side: float,
     rng,
     state: LeachState,
-) -> ElectionOutcome:
+) -> tuple[int, ...]:
     """Probabilistic self-election with per-epoch rotation.
 
     Each alive node that has not yet headed in the current epoch
@@ -273,8 +251,7 @@ def leach_elect(
         raise ValueError(f"round index must be >= 0, got {round_index}")
     s = len(net)
     draws = rng.random(s)
-    charged = np.zeros(s)
-    alive_idx = _charge_preamble(net, msgs, params, charged)
+    alive_idx = _charge_preamble(net, msgs, params)
     epoch = math.ceil(s / c)
     if round_index % epoch == 0:
         state.headed.clear()
@@ -287,9 +264,11 @@ def leach_elect(
     head_idx = self_elected[np.argsort(net.ids[self_elected])]
     state.headed.update(int(net.ids[i]) for i in head_idx)
     member_idx = alive_idx[~np.isin(alive_idx, head_idx)]
-    member_cluster = _nearest_head(net, member_idx, head_idx) if len(member_idx) else np.array([], dtype=int)
+    member_cluster = _nearest_head(net, member_idx, head_idx)
     cost_head, cost_member = _setup_costs(net, c, params, msgs, area_side)
-    return _install(net, head_idx, member_idx, member_cluster, cost_head, cost_member, charged)
+    return _install(
+        net, head_idx, np.arange(len(head_idx)), member_idx, member_cluster, cost_head, cost_member
+    )
 
 
 @dataclass
@@ -314,7 +293,7 @@ def rrch_elect(
     area_side: float,
     state: RrchState,
     partition_rng=None,
-) -> ElectionOutcome:
+) -> tuple[int, ...]:
     """Round-robin headship inside clusters that are formed once and frozen.
 
     The first call forms clusters (and picks first heads) exactly like
@@ -324,15 +303,13 @@ def rrch_elect(
     :func:`dchne_elect`.
     """
     if state.membership is None:
-        outcome = dchne_elect(net, c, params, msgs, area_side, partition_rng)
+        head_ids = dchne_elect(net, c, params, msgs, area_side, partition_rng)
         state.membership = net.cluster.copy()
         state.prev_head = {int(net.cluster[i]): i for i in np.nonzero(net.head)[0]}
-        return outcome
+        return head_ids
     if round_index < 0:
         raise ValueError(f"round index must be >= 0, got {round_index}")
-    charged = np.zeros(len(net))
-    _charge_preamble(net, msgs, params, charged)
-    net.cluster[:] = state.membership
+    alive_idx = _charge_preamble(net, msgs, params)
     heads: list[int] = []
     for lab in sorted(int(k) for k in np.unique(state.membership)):
         roster = np.nonzero(state.membership == lab)[0]
@@ -347,18 +324,9 @@ def rrch_elect(
     if not heads:
         raise EmptyNetworkError("no cluster has an alive member")
     head_idx = np.array(heads, dtype=int)
-    alive_idx = np.nonzero(net.alive)[0]
     member_idx = alive_idx[~np.isin(alive_idx, head_idx)]
     cost_head, cost_member = _setup_costs(net, c, params, msgs, area_side)
-    charged[head_idx] += net.debit(head_idx, cost_head)
-    if len(member_idx):
-        charged[member_idx] += net.debit(member_idx, cost_member)
-    net.head[:] = False
-    net.head[head_idx] = True
-    paid = np.nonzero(charged > 0.0)[0]
-    alive_or_head = np.nonzero(net.alive | net.head)[0]
-    return ElectionOutcome(
-        chn_ids=tuple(int(net.ids[i]) for i in head_idx),
-        membership={int(net.ids[i]): int(net.cluster[i]) for i in alive_or_head},
-        control_energy_charged={int(net.ids[i]): float(charged[i]) for i in paid},
+    return _install(
+        net, head_idx, state.membership[head_idx],
+        member_idx, state.membership[member_idx], cost_head, cost_member,
     )

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 __all__ = [
     "EnergyParams",
     "ControlMessageSizes",
@@ -130,7 +132,6 @@ def sched_energy(d_bits: float, s: int, c: int, params: EnergyParams) -> float:
 
 def setup_energy_chn(
     msgs: ControlMessageSizes,
-    r: float,
     area_side: float,
     s: int,
     c: int,
@@ -141,11 +142,7 @@ def setup_energy_chn(
     The head transmits the advertise, synchronize and join messages to
     its cluster and receives each one's replies from the members; the
     cost is the six-term sum of those transmissions and receptions.
-    ``r`` (head-to-base-station distance) is accepted for signature
-    symmetry with the member variant; the intra-cluster handshake does
-    not depend on it.
     """
-    del r
     total = 0.0
     for size in (msgs.d_adv, msgs.d_syn, msgs.d_join):
         total += tx_intra(size, area_side, c, params)
@@ -155,14 +152,12 @@ def setup_energy_chn(
 
 def setup_energy_nchn(
     msgs: ControlMessageSizes,
-    r: float,
     area_side: float,
     c: int,
     params: EnergyParams,
 ) -> float:
     """Setup-phase energy charged to a cluster member: receive the
     advertisement, transmit the join request, receive the schedule."""
-    del r
     return (
         msgs.d_adv * params.e_radio
         + tx_intra(msgs.d_join, area_side, c, params)
@@ -170,28 +165,26 @@ def setup_energy_nchn(
     )
 
 
-def frame_consumption_chn(
-    n_members: int,
-    d_size: float,
-    r_bs: float,
-    area_side: float,
-    s: int,
-    c: int,
-    params: EnergyParams,
-) -> float:
+def frame_consumption_chn(n_members, d_size: float, r_bs, s: int, c: int, params: EnergyParams):
     """Per-frame energy for a head serving ``n_members`` transmitting members.
 
-    Receives one ``d_size`` packet per member, aggregates the received
-    bits, schedules the cluster, and forwards one aggregated ``d_size``
-    packet to the base station at distance ``r_bs``.
+    Receives and aggregates one ``d_size`` packet per member, schedules
+    the cluster, and forwards one aggregated ``d_size`` packet to the
+    base station at distance ``r_bs``.  ``n_members`` and ``r_bs`` may
+    also be arrays with one entry per head.
     """
-    del area_side
-    if n_members < 0:
+    if np.asarray(n_members).min(initial=0) < 0:
         raise ValueError(f"member count must be >= 0, got {n_members!r}")
+    if np.asarray(r_bs).min(initial=0) < 0:
+        raise ValueError(f"distance must be >= 0, got {r_bs!r}")
     _check_bits(d_size)
-    receive = n_members * d_size * params.e_radio
-    aggregate = n_members * d_size * params.e_agg
-    return receive + aggregate + sched_energy(d_size, s, c, params) + tx_to_bs(d_size, r_bs, params)
+    per_member = d_size * (params.e_radio + params.e_agg)
+    # sched_energy + tx_to_bs, summed in the order whose rounding the traces pin
+    return n_members * per_member + (
+        sched_energy(d_size, s, c, params)
+        + d_size * params.e_radio
+        + d_size * params.e_mh * r_bs**4
+    )
 
 
 def frame_consumption_nchn(

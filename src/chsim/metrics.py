@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .simulator import SimTrace, network_lifetime
+from .simulator import SimTrace, config_to_dict, network_lifetime
 
 __all__ = [
     "RunSummary",
@@ -63,15 +63,17 @@ class RunSummary:
         return self.all_dead_frame if self.all_dead_frame is not None else len(self.curve)
 
 
+def _curve(trace: SimTrace) -> tuple[tuple[int, int, int, int], ...]:
+    """``(frame, alive, packets_cum, chn_count)`` rows of a trace."""
+    columns = (trace.alive.tolist(), trace.packets_cum.tolist(), trace.chn_count.tolist())
+    return tuple(zip(range(len(trace)), *columns))
+
+
 def summarize(trace: SimTrace) -> RunSummary:
     """Reduce a trace to its summary; an empty trace yields zeros."""
     cfg = trace.config
     nodes = cfg.arena.node_count
     dead = np.nonzero(trace.alive == 0)[0]
-    curve = tuple(
-        (frame, int(trace.alive[frame]), int(trace.packets_cum[frame]), int(trace.chn_count[frame]))
-        for frame in range(len(trace))
-    )
     return RunSummary(
         policy=cfg.policy,
         scenario=cfg.scenario.kind,
@@ -80,7 +82,7 @@ def summarize(trace: SimTrace) -> RunSummary:
         total_packets=int(trace.packets_cum[-1]) if len(trace) else 0,
         first_death_frame=network_lifetime(trace, nodes),
         all_dead_frame=int(dead[0]) if len(dead) else None,
-        curve=curve,
+        curve=_curve(trace),
     )
 
 
@@ -181,21 +183,12 @@ def compare(summaries) -> ComparisonTable:
     return ComparisonTable(rows=tuple(rows), aggregates=tuple(aggregates))
 
 
-def _curve_rows(obj) -> list[tuple[int, int, int, int]]:
-    if isinstance(obj, RunSummary):
-        return list(obj.curve)
-    return [
-        (frame, int(obj.alive[frame]), int(obj.packets_cum[frame]), int(obj.chn_count[frame]))
-        for frame in range(len(obj))
-    ]
-
-
 def _csv_bytes(obj) -> bytes:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if isinstance(obj, (RunSummary, SimTrace)):
         writer.writerow(CURVE_COLUMNS)
-        writer.writerows(_curve_rows(obj))
+        writer.writerows(obj.curve if isinstance(obj, RunSummary) else _curve(obj))
     elif isinstance(obj, ComparisonTable):
         writer.writerow(("scenario", "seed", "baseline", "packets_delta", "lifetime_delta"))
         for r in obj.rows:
@@ -226,8 +219,6 @@ def _jsonable(obj):
             "aggregates": [asdict(a) for a in obj.aggregates],
         }
     if isinstance(obj, SimTrace):
-        from .simulator import config_to_dict
-
         return {
             "config": config_to_dict(obj.config),
             "termination": obj.termination,

@@ -2,27 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["NO_CLUSTER", "Node", "Network"]
+__all__ = ["NO_CLUSTER", "Network"]
 
 NO_CLUSTER = -1
-
-
-@dataclass(frozen=True)
-class Node:
-    """Read-only snapshot of a single node. ``role`` is ``"CHN"`` or
-    ``"NCHN"`` while alive and ``None`` once dead."""
-
-    id: int
-    pos: tuple[float, float]
-    residual: float
-    role: str | None
-    alive: bool
-    awake: bool
-    cluster: int | None
 
 
 class Network:
@@ -64,9 +48,6 @@ class Network:
     def alive(self) -> np.ndarray:
         return self.residual > 0.0
 
-    def alive_count(self) -> int:
-        return int(self.alive.sum())
-
     def debit(self, selector, amount) -> np.ndarray:
         """Charge energy to the selected nodes, capping each charge at the
         node's remaining residual (a dying node gives up exactly what is
@@ -82,20 +63,3 @@ class Network:
         if len(hits) == 0:
             raise KeyError(f"no node with id {node_id}")
         return int(hits[0])
-
-    def node(self, index: int) -> Node:
-        alive = bool(self.residual[index] > 0)
-        role = ("CHN" if self.head[index] else "NCHN") if alive else None
-        cluster = int(self.cluster[index])
-        return Node(
-            id=int(self.ids[index]),
-            pos=(float(self.positions[index, 0]), float(self.positions[index, 1])),
-            residual=float(self.residual[index]),
-            role=role,
-            alive=alive,
-            awake=bool(self.awake[index]),
-            cluster=None if cluster == NO_CLUSTER else cluster,
-        )
-
-    def nodes(self) -> list[Node]:
-        return [self.node(i) for i in range(len(self))]

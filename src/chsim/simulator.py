@@ -36,7 +36,7 @@ from .election import (
     leach_elect,
     rrch_elect,
 )
-from .energy import ControlMessageSizes, EnergyParams, sched_energy, tx_intra
+from .energy import ControlMessageSizes, EnergyParams, frame_consumption_chn, frame_consumption_nchn
 from .network import Network
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioConfig",
     "SimConfig",
-    "FrameRecord",
     "SimTrace",
     "run",
     "network_lifetime",
@@ -125,17 +124,6 @@ class SimConfig:
             raise ValueError(f"mobility speed must be >= 0, got {self.mobility_speed}")
 
 
-@dataclass(frozen=True)
-class FrameRecord:
-    """Snapshot taken at the end of one frame."""
-
-    frame: int
-    alive: int
-    packets_delivered_cum: int
-    chn_ids: tuple[int, ...]
-    residuals: tuple[float, ...] | None = None
-
-
 @dataclass(eq=False)
 class SimTrace:
     """Per-frame history and final energy books of one run.
@@ -169,21 +157,6 @@ class SimTrace:
         slot = bisect.bisect_right(self.head_change_frames, frame) - 1
         return self.head_change_ids[slot] if slot >= 0 else ()
 
-    @property
-    def records(self) -> list[FrameRecord]:
-        return [
-            FrameRecord(
-                frame=f,
-                alive=int(self.alive[f]),
-                packets_delivered_cum=int(self.packets_cum[f]),
-                chn_ids=self.chn_ids_at(f),
-                residuals=tuple(map(float, self.residual_log[f]))
-                if self.residual_log is not None
-                else None,
-            )
-            for f in range(len(self))
-        ]
-
 
 def run(cfg: SimConfig) -> SimTrace:
     """Execute one seeded run to completion and return its trace.
@@ -210,16 +183,12 @@ def run(cfg: SimConfig) -> SimTrace:
     leach_state = LeachState()
     rrch_state = RrchState()
 
-    member_tx = tx_intra(scen.d_size, arena.side_a, c, params)
-    per_member_rx = scen.d_size * (params.e_radio + params.e_agg)
-    sched_cost = sched_energy(scen.d_size, s, c, params)
+    member_tx = frame_consumption_nchn(scen.d_size, 1, arena.side_a, c, params)
 
-    def head_frame_fixed() -> np.ndarray:
-        # scheduling plus base-station forward, per candidate head position
-        r = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
-        return sched_cost + scen.d_size * params.e_radio + scen.d_size * params.e_mh * r**4
+    def distance_to_bs() -> np.ndarray:
+        return np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
 
-    fixed = head_frame_fixed()
+    r_bs = distance_to_bs()
 
     alive_log: list[int] = []
     packets_log: list[int] = []
@@ -235,8 +204,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     for frame in range(cfg.max_frames):
         dead_heads = np.nonzero(net.head & ~net.alive)[0]
-        if len(dead_heads):
-            net.head[dead_heads] = False
+        net.head[dead_heads] = False
         if frame % fpr == 0:
             round_index = frame // fpr
             try:
@@ -261,7 +229,7 @@ def run(cfg: SimConfig) -> SimTrace:
             net.positions = step_mobility(
                 net.positions, arena.side_a, cfg.mobility_speed, 1.0, mobility_rng
             )
-            fixed = head_frame_fixed()
+            r_bs = distance_to_bs()
 
         net.awake[:] = scenario_rng.random(s) < scen.duty_cycle
         events = scenario_rng.random(s) < scen.event_probability
@@ -281,7 +249,7 @@ def run(cfg: SimConfig) -> SimTrace:
             fwd = active_heads[forwarding]
             if len(fwd):
                 inbound = counts[net.cluster[fwd]]
-                net.debit(fwd, inbound * per_member_rx + fixed[fwd])
+                net.debit(fwd, frame_consumption_chn(inbound, scen.d_size, r_bs[fwd], s, c, params))
                 packets += int(inbound.sum()) + int(events[fwd].sum())
 
         alive = net.alive
@@ -351,9 +319,9 @@ def config_from_dict(data: dict) -> SimConfig:
     kwargs = {}
     for key, cls in _SUBCONFIGS.items():
         if key in remainder:
-            payload = dict(remainder.pop(key))
-            if key == "arena" and "bs_position" in payload:
-                payload["bs_position"] = tuple(payload["bs_position"])
+            payload = remainder.pop(key)
+            if not isinstance(payload, dict):
+                raise ValueError(f"{key} must be an object of {cls.__name__} fields, not {payload}")
             kwargs[key] = _build(cls, payload)
     cfg = _build(SimConfig, {**kwargs, **remainder})
     cfg.validate()

@@ -187,8 +187,8 @@ def test_c3_election_matches_brute_force():
             best = members[before[members] == before[members].max()]
             expected.add(int(net.ids[best[np.argmin(net.ids[best])]]))
 
-        outcome = dchne_elect(net, c, params, MSGS, AREA)
-        assert set(outcome.chn_ids) == expected, f"trial {trial}"
+        head_ids = dchne_elect(net, c, params, MSGS, AREA)
+        assert set(head_ids) == expected, f"trial {trial}"
     print(
         "ACCEPTANCE 3: PASS — 1000 randomized states: elected heads equal "
         "brute-force max-residual scan with lowest-id tie-break"
@@ -211,8 +211,7 @@ def test_c4_rotation_and_probabilistic_head_rates():
     state = RrchState()
     heads = []
     for rnd in range(7):
-        outcome = rrch_elect(net, 1, rnd, params, MSGS, AREA, state, rng)
-        heads.extend(outcome.chn_ids)
+        heads.extend(rrch_elect(net, 1, rnd, params, MSGS, AREA, state, rng))
     assert sorted(heads) == sorted(net.ids.tolist())
 
     # Probabilistic rotation: every alive node heads at least once per
@@ -222,8 +221,7 @@ def test_c4_rotation_and_probabilistic_head_rates():
     draw_rng = np.random.default_rng(45)
     epoch_heads = set()
     for rnd in range(4):  # epoch = ceil(12/3) / ... = ceil(1/P) = 4 rounds
-        outcome = leach_elect(net, 3, rnd, params, MSGS, AREA, draw_rng, state)
-        epoch_heads.update(outcome.chn_ids)
+        epoch_heads.update(leach_elect(net, 3, rnd, params, MSGS, AREA, draw_rng, state))
     assert epoch_heads == set(net.ids.tolist())
 
     # Empirical head rate: mean heads per round within c +/- 10% over 1e4
@@ -232,7 +230,7 @@ def test_c4_rotation_and_probabilistic_head_rates():
     state = LeachState()
     draw_rng = np.random.default_rng(46)
     counts = [
-        len(leach_elect(net, 5, rnd, params, MSGS, AREA, draw_rng, state).chn_ids)
+        len(leach_elect(net, 5, rnd, params, MSGS, AREA, draw_rng, state))
         for rnd in range(10_000)
     ]
     mean = float(np.mean(counts))

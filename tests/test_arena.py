@@ -7,7 +7,6 @@ from chsim.arena import (
     ArenaConfig,
     MOBILITY,
     distance,
-    estimate_distance_to_bs,
     place_nodes,
     step_mobility,
     substream,
@@ -41,6 +40,9 @@ class TestPlacement:
             ArenaConfig(side_a=0)
         with pytest.raises(ValueError):
             ArenaConfig(node_count=0)
+        for bs in ((math.nan, 0.0), (175.0, math.inf), (175.0,), ("1", 2), 5):
+            with pytest.raises(ValueError):
+                ArenaConfig(bs_position=bs)
 
 
 class TestDistance:
@@ -64,13 +66,6 @@ class TestDistance:
         for _ in range(200):
             a, b, c = rng.uniform(0, 350, (3, 2))
             assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
-
-    def test_bs_estimate_is_exact_distance(self):
-        rng = np.random.default_rng(13)
-        bs = (175.0, 525.0)
-        for _ in range(20):
-            node = rng.uniform(0, 350, 2)
-            assert estimate_distance_to_bs(node, bs) == distance(node, bs)
 
 
 class TestMobility:

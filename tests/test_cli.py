@@ -174,6 +174,19 @@ class TestExecution:
         assert main(["run", "--config", str(config)]) == 2
         assert "antenna_gain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        {"arena": 5},
+        {"energy": [1, 2]},
+        {"arena": {"bs_position": [float("nan"), 0]}},
+        {"arena": {"bs_position": [175.0]}},
+    ])
+    def test_malformed_config_is_one_line_error(self, tmp_path, capsys, payload):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(payload))
+        assert main(["run", "--seed", "1", "--frames", "5", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_config_file_is_runtime_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 

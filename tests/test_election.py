@@ -44,14 +44,12 @@ def kill(net, index):
 class TestDchne:
     def test_tie_breaks_to_lowest_id(self):
         net = make_net(3, residuals=[3.1, 2.0, 3.1], ids=[2, 5, 1], clusters=[0, 0, 0])
-        outcome = dchne_elect(net, 1, PARAMS, MSGS, AREA)
-        assert outcome.chn_ids == (1,)
+        assert dchne_elect(net, 1, PARAMS, MSGS, AREA) == (1,)
 
     def test_single_node_heads_sole_cluster(self):
         net = make_net(1, ids=[42])
-        outcome = dchne_elect(net, 1, PARAMS, MSGS, AREA, np.random.default_rng(3))
-        assert outcome.chn_ids == (42,)
-        assert outcome.membership == {42: 0}
+        assert dchne_elect(net, 1, PARAMS, MSGS, AREA, np.random.default_rng(3)) == (42,)
+        assert net.cluster.tolist() == [0]
         assert net.head[0]
 
     def test_all_dead_raises(self):
@@ -75,37 +73,37 @@ class TestDchne:
         )
         before = net.residual.copy()
         labels = net.cluster.copy()
-        outcome = dchne_elect(net, 5, PARAMS, MSGS, AREA)
+        head_ids = dchne_elect(net, 5, PARAMS, MSGS, AREA)
         expected = set()
         for lab in np.unique(labels):
             members = np.nonzero(labels == lab)[0]
             best = members[before[members] == before[members].max()]
             expected.add(int(net.ids[best[np.argmin(net.ids[best])]]))
-        assert set(outcome.chn_ids) == expected
+        assert set(head_ids) == expected
 
     def test_charges_follow_setup_formulas(self):
         net = make_net(8, clusters=[0, 0, 0, 0, 1, 1, 1, 1])
         c = 2
-        outcome = dchne_elect(net, c, PARAMS, MSGS, AREA)
+        head_ids = dchne_elect(net, c, PARAMS, MSGS, AREA)
         s = len(net)
         preamble = MSGS.d_preamble * PARAMS.e_radio
-        head_cost = preamble + setup_energy_chn(MSGS, 0.0, AREA, s, c, PARAMS) + tx_intra(
+        head_cost = preamble + setup_energy_chn(MSGS, AREA, s, c, PARAMS) + tx_intra(
             MSGS.d_announce, AREA, c, PARAMS
         )
-        member_cost = preamble + setup_energy_nchn(MSGS, 0.0, AREA, c, PARAMS)
-        for node_id, paid in outcome.control_energy_charged.items():
-            expected = head_cost if node_id in outcome.chn_ids else member_cost
+        member_cost = preamble + setup_energy_nchn(MSGS, AREA, c, PARAMS)
+        for node_id, paid in zip(net.ids, net.consumed):
+            expected = head_cost if node_id in head_ids else member_cost
             assert paid == pytest.approx(expected, rel=1e-12)
-        assert len(outcome.control_energy_charged) == s
+        assert np.count_nonzero(net.consumed > 0.0) == s
 
     def test_members_join_nearest_head(self):
         net = make_net(40, seed=5)
-        outcome = dchne_elect(net, 4, PARAMS, MSGS, AREA, np.random.default_rng(5))
+        head_ids = dchne_elect(net, 4, PARAMS, MSGS, AREA, np.random.default_rng(5))
         head_positions = {
-            k: net.positions[net.index_of(h)] for k, h in enumerate(outcome.chn_ids)
+            k: net.positions[net.index_of(h)] for k, h in enumerate(head_ids)
         }
-        for node_id, cluster in outcome.membership.items():
-            if node_id in outcome.chn_ids:
+        for node_id, cluster in zip(net.ids, net.cluster):
+            if node_id in head_ids:
                 continue
             p = net.positions[net.index_of(node_id)]
             own = np.hypot(*(p - head_positions[cluster]))
@@ -117,18 +115,19 @@ class TestDchne:
         net.residual[0] = 5.0  # would win cluster 0 if it were alive
         net.initial[0] = 5.0
         kill(net, 0)
-        outcome = dchne_elect(net, 2, PARAMS, MSGS, AREA)
-        assert 0 not in outcome.chn_ids
-        assert 0 not in outcome.membership
+        head_ids = dchne_elect(net, 2, PARAMS, MSGS, AREA)
+        assert 0 not in head_ids
         assert not net.head[0]
+        # every alive node joined a cluster that an alive head leads
+        assert set(net.cluster[net.alive]) == set(net.cluster[net.head & net.alive])
 
     def test_cluster_count_collapses_to_alive_count(self):
         net = make_net(10)
         for i in range(7):
             kill(net, i)
-        outcome = dchne_elect(net, 10, PARAMS, MSGS, AREA, np.random.default_rng(1))
-        assert len(outcome.chn_ids) == 3
-        assert set(outcome.membership) == {7, 8, 9}
+        head_ids = dchne_elect(net, 10, PARAMS, MSGS, AREA, np.random.default_rng(1))
+        assert len(head_ids) == 3
+        assert set(net.ids[net.cluster != NO_CLUSTER]) == {7, 8, 9}
 
     def test_books_balance_after_election(self):
         net = make_net(30, seed=2)
@@ -139,7 +138,8 @@ class TestDchne:
         outcomes = []
         for _ in range(2):
             net = make_net(25, seed=9)
-            outcomes.append(dchne_elect(net, 3, PARAMS, MSGS, AREA, np.random.default_rng(7)))
+            head_ids = dchne_elect(net, 3, PARAMS, MSGS, AREA, np.random.default_rng(7))
+            outcomes.append((head_ids, net.cluster.tolist(), net.consumed.tolist()))
         assert outcomes[0] == outcomes[1]
 
 
@@ -201,8 +201,8 @@ class TestLeach:
         state = LeachState()
         net = make_net(6)
         for round_index in range(4):
-            outcome = leach_elect(net, 6, round_index, PARAMS, MSGS, AREA, rng, state)
-            assert set(outcome.chn_ids) == set(int(i) for i in net.ids[net.alive])
+            head_ids = leach_elect(net, 6, round_index, PARAMS, MSGS, AREA, rng, state)
+            assert set(head_ids) == set(int(i) for i in net.ids[net.alive])
 
     def test_every_node_heads_during_an_epoch(self):
         rng = np.random.default_rng(123)
@@ -210,8 +210,7 @@ class TestLeach:
         net = make_net(12, residuals=1000.0)
         headed = []
         for round_index in range(4):  # epoch length = ceil(12 / 3)
-            outcome = leach_elect(net, 3, round_index, PARAMS, MSGS, AREA, rng, state)
-            headed.extend(outcome.chn_ids)
+            headed.extend(leach_elect(net, 3, round_index, PARAMS, MSGS, AREA, rng, state))
         assert set(headed) == set(range(12))
 
     def test_headed_nodes_sit_out_rest_of_epoch(self):
@@ -231,18 +230,17 @@ class TestLeach:
         draws = _ScriptedDraws()
         seen = set()
         for round_index in range(3):
-            outcome = leach_elect(net, 3, round_index, PARAMS, MSGS, AREA, draws, state)
-            assert set(outcome.chn_ids) == {4 * round_index + k for k in range(4)}
-            assert seen.isdisjoint(outcome.chn_ids)
-            seen.update(outcome.chn_ids)
+            head_ids = leach_elect(net, 3, round_index, PARAMS, MSGS, AREA, draws, state)
+            assert set(head_ids) == {4 * round_index + k for k in range(4)}
+            assert seen.isdisjoint(head_ids)
+            seen.update(head_ids)
 
     def test_fallback_drafts_highest_residual(self):
         state = LeachState()
         residuals = np.full(12, 5.0)
         residuals[8] = 9.0
         net = make_net(12, residuals=residuals)
-        outcome = leach_elect(net, 3, 1, PARAMS, MSGS, AREA, _ConstantDraws(1.0), state)
-        assert outcome.chn_ids == (8,)
+        assert leach_elect(net, 3, 1, PARAMS, MSGS, AREA, _ConstantDraws(1.0), state) == (8,)
         assert state.headed == {8}
 
     def test_mean_heads_per_round_tracks_cluster_count(self):
@@ -250,7 +248,7 @@ class TestLeach:
         state = LeachState()
         net = make_net(100, residuals=1000.0)
         counts = [
-            len(leach_elect(net, 5, r, PARAMS, MSGS, AREA, rng, state).chn_ids)
+            len(leach_elect(net, 5, r, PARAMS, MSGS, AREA, rng, state))
             for r in range(2000)
         ]
         assert np.mean(counts) == pytest.approx(5.0, abs=0.5)
@@ -265,7 +263,7 @@ class TestLeach:
             kill(net, 3)
             results.append(
                 [
-                    leach_elect(net, 2, r, PARAMS, MSGS, AREA, rng, state).chn_ids
+                    leach_elect(net, 2, r, PARAMS, MSGS, AREA, rng, state)
                     for r in range(5)
                 ]
             )
@@ -277,10 +275,9 @@ class TestRrch:
         state = RrchState()
         heads = []
         for r in range(rounds):
-            outcome = rrch_elect(
-                net, c, r, PARAMS, MSGS, AREA, state, np.random.default_rng(rng_seed)
+            heads.append(
+                rrch_elect(net, c, r, PARAMS, MSGS, AREA, state, np.random.default_rng(rng_seed))
             )
-            heads.append(outcome.chn_ids)
             if on_round is not None:
                 on_round(r, net)
         return heads
@@ -310,20 +307,21 @@ class TestRrch:
     def test_membership_never_changes(self):
         net = make_net(20, seed=8)
         state = RrchState()
-        first = rrch_elect(net, 4, 0, PARAMS, MSGS, AREA, state, np.random.default_rng(8))
+        rrch_elect(net, 4, 0, PARAMS, MSGS, AREA, state, np.random.default_rng(8))
+        first = net.cluster.copy()
         for r in range(1, 6):
-            outcome = rrch_elect(net, 4, r, PARAMS, MSGS, AREA, state, None)
-            assert outcome.membership == first.membership
+            rrch_elect(net, 4, r, PARAMS, MSGS, AREA, state, None)
+            np.testing.assert_array_equal(net.cluster, first)
 
     def test_heads_are_alive_and_one_per_cluster(self):
         net = make_net(20, seed=8)
         state = RrchState()
         rng = np.random.default_rng(8)
         for r in range(8):
-            outcome = rrch_elect(net, 4, r, PARAMS, MSGS, AREA, state, rng)
-            labels = [outcome.membership[h] for h in outcome.chn_ids]
-            assert len(set(labels)) == len(outcome.chn_ids)
-            for h in outcome.chn_ids:
+            head_ids = rrch_elect(net, 4, r, PARAMS, MSGS, AREA, state, rng)
+            labels = [net.cluster[net.index_of(h)] for h in head_ids]
+            assert len(set(labels)) == len(head_ids)
+            for h in head_ids:
                 assert net.residual[net.index_of(h)] >= 0.0
                 assert net.head[net.index_of(h)]
 

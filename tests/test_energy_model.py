@@ -121,12 +121,12 @@ class TestSchedEnergy:
 class TestSetupEnergyChn:
     def test_empty_messages(self):
         m = ControlMessageSizes(0, 0, 0, 0, 0)
-        assert setup_energy_chn(m, 100, 350, 190, 10, P) == 0.0
+        assert setup_energy_chn(m, 350, 190, 10, P) == 0.0
 
     def test_tx_electronics_only(self):
         # A=0 and S=C leave only the raw radio cost of three transmissions
         m = ControlMessageSizes()
-        assert setup_energy_chn(m, 50, 0, 10, 10, P) == pytest.approx(2.4e-5, rel=1e-12)
+        assert setup_energy_chn(m, 0, 10, 10, P) == pytest.approx(2.4e-5, rel=1e-12)
 
     def test_derived_sum_of_six_terms(self):
         m = ControlMessageSizes()
@@ -134,32 +134,32 @@ class TestSetupEnergyChn:
             oracle_tx_intra(s, 350, 10) + oracle_rx_cluster(s, 190, 10) for s in (200, 200, 200)
         )
         assert expected == pytest.approx(4.665280994855289e-4, rel=1e-12)
-        assert setup_energy_chn(m, 100, 350, 190, 10, P) == pytest.approx(expected, rel=1e-12)
+        assert setup_energy_chn(m, 350, 190, 10, P) == pytest.approx(expected, rel=1e-12)
 
 
 class TestSetupEnergyNchn:
     def test_empty_messages(self):
         m = ControlMessageSizes(0, 0, 0, 0, 0)
-        assert setup_energy_nchn(m, 100, 350, 10, P) == 0.0
+        assert setup_energy_nchn(m, 350, 10, P) == 0.0
 
     def test_single_receive(self):
         m = ControlMessageSizes(d_adv=200, d_syn=0, d_join=0)
-        assert setup_energy_nchn(m, 100, 350, 10, P) == pytest.approx(8e-6, rel=1e-12)
+        assert setup_energy_nchn(m, 350, 10, P) == pytest.approx(8e-6, rel=1e-12)
 
     def test_derived_three_terms(self):
         m = ControlMessageSizes()
         expected = 200 * P.e_radio + oracle_tx_intra(200, 350, 10) + 200 * P.e_radio
         assert expected == pytest.approx(2.7509366495176293e-5, rel=1e-12)
-        assert setup_energy_nchn(m, 100, 350, 10, P) == pytest.approx(expected, rel=1e-12)
+        assert setup_energy_nchn(m, 350, 10, P) == pytest.approx(expected, rel=1e-12)
 
 
 class TestFrameConsumptionChn:
     def test_empty_cluster_forwards_own_sample(self):
         # no members and S=C: only the base-station forward remains
-        assert frame_consumption_chn(0, 4000, 0, 350, 10, 10, P) == pytest.approx(1.6e-4, rel=1e-12)
+        assert frame_consumption_chn(0, 4000, 0, 10, 10, P) == pytest.approx(1.6e-4, rel=1e-12)
 
     def test_all_zero(self):
-        assert frame_consumption_chn(0, 0, 0, 350, 10, 10, P) == 0.0
+        assert frame_consumption_chn(0, 0, 0, 10, 10, P) == 0.0
 
     def test_derived_four_term_sum(self):
         expected = (
@@ -169,8 +169,18 @@ class TestFrameConsumptionChn:
             + oracle_tx_to_bs(4000, 100)
         )
         assert expected == pytest.approx(6.792e-3, rel=1e-12)
-        got = frame_consumption_chn(18, 4000, 100, 350, 190, 10, P)
+        got = frame_consumption_chn(18, 4000, 100, 190, 10, P)
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_arrays_give_one_cost_per_head(self):
+        members = np.array([0, 18, 5])
+        r_bs = np.array([0.0, 100.0, 250.0])
+        got = frame_consumption_chn(members, 4000, r_bs, 190, 10, P)
+        for n, r, cost in zip(members, r_bs, got):
+            assert cost == pytest.approx(frame_consumption_chn(int(n), 4000, float(r), 190, 10, P),
+                                         rel=1e-12)
+        with pytest.raises(ValueError):
+            frame_consumption_chn(np.array([3, -1]), 4000, r_bs[:2], 190, 10, P)
 
 
 class TestFrameConsumptionNchn:
@@ -221,9 +231,9 @@ class TestProperties:
             assert tx_to_bs(d, r, P) >= 0
             assert rx_cluster(d, s, c, P) >= 0
             assert sched_energy(d, s, c, P) >= 0
-            assert setup_energy_chn(m, r, a, s, c, P) >= 0
-            assert setup_energy_nchn(m, r, a, c, P) >= 0
-            assert frame_consumption_chn(n, d, r, a, s, c, P) >= 0
+            assert setup_energy_chn(m, a, s, c, P) >= 0
+            assert setup_energy_nchn(m, a, c, P) >= 0
+            assert frame_consumption_chn(n, d, r, s, c, P) >= 0
             assert frame_consumption_nchn(d, n, a, c, P) >= 0
 
     def test_linear_in_data_size(self):

@@ -1,0 +1,39 @@
+"""Golden digests: three benchmark workloads still export the bytes
+recorded in ``perfbench/golden.json`` (simulator seed 0)."""
+
+import hashlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from chsim.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads().WORKLOADS
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["digests"]
+
+
+# compare-duty-cycled is left to the benchmark: its 12 000-frame runs take
+# longer than the other three workloads together.
+@pytest.mark.parametrize("name", ["compare-saturated", "sweep-mobile", "trace-export"])
+def test_artifact_matches_golden_digest(name, tmp_path):
+    workload = WORKLOADS[name]
+    seed_args = ["--seed", "0"] if workload.args[0] == "run" else ["--seeds", "0..0"]
+    out = tmp_path / f"{name}{workload.suffix}"
+    assert main([*workload.args, *seed_args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]["default"]["0"]

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from chsim.arena import ArenaConfig, distance, place_nodes
-from chsim.energy import ControlMessageSizes, tx_to_bs
+from chsim.energy import (
+    ControlMessageSizes,
+    frame_consumption_chn,
+    frame_consumption_nchn,
+    tx_to_bs,
+)
+from chsim.network import Network
 from chsim.simulator import (
-    FrameRecord,
     ScenarioConfig,
     SimConfig,
     SimTrace,
@@ -109,7 +114,8 @@ class TestRun:
     def test_zero_frames_changes_nothing(self):
         trace = run(small_cfg(max_frames=0))
         assert len(trace) == 0
-        assert trace.records == []
+        assert trace.head_change_frames == ()
+        assert trace.reelections == ()
         assert trace.termination == "max-frames"
         np.testing.assert_array_equal(trace.final_residual, trace.initial_energy_per_node)
 
@@ -196,17 +202,46 @@ class TestRun:
     def test_records_mirror_columns(self):
         trace = run(small_cfg(arena=ArenaConfig(node_count=12, seed=1),
                               cluster_count=2, max_frames=50, record_residuals=True))
-        records = trace.records
-        assert len(records) == len(trace)
-        for i in (0, 17, len(records) - 1):
-            rec = records[i]
-            assert isinstance(rec, FrameRecord)
-            assert rec.frame == i
-            assert rec.alive == trace.alive[i]
-            assert rec.packets_delivered_cum == trace.packets_cum[i]
-            assert rec.chn_ids == trace.chn_ids_at(i)
-            assert len(rec.chn_ids) == trace.chn_count[i]
-            assert len(rec.residuals) == 12
+        assert len(trace.residual_log) == len(trace.packets_cum) == len(trace) == 50
+        for i in (0, 17, len(trace) - 1):
+            residuals = trace.residual_log[i]
+            assert len(residuals) == 12
+            assert trace.alive[i] == np.count_nonzero(residuals > 0.0)
+            assert 0 < trace.packets_cum[i] <= 12 * (i + 1)
+            heads = trace.chn_ids_at(i)
+            assert len(heads) == trace.chn_count[i]
+            assert all(residuals[h] > 0.0 for h in heads)
+
+    def test_frame_debits_are_the_energy_module_formulas(self, monkeypatch):
+        debits = []
+        original = Network.debit
+
+        def recording_debit(net, selector, amount):
+            taken = original(net, selector, amount)
+            debits.append((net, np.asarray(selector).copy(), taken.copy()))
+            return taken
+
+        monkeypatch.setattr(Network, "debit", recording_debit)
+        cfg = SimConfig(scenario=ScenarioConfig(kind="scenario2"), max_frames=20)
+        trace = run(cfg)
+        # One round and no death: after the election's preamble, head setup
+        # and member setup, every frame debits its members, then its heads.
+        assert trace.alive[-1] == cfg.arena.node_count
+        frames = debits[3:]
+        assert len(frames) == 2 * 20
+        net = debits[0][0]
+        d, c, params = cfg.scenario.d_size, cfg.cluster_count, cfg.energy
+        bs = np.asarray(cfg.arena.bs_position, dtype=float)
+        r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
+        member_cost = frame_consumption_nchn(d, 1, cfg.arena.side_a, c, params)
+        for (_, members, member_taken), (_, heads, head_taken) in zip(frames[::2], frames[1::2]):
+            assert not net.head[members].any() and net.head[heads].all()
+            assert np.all(member_taken == member_cost)
+            inbound = np.array(
+                [np.count_nonzero(net.cluster[members] == net.cluster[h]) for h in heads]
+            )
+            expected = frame_consumption_chn(inbound, d, r_bs[heads], len(net), c, params)
+            assert np.all(head_taken == expected)
 
     def test_invalid_config_fails_before_any_frame(self):
         with pytest.raises(ValueError):
