@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .metrics import compare, export, summarize
 from .simulator import POLICIES, SimConfig, config_from_dict, run
 
-__all__ = ["CliInvocation", "parse_args", "plan_runs", "execute", "main"]
+__all__ = ["parse_args", "plan_runs", "execute", "main"]
 
 _SCENARIO_NAMES = {
     "1": "scenario1",
@@ -60,26 +59,6 @@ def _int_range(text: str) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1, step))
 
 
-@dataclass(frozen=True)
-class CliInvocation:
-    """Everything one invocation asked for, after flag parsing."""
-
-    subcommand: str
-    policy: str | None
-    scenario: str | None
-    nodes: tuple[int, ...] | None
-    clusters: int | None
-    frames: int | None
-    seeds: tuple[int, ...] | None
-    config_path: str | None
-    out: str | None
-    format: str
-    duty_cycle: float | None
-    event_prob: float | None
-    round_frames: int | None
-    mobility: float | None
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="chsim",
@@ -118,9 +97,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def parse_args(argv=None) -> CliInvocation:
+def parse_args(argv=None) -> argparse.Namespace:
     """Parse ``argv`` into an invocation, raising :class:`UsageError`
-    (never exiting) on bad input; ``--help`` still exits 0."""
+    (never exiting) on bad input; ``--help`` still exits 0.  A single
+    ``--seed N`` is also given as ``seeds == (N,)``."""
     ns = _build_parser().parse_args(argv)
     if ns.seed is not None and ns.seeds is not None:
         raise UsageError("--seed and --seeds conflict; give one of them")
@@ -128,28 +108,14 @@ def parse_args(argv=None) -> CliInvocation:
         raise UsageError("run simulates a single seed; use compare or sweep for ranges")
     if ns.subcommand == "compare" and ns.policy is not None:
         raise UsageError("compare always runs every policy; --policy conflicts with it")
-    seeds = ns.seeds if ns.seeds is not None else ((ns.seed,) if ns.seed is not None else None)
     if ns.nodes is not None and ns.subcommand != "sweep" and len(ns.nodes) != 1:
         raise UsageError(f"{ns.subcommand} takes a single --nodes value; ranges are for sweep")
-    return CliInvocation(
-        subcommand=ns.subcommand,
-        policy=ns.policy,
-        scenario=ns.scenario,
-        nodes=ns.nodes,
-        clusters=ns.clusters,
-        frames=ns.frames,
-        seeds=None if seeds is None else tuple(seeds),
-        config_path=ns.config_path,
-        out=ns.out,
-        format=ns.format,
-        duty_cycle=ns.duty_cycle,
-        event_prob=ns.event_prob,
-        round_frames=ns.round_frames,
-        mobility=ns.mobility,
-    )
+    if ns.seeds is None and ns.seed is not None:
+        ns.seeds = (ns.seed,)
+    return ns
 
 
-def _config_for(inv: CliInvocation, seed: int, policy=None, nodes=None) -> SimConfig:
+def _config_for(inv: argparse.Namespace, seed: int, policy=None, nodes=None) -> SimConfig:
     """Materialize one run's config: file values first, flags on top."""
     if inv.config_path:
         data = json.loads(Path(inv.config_path).read_text())
@@ -161,7 +127,7 @@ def _config_for(inv: CliInvocation, seed: int, policy=None, nodes=None) -> SimCo
 
     def put(section, key, value):
         if value is not None:
-            target = data.setdefault(section, {})
+            target = data.setdefault(section, {}) if section else data
             if isinstance(target, dict):  # config_from_dict rejects the rest
                 target[key] = value
 
@@ -172,20 +138,14 @@ def _config_for(inv: CliInvocation, seed: int, policy=None, nodes=None) -> SimCo
     put("scenario", "duty_cycle", inv.duty_cycle)
     put("scenario", "event_probability", inv.event_prob)
     put("scenario", "frames_per_round", inv.round_frames)
-    if policy is not None:
-        data["policy"] = policy
-    elif inv.policy is not None:
-        data["policy"] = inv.policy
-    if inv.clusters is not None:
-        data["cluster_count"] = inv.clusters
-    if inv.frames is not None:
-        data["max_frames"] = inv.frames
-    if inv.mobility is not None:
-        data["mobility_speed"] = inv.mobility
+    put(None, "policy", policy or inv.policy)
+    put(None, "cluster_count", inv.clusters)
+    put(None, "max_frames", inv.frames)
+    put(None, "mobility_speed", inv.mobility)
     return config_from_dict(data)
 
 
-def plan_runs(inv: CliInvocation) -> list[SimConfig]:
+def plan_runs(inv: argparse.Namespace) -> list[SimConfig]:
     """The full, deterministically ordered list of runs an invocation
     implies (ordered by policy, then seed, then node count)."""
     seeds = inv.seeds if inv.seeds is not None else (None,)
@@ -205,7 +165,7 @@ def plan_runs(inv: CliInvocation) -> list[SimConfig]:
     ]
 
 
-def execute(inv: CliInvocation) -> int:
+def execute(inv: argparse.Namespace) -> int:
     """Run the planned simulations and export the artifact for the
     subcommand: a trace (run), a comparison table (compare), or the
     summary list (sweep)."""
@@ -223,17 +183,12 @@ def execute(inv: CliInvocation) -> int:
 
 def main(argv=None) -> int:
     try:
-        inv = parse_args(argv)
+        return execute(parse_args(argv))
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except SystemExit as err:  # argparse --help
         return 0 if (err.code or 0) == 0 else 1
-    try:
-        return execute(inv)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

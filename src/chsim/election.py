@@ -74,11 +74,12 @@ def geometric_partition(positions, k: int, rng, iterations: int = 20) -> np.ndar
 
 
 def _argmax_residual(net: Network, indices: np.ndarray) -> int:
-    """Index of the highest-residual node among ``indices``; ties go to
-    the lowest node id."""
-    residuals = net.residual[indices]
-    tied = indices[residuals == residuals.max()]
-    return int(tied[np.argmin(net.ids[tied])])
+    """Index of the highest-residual node among ``indices``.
+
+    ``indices`` must be ascending: ``argmax`` returns the first maximum,
+    so a residual tie goes to the lowest node id.
+    """
+    return int(indices[np.argmax(net.residual[indices])])
 
 
 def _nearest_head(net: Network, member_idx: np.ndarray, head_idx: np.ndarray) -> np.ndarray:
@@ -135,7 +136,7 @@ def _install(
     net.head[head_idx] = True
     net.cluster[head_idx] = head_cluster
     net.cluster[member_idx] = member_cluster
-    return tuple(int(net.ids[i]) for i in head_idx)
+    return tuple(head_idx.tolist())
 
 
 def dchne_elect(
@@ -171,7 +172,7 @@ def dchne_elect(
         _argmax_residual(net, alive_idx[labels == lab])
         for lab in np.unique(labels[labels != NO_CLUSTER])
     ]
-    head_idx = np.array(sorted(heads, key=lambda i: int(net.ids[i])), dtype=int)
+    head_idx = np.array(sorted(heads), dtype=int)
     member_idx = alive_idx[~np.isin(alive_idx, head_idx)]
     member_cluster = _nearest_head(net, member_idx, head_idx)
     cost_head, cost_member = _setup_costs(net, c, params, msgs, area_side)
@@ -257,12 +258,12 @@ def leach_elect(
         state.headed.clear()
     p = c / s
     threshold = p / (1.0 - p * (round_index % epoch))
-    eligible = net.alive & ~np.isin(net.ids, list(state.headed))
-    self_elected = np.nonzero(eligible & (draws < threshold))[0]
-    if len(self_elected) == 0:
-        self_elected = np.array([_argmax_residual(net, alive_idx)])
-    head_idx = self_elected[np.argsort(net.ids[self_elected])]
-    state.headed.update(int(net.ids[i]) for i in head_idx)
+    eligible = net.alive  # a fresh array, so masking it changes no state
+    eligible[list(state.headed)] = False
+    head_idx = np.nonzero(eligible & (draws < threshold))[0]
+    if len(head_idx) == 0:
+        head_idx = np.array([_argmax_residual(net, alive_idx)])
+    state.headed.update(head_idx.tolist())
     member_idx = alive_idx[~np.isin(alive_idx, head_idx)]
     member_cluster = _nearest_head(net, member_idx, head_idx)
     cost_head, cost_member = _setup_costs(net, c, params, msgs, area_side)
@@ -312,13 +313,11 @@ def rrch_elect(
     alive_idx = _charge_preamble(net, msgs, params)
     heads: list[int] = []
     for lab in sorted(int(k) for k in np.unique(state.membership)):
-        roster = np.nonzero(state.membership == lab)[0]
-        roster = roster[np.argsort(net.ids[roster])]
-        if not net.alive[roster].any():
+        roster = np.nonzero(net.alive & (state.membership == lab))[0]
+        if len(roster) == 0:
             continue
-        start = int(np.nonzero(roster == state.prev_head[lab])[0][0])
-        order = np.roll(roster, -(start + 1))
-        new_head = int(order[np.nonzero(net.alive[order])[0][0]])
+        later = roster[roster > state.prev_head[lab]]
+        new_head = int(later[0] if len(later) else roster[0])
         state.prev_head[lab] = new_head
         heads.append(new_head)
     if not heads:

@@ -12,15 +12,14 @@ NO_CLUSTER = -1
 class Network:
     """Positions, residual energy, roles and cluster membership of all nodes.
 
-    State is held in parallel numpy arrays indexed 0..S-1; ``ids`` maps
-    array index to the externally visible node id (the identity mapping
-    unless custom ids are supplied).  A node is alive exactly while its
-    residual energy is positive, and all charging goes through
-    :meth:`debit` so that ``initial == residual + consumed`` holds for
-    every node at all times.
+    State is held in parallel numpy arrays indexed 0..S-1, and a node's
+    array index is its id: election tie-breaks and round-robin order use
+    it directly.  A node is alive exactly while its residual energy is
+    positive, and all charging goes through :meth:`debit` so that
+    ``initial == residual + consumed`` holds for every node at all times.
     """
 
-    def __init__(self, positions, initial_energy=3.5, ids=None):
+    def __init__(self, positions, initial_energy=3.5):
         positions = np.array(positions, dtype=float)
         if positions.ndim != 2 or positions.shape[1] != 2:
             raise ValueError("positions must have shape (S, 2)")
@@ -33,13 +32,6 @@ class Network:
         self.consumed = np.zeros(n)
         self.cluster = np.full(n, NO_CLUSTER, dtype=int)
         self.head = np.zeros(n, dtype=bool)
-        self.awake = np.ones(n, dtype=bool)
-        if ids is None:
-            self.ids = np.arange(n)
-        else:
-            self.ids = np.asarray(ids, dtype=int)
-            if self.ids.shape != (n,) or len(np.unique(self.ids)) != n:
-                raise ValueError("ids must be unique, one per node")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -57,9 +49,3 @@ class Network:
         self.residual[selector] -= take
         self.consumed[selector] += take
         return take
-
-    def index_of(self, node_id: int) -> int:
-        hits = np.nonzero(self.ids == node_id)[0]
-        if len(hits) == 0:
-            raise KeyError(f"no node with id {node_id}")
-        return int(hits[0])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -221,9 +222,7 @@ def run(cfg: SimConfig) -> SimTrace:
             for dead in dead_heads:
                 label = int(net.cluster[dead])
                 winner = dchne_reelect_cluster(net, label, c, params, msgs, arena.side_a)
-                reelections.append(
-                    (frame, label, int(net.ids[winner]) if winner is not None else None)
-                )
+                reelections.append((frame, label, winner))
 
         if cfg.mobility_speed > 0.0:
             net.positions = step_mobility(
@@ -231,19 +230,19 @@ def run(cfg: SimConfig) -> SimTrace:
             )
             r_bs = distance_to_bs()
 
-        net.awake[:] = scenario_rng.random(s) < scen.duty_cycle
+        awake = scenario_rng.random(s) < scen.duty_cycle
         events = scenario_rng.random(s) < scen.event_probability
 
         alive = net.alive
         active_heads = np.nonzero(net.head & alive)[0]
-        tx_idx = np.nonzero(alive & ~net.head & net.awake & events & (net.cluster >= 0))[0]
+        tx_idx = np.nonzero(alive & ~net.head & awake & events & (net.cluster >= 0))[0]
         if len(tx_idx):
             net.debit(tx_idx, member_tx)
         if len(active_heads):
             counts = np.bincount(
                 net.cluster[tx_idx], minlength=int(net.cluster[active_heads].max()) + 1
             )
-            forwarding = net.awake[active_heads] & (
+            forwarding = awake[active_heads] & (
                 (counts[net.cluster[active_heads]] > 0) | events[active_heads]
             )
             fwd = active_heads[forwarding]
@@ -253,7 +252,7 @@ def run(cfg: SimConfig) -> SimTrace:
                 packets += int(inbound.sum()) + int(events[fwd].sum())
 
         alive = net.alive
-        heads_now = tuple(int(i) for i in net.ids[net.head & alive])
+        heads_now = tuple(np.nonzero(net.head & alive)[0].tolist())
         if heads_now != prev_heads:
             change_frames.append(frame)
             change_ids.append(heads_now)
@@ -305,11 +304,28 @@ _SUBCONFIGS = {
 }
 
 
+# Payload values each field annotation (a string, as the config modules
+# postpone annotations) accepts; other fields (sub-configs, ``bs_position``)
+# are checked where they are built.  ``abs`` compares ints exactly, so an
+# int too large for a float is not finite either.
+_ACCEPTS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "float | None": ("a finite number or null", lambda v: v is None or _ACCEPTS["float"][1](v)),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str": ("a string", lambda v: type(v) is str),
+}
+
+
 def _build(cls, payload: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - known)
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(payload) - set(types))
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
+    for name, value in payload.items():
+        expected, accepts = _ACCEPTS.get(types[name], (None, None))
+        if accepts is not None and not accepts(value):
+            raise ValueError(f"{cls.__name__}.{name} must be {expected}, got {value!r}")
     return cls(**payload)
 
 

@@ -169,8 +169,7 @@ def test_c3_election_matches_brute_force():
             residuals = rng.choice([1.0, 2.0, 3.0, 3.5], size=n)
         else:
             residuals = rng.uniform(0.5, 3.5, size=n)
-        ids = rng.permutation(n) * 7 + 1
-        net = Network(positions, initial_energy=residuals, ids=ids)
+        net = Network(positions, initial_energy=residuals)
         net.cluster[:] = rng.integers(0, c, size=n)
         dead = np.nonzero(rng.random(n) < 0.15)[0]
         for i in dead:
@@ -185,7 +184,7 @@ def test_c3_election_matches_brute_force():
         for lab in np.unique(labels[alive]):
             members = np.nonzero(alive & (labels == lab))[0]
             best = members[before[members] == before[members].max()]
-            expected.add(int(net.ids[best[np.argmin(net.ids[best])]]))
+            expected.add(int(best.min()))
 
         head_ids = dchne_elect(net, c, params, MSGS, AREA)
         assert set(head_ids) == expected, f"trial {trial}"
@@ -212,7 +211,7 @@ def test_c4_rotation_and_probabilistic_head_rates():
     heads = []
     for rnd in range(7):
         heads.extend(rrch_elect(net, 1, rnd, params, MSGS, AREA, state, rng))
-    assert sorted(heads) == sorted(net.ids.tolist())
+    assert sorted(heads) == list(range(7))
 
     # Probabilistic rotation: every alive node heads at least once per
     # ceil(1/P)-round epoch (the threshold reaches 1 in the final round).
@@ -222,7 +221,7 @@ def test_c4_rotation_and_probabilistic_head_rates():
     epoch_heads = set()
     for rnd in range(4):  # epoch = ceil(12/3) / ... = ceil(1/P) = 4 rounds
         epoch_heads.update(leach_elect(net, 3, rnd, params, MSGS, AREA, draw_rng, state))
-    assert epoch_heads == set(net.ids.tolist())
+    assert epoch_heads == set(range(12))
 
     # Empirical head rate: mean heads per round within c +/- 10% over 1e4
     # rounds at 100 nodes, 5 clusters.

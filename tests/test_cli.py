@@ -179,11 +179,20 @@ class TestExecution:
         {"energy": [1, 2]},
         {"arena": {"bs_position": [float("nan"), 0]}},
         {"arena": {"bs_position": [175.0]}},
+        {"arena": {"node_count": 10.5}},
+        {"max_frames": 1.5},
+        {"initial_energy": None},
+        {"arena": {"node_count": "20"}},
+        {"arena": {"node_count": True}},
+        {"mobility_speed": "1"},
+        {"scenario": {"kind": "scenario2", "frames_per_round": 2.5}},
+        {"scenario": {"d_size": 1e400}},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, payload):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps(payload))
-        assert main(["run", "--seed", "1", "--frames", "5", "--config", str(config)]) == 2
+        # no --frames flag, so a max_frames payload reaches the config
+        assert main(["run", "--seed", "1", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 

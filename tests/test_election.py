@@ -27,11 +27,11 @@ PARAMS = EnergyParams()
 MSGS = ControlMessageSizes()
 
 
-def make_net(n=None, positions=None, residuals=3.5, ids=None, clusters=None, seed=0):
+def make_net(n=None, positions=None, residuals=3.5, clusters=None, seed=0):
     if positions is None:
         rng = np.random.default_rng(seed)
         positions = rng.uniform(0.0, AREA, size=(n, 2))
-    net = Network(positions, initial_energy=residuals, ids=ids)
+    net = Network(positions, initial_energy=residuals)
     if clusters is not None:
         net.cluster[:] = clusters
     return net
@@ -43,12 +43,12 @@ def kill(net, index):
 
 class TestDchne:
     def test_tie_breaks_to_lowest_id(self):
-        net = make_net(3, residuals=[3.1, 2.0, 3.1], ids=[2, 5, 1], clusters=[0, 0, 0])
-        assert dchne_elect(net, 1, PARAMS, MSGS, AREA) == (1,)
+        net = make_net(3, residuals=[3.1, 2.0, 3.1], clusters=[0, 0, 0])
+        assert dchne_elect(net, 1, PARAMS, MSGS, AREA) == (0,)
 
     def test_single_node_heads_sole_cluster(self):
-        net = make_net(1, ids=[42])
-        assert dchne_elect(net, 1, PARAMS, MSGS, AREA, np.random.default_rng(3)) == (42,)
+        net = make_net(1)
+        assert dchne_elect(net, 1, PARAMS, MSGS, AREA, np.random.default_rng(3)) == (0,)
         assert net.cluster.tolist() == [0]
         assert net.head[0]
 
@@ -78,7 +78,7 @@ class TestDchne:
         for lab in np.unique(labels):
             members = np.nonzero(labels == lab)[0]
             best = members[before[members] == before[members].max()]
-            expected.add(int(net.ids[best[np.argmin(net.ids[best])]]))
+            expected.add(int(best.min()))
         assert set(head_ids) == expected
 
     def test_charges_follow_setup_formulas(self):
@@ -91,7 +91,7 @@ class TestDchne:
             MSGS.d_announce, AREA, c, PARAMS
         )
         member_cost = preamble + setup_energy_nchn(MSGS, AREA, c, PARAMS)
-        for node_id, paid in zip(net.ids, net.consumed):
+        for node_id, paid in enumerate(net.consumed):
             expected = head_cost if node_id in head_ids else member_cost
             assert paid == pytest.approx(expected, rel=1e-12)
         assert np.count_nonzero(net.consumed > 0.0) == s
@@ -99,13 +99,11 @@ class TestDchne:
     def test_members_join_nearest_head(self):
         net = make_net(40, seed=5)
         head_ids = dchne_elect(net, 4, PARAMS, MSGS, AREA, np.random.default_rng(5))
-        head_positions = {
-            k: net.positions[net.index_of(h)] for k, h in enumerate(head_ids)
-        }
-        for node_id, cluster in zip(net.ids, net.cluster):
+        head_positions = {k: net.positions[h] for k, h in enumerate(head_ids)}
+        for node_id, cluster in enumerate(net.cluster):
             if node_id in head_ids:
                 continue
-            p = net.positions[net.index_of(node_id)]
+            p = net.positions[node_id]
             own = np.hypot(*(p - head_positions[cluster]))
             for other in head_positions.values():
                 assert own <= np.hypot(*(p - other)) + 1e-9
@@ -127,7 +125,7 @@ class TestDchne:
             kill(net, i)
         head_ids = dchne_elect(net, 10, PARAMS, MSGS, AREA, np.random.default_rng(1))
         assert len(head_ids) == 3
-        assert set(net.ids[net.cluster != NO_CLUSTER]) == {7, 8, 9}
+        assert set(np.nonzero(net.cluster != NO_CLUSTER)[0].tolist()) == {7, 8, 9}
 
     def test_books_balance_after_election(self):
         net = make_net(30, seed=2)
@@ -150,18 +148,28 @@ class TestReelection:
         return net
 
     def test_replacement_is_cluster_argmax(self):
-        net = self.make_elected()
-        dead = int(np.nonzero(net.head)[0][0])
-        label = int(net.cluster[dead])
-        kill(net, dead)
-        net.head[dead] = False
-        members = np.nonzero(net.alive & (net.cluster == label))[0]
-        before = net.residual.copy()
-        winner = dchne_reelect_cluster(net, label, 3, PARAMS, MSGS, AREA)
-        best = members[before[members] == before[members].max()]
-        assert winner == int(best[np.argmin(net.ids[best])])
-        assert net.head[winner]
-        assert net.cluster[winner] == label
+        for tied in (False, True):
+            net = self.make_elected()
+            dead = int(np.nonzero(net.head)[0][0])
+            label = int(net.cluster[dead])
+            kill(net, dead)
+            net.head[dead] = False
+            members = np.nonzero(net.alive & (net.cluster == label))[0]
+            if tied:  # drain every member to the poorest one's residual
+                net.debit(members, net.residual[members] - net.residual[members].min())
+            else:  # the highest index is left the richest
+                net.debit(members, np.linspace(0.5, 0.0, len(members)))
+            before = net.residual.copy()
+            winner = dchne_reelect_cluster(net, label, 3, PARAMS, MSGS, AREA)
+            best = members[before[members] == before[members].max()]
+            assert winner == int(best.min())
+            if tied:
+                assert len(best) == len(members) > 1
+                assert winner == int(members.min())
+            else:
+                assert winner == int(members.max())
+            assert net.head[winner]
+            assert net.cluster[winner] == label
 
     def test_other_clusters_untouched(self):
         net = self.make_elected()
@@ -202,7 +210,7 @@ class TestLeach:
         net = make_net(6)
         for round_index in range(4):
             head_ids = leach_elect(net, 6, round_index, PARAMS, MSGS, AREA, rng, state)
-            assert set(head_ids) == set(int(i) for i in net.ids[net.alive])
+            assert set(head_ids) == set(np.nonzero(net.alive)[0].tolist())
 
     def test_every_node_heads_during_an_epoch(self):
         rng = np.random.default_rng(123)
@@ -242,6 +250,11 @@ class TestLeach:
         net = make_net(12, residuals=residuals)
         assert leach_elect(net, 3, 1, PARAMS, MSGS, AREA, _ConstantDraws(1.0), state) == (8,)
         assert state.headed == {8}
+        # a residual tie drafts the lowest id
+        state = LeachState()
+        net = make_net(12, residuals=5.0)
+        assert leach_elect(net, 3, 1, PARAMS, MSGS, AREA, _ConstantDraws(1.0), state) == (0,)
+        assert state.headed == {0}
 
     def test_mean_heads_per_round_tracks_cluster_count(self):
         rng = np.random.default_rng(77)
@@ -283,26 +296,25 @@ class TestRrch:
         return heads
 
     def test_rotation_follows_ascending_ids(self):
-        net = make_net(3, ids=[3, 7, 9], clusters=None)
+        net = make_net(3, clusters=None)
         heads = self.rotate(net, 4)
-        assert heads == [(3,), (7,), (9,), (3,)]
+        assert heads == [(0,), (1,), (2,), (0,)]
 
     def test_rotation_skips_dead_member(self):
-        net = make_net(3, ids=[3, 7, 9])
+        net = make_net(3)
 
         def killer(round_index, net):
             if round_index == 0:
-                kill(net, 1)  # node id 7
+                kill(net, 1)
 
         heads = self.rotate(net, 3, on_round=killer)
-        assert heads == [(3,), (9,), (3,)]
+        assert heads == [(0,), (2,), (0,)]
 
     def test_each_member_heads_exactly_once_per_cycle(self):
-        ids = [11, 2, 7, 5, 23]
-        net = make_net(5, ids=ids)
+        net = make_net(5)
         heads = self.rotate(net, 5)
         flat = [h for (h,) in heads]
-        assert sorted(flat) == sorted(ids)
+        assert sorted(flat) == list(range(5))
 
     def test_membership_never_changes(self):
         net = make_net(20, seed=8)
@@ -319,11 +331,11 @@ class TestRrch:
         rng = np.random.default_rng(8)
         for r in range(8):
             head_ids = rrch_elect(net, 4, r, PARAMS, MSGS, AREA, state, rng)
-            labels = [net.cluster[net.index_of(h)] for h in head_ids]
+            labels = [net.cluster[h] for h in head_ids]
             assert len(set(labels)) == len(head_ids)
             for h in head_ids:
-                assert net.residual[net.index_of(h)] >= 0.0
-                assert net.head[net.index_of(h)]
+                assert net.residual[h] >= 0.0
+                assert net.head[h]
 
 
 class TestGeometricPartition:
