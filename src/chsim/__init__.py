@@ -7,12 +7,17 @@ round-robin), two traffic scenarios, and exports traces/summaries for
 plotting and comparison.
 """
 
-from .arena import (
+from .arena import distance, place_nodes, step_mobility, substream
+from .config import (
+    POLICIES,
+    SCENARIOS,
     ArenaConfig,
-    distance,
-    place_nodes,
-    step_mobility,
-    substream,
+    ControlMessageSizes,
+    EnergyParams,
+    ScenarioConfig,
+    SimConfig,
+    config_from_dict,
+    config_to_dict,
 )
 from .election import (
     EmptyNetworkError,
@@ -25,8 +30,6 @@ from .election import (
     rrch_elect,
 )
 from .energy import (
-    ControlMessageSizes,
-    EnergyParams,
     frame_consumption_chn,
     frame_consumption_nchn,
     rx_cluster,
@@ -49,26 +52,24 @@ from .metrics import (
     summarize,
 )
 from .network import Network
-from .simulator import (
-    POLICIES,
-    SCENARIOS,
-    ScenarioConfig,
-    SimConfig,
-    SimTrace,
-    config_from_dict,
-    config_to_dict,
-    network_lifetime,
-    run,
-)
+from .simulator import SimTrace, network_lifetime, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArenaConfig",
     "distance",
     "place_nodes",
     "step_mobility",
     "substream",
+    "POLICIES",
+    "SCENARIOS",
+    "ArenaConfig",
+    "ControlMessageSizes",
+    "EnergyParams",
+    "ScenarioConfig",
+    "SimConfig",
+    "config_from_dict",
+    "config_to_dict",
     "EmptyNetworkError",
     "LeachState",
     "RrchState",
@@ -77,8 +78,6 @@ __all__ = [
     "geometric_partition",
     "leach_elect",
     "rrch_elect",
-    "ControlMessageSizes",
-    "EnergyParams",
     "frame_consumption_chn",
     "frame_consumption_nchn",
     "rx_cluster",
@@ -98,13 +97,7 @@ __all__ = [
     "read_summary_json",
     "summarize",
     "Network",
-    "POLICIES",
-    "SCENARIOS",
-    "ScenarioConfig",
-    "SimConfig",
     "SimTrace",
-    "config_from_dict",
-    "config_to_dict",
     "network_lifetime",
     "run",
 ]

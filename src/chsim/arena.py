@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ArenaConfig
+
 __all__ = [
-    "ArenaConfig",
     "substream",
     "place_nodes",
     "distance",
@@ -29,39 +29,6 @@ PLACEMENT, MOBILITY, SCENARIO, LEACH_DRAWS, PARTITION = range(5)
 def substream(seed: int, channel: int) -> np.random.Generator:
     """Deterministic, independent RNG for one channel of a master seed."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(channel,)))
-
-
-@dataclass(frozen=True)
-class ArenaConfig:
-    """Deployment geometry: square side, base-station position, node count, seed.
-
-    The default base station sits centered in x and three quarters of the
-    way up the default 350 m arena, giving a mean node-to-station distance
-    of about 150 m (max ~315 m at the far corners).  Sinks much farther
-    out make the fourth-power uplink term so expensive that a single
-    twenty-frame head stint exceeds the battery, which distorts every
-    policy comparison; the default keeps head duty costly but survivable.
-    """
-
-    side_a: float = 350.0
-    bs_position: tuple[float, float] = (175.0, 262.5)
-    node_count: int = 190
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (self.side_a > 0 and math.isfinite(self.side_a)):
-            raise ValueError(f"arena side must be positive, got {self.side_a!r}")
-        if self.node_count < 1:
-            raise ValueError(f"node count must be >= 1, got {self.node_count!r}")
-        try:
-            finite = len(self.bs_position) == 2 and all(map(math.isfinite, self.bs_position))
-        except TypeError:  # not a sequence, or not numbers
-            finite = False
-        if not finite:
-            raise ValueError(
-                f"base-station position must be two finite numbers, got {self.bs_position!r}"
-            )
-        object.__setattr__(self, "bs_position", tuple(self.bs_position))
 
 
 def place_nodes(cfg: ArenaConfig) -> np.ndarray:
@@ -92,11 +59,10 @@ def step_mobility(
     positions: np.ndarray,
     side_a: float,
     speed: float,
-    dt: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Move every node ``speed * dt`` meters in an independent uniform
-    direction, reflecting at the arena boundaries.
+    """Move every node ``speed`` meters (one frame's travel) in an
+    independent uniform direction, reflecting at the arena boundaries.
 
     ``speed = 0`` is the identity.  Returns a new array; the input is
     not modified.
@@ -104,8 +70,8 @@ def step_mobility(
     if speed < 0:
         raise ValueError(f"speed must be >= 0, got {speed!r}")
     positions = np.asarray(positions, dtype=float)
-    if speed == 0 or dt == 0:
+    if speed == 0:
         return positions.copy()
     theta = rng.uniform(0.0, 2.0 * math.pi, size=len(positions))
-    step = speed * dt * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    step = speed * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return _reflect(positions + step, side_a)

@@ -12,8 +12,9 @@ import json
 import sys
 from pathlib import Path
 
+from .config import POLICIES, SimConfig, config_from_dict
 from .metrics import compare, export, summarize
-from .simulator import POLICIES, SimConfig, config_from_dict, run
+from .simulator import run
 
 __all__ = ["parse_args", "plan_runs", "execute", "main"]
 

@@ -45,10 +45,10 @@ class EmptyNetworkError(ValueError):
     """An election was attempted with no alive node left."""
 
 
-def geometric_partition(positions, k: int, rng, iterations: int = 20) -> np.ndarray:
+def geometric_partition(positions, k: int, rng) -> np.ndarray:
     """Split points into ``k`` spatial groups with a fixed-iteration k-means.
 
-    Runs exactly ``iterations`` assignment/update sweeps from a random
+    Runs exactly 20 assignment/update sweeps from a random
     (seed-deterministic) choice of initial centers; a cluster that empties
     out is re-seeded to the point farthest from its assigned center.
     Returns an integer label in ``0..k-1`` per point.
@@ -59,7 +59,7 @@ def geometric_partition(positions, k: int, rng, iterations: int = 20) -> np.ndar
         raise ValueError(f"need 1 <= k <= {n} point groups, got {k}")
     centers = positions[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
-    for _ in range(iterations):
+    for _ in range(20):
         d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
         for j in range(k):

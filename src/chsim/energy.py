@@ -10,13 +10,12 @@ amplifier, which grows with the fourth power of distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import ControlMessageSizes, EnergyParams
+
 __all__ = [
-    "EnergyParams",
-    "ControlMessageSizes",
     "tx_intra",
     "tx_to_bs",
     "rx_cluster",
@@ -26,52 +25,6 @@ __all__ = [
     "frame_consumption_chn",
     "frame_consumption_nchn",
 ]
-
-
-@dataclass(frozen=True)
-class EnergyParams:
-    """Radio, amplifier, scheduling and aggregation coefficients.
-
-    Defaults: 40 nJ/bit radio electronics, 9 pJ/bit/m^2 free-space
-    amplifier, 0.0011 pJ/bit/m^4 two-ray amplifier, 6 nJ/bit/message
-    aggregation.  Scheduling uses the same electronics as the radio
-    (40 nJ/bit) unless overridden.
-    """
-
-    e_radio: float = 40e-9
-    e_amp: float = 9e-12
-    e_mh: float = 0.0011e-12
-    e_sched: float = 40e-9
-    e_agg: float = 6e-9
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ControlMessageSizes:
-    """Sizes in bits of the control messages exchanged around an election.
-
-    ``d_adv``/``d_syn``/``d_join`` form the advertise/synchronize/join
-    handshake of the setup phase; ``d_preamble`` is the base-station
-    trigger received by every candidate and ``d_announce`` the winner's
-    multicast.  Defaults are 200 bits (25 bytes) each.
-    """
-
-    d_adv: int = 200
-    d_syn: int = 200
-    d_join: int = 200
-    d_preamble: int = 200
-    d_announce: int = 200
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value < 0 or value != int(value):
-                raise ValueError(f"{f.name} must be a whole non-negative bit count")
 
 
 def _check_bits(d_bits: float) -> None:

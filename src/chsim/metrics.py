@@ -15,7 +15,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .simulator import SimTrace, config_to_dict, network_lifetime
+from .config import config_to_dict
+from .simulator import SimTrace, network_lifetime
 
 __all__ = [
     "RunSummary",

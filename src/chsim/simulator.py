@@ -6,15 +6,14 @@ between, awake members with an event transmit one data packet to their
 head, which receives, aggregates, schedules and forwards one packet to
 the base station.  All consumption is debited against node batteries;
 nodes die when they hit zero and the trace records the alive count,
-cumulative deliveries and head set of every frame.
+cumulative deliveries and head set of every frame.  A run trusts its
+config, which checked its own fields when built (:mod:`chsim.config`).
 """
 
 from __future__ import annotations
 
 import bisect
-import math
-import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,11 +22,11 @@ from .arena import (
     MOBILITY,
     PARTITION,
     SCENARIO,
-    ArenaConfig,
     place_nodes,
     step_mobility,
     substream,
 )
+from .config import SimConfig
 from .election import (
     EmptyNetworkError,
     LeachState,
@@ -37,92 +36,10 @@ from .election import (
     leach_elect,
     rrch_elect,
 )
-from .energy import ControlMessageSizes, EnergyParams, frame_consumption_chn, frame_consumption_nchn
+from .energy import frame_consumption_chn, frame_consumption_nchn
 from .network import Network
 
-__all__ = [
-    "POLICIES",
-    "SCENARIOS",
-    "ScenarioConfig",
-    "SimConfig",
-    "SimTrace",
-    "run",
-    "network_lifetime",
-    "config_to_dict",
-    "config_from_dict",
-]
-
-POLICIES = ("dchne", "leach", "rrch")
-SCENARIOS = ("scenario1", "scenario2")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Traffic model of a run.
-
-    ``scenario1`` is saturated sensing: every node awake, an event every
-    frame.  ``scenario2`` draws, per node per frame, awake state with
-    probability ``duty_cycle`` and an event with probability
-    ``event_probability`` (defaulting to 0.5 and 0.3 when unset).
-    """
-
-    kind: str = "scenario1"
-    event_probability: float | None = None
-    duty_cycle: float | None = None
-    d_size: int = 4000
-    frames_per_round: int = 20
-
-    def __post_init__(self):
-        if self.kind not in SCENARIOS:
-            raise ValueError(f"scenario kind must be one of {SCENARIOS}, got {self.kind!r}")
-        if self.kind == "scenario1":
-            object.__setattr__(self, "event_probability", 1.0)
-            object.__setattr__(self, "duty_cycle", 1.0)
-        else:
-            if self.event_probability is None:
-                object.__setattr__(self, "event_probability", 0.3)
-            if self.duty_cycle is None:
-                object.__setattr__(self, "duty_cycle", 0.5)
-        if not 0.0 <= self.event_probability <= 1.0:
-            raise ValueError(f"event probability must be in [0, 1], got {self.event_probability}")
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValueError(f"duty cycle must be in (0, 1], got {self.duty_cycle}")
-        if self.d_size <= 0:
-            raise ValueError(f"data packet size must be positive, got {self.d_size}")
-        if self.frames_per_round < 1:
-            raise ValueError(f"frames per round must be >= 1, got {self.frames_per_round}")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Complete, self-contained description of one run."""
-
-    arena: ArenaConfig = ArenaConfig()
-    energy: EnergyParams = EnergyParams()
-    msgs: ControlMessageSizes = ControlMessageSizes()
-    scenario: ScenarioConfig = ScenarioConfig()
-    policy: str = "dchne"
-    cluster_count: int = 10
-    max_frames: int = 12000
-    initial_energy: float = 3.5
-    mobility_speed: float = 0.0
-    record_residuals: bool = False
-
-    def validate(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
-        if self.cluster_count < 1:
-            raise ValueError(f"cluster count must be >= 1, got {self.cluster_count}")
-        if self.cluster_count > self.arena.node_count:
-            raise ValueError(
-                f"cluster count {self.cluster_count} exceeds node count {self.arena.node_count}"
-            )
-        if self.max_frames < 0:
-            raise ValueError(f"max frames must be >= 0, got {self.max_frames}")
-        if not (math.isfinite(self.initial_energy) and self.initial_energy > 0):
-            raise ValueError(f"initial energy must be positive, got {self.initial_energy}")
-        if not (math.isfinite(self.mobility_speed) and self.mobility_speed >= 0):
-            raise ValueError(f"mobility speed must be >= 0, got {self.mobility_speed}")
+__all__ = ["SimTrace", "run", "network_lifetime"]
 
 
 @dataclass(eq=False)
@@ -166,9 +83,9 @@ def run(cfg: SimConfig) -> SimTrace:
     placement, mobility, scenario draws, self-election draws and the
     initial geometric split, so two runs of the same config are
     identical and runs differing only in policy see the same
-    environment.
+    environment.  An energy cost that overflows into a NaN residual
+    raises ValueError.
     """
-    cfg.validate()
     arena = cfg.arena
     scen = cfg.scenario
     params, msgs = cfg.energy, cfg.msgs
@@ -225,9 +142,7 @@ def run(cfg: SimConfig) -> SimTrace:
                 reelections.append((frame, label, winner))
 
         if cfg.mobility_speed > 0.0:
-            net.positions = step_mobility(
-                net.positions, arena.side_a, cfg.mobility_speed, 1.0, mobility_rng
-            )
+            net.positions = step_mobility(net.positions, arena.side_a, cfg.mobility_speed, mobility_rng)
             r_bs = distance_to_bs()
 
         awake = scenario_rng.random(s) < scen.duty_cycle
@@ -266,6 +181,9 @@ def run(cfg: SimConfig) -> SimTrace:
             termination = "all-dead"
             break
 
+    # debit never touches a dead node again, so a NaN residual lasts to the end
+    if np.isnan(net.residual).any():
+        raise ValueError("a residual became NaN: this config's energy costs overflow a float")
     return SimTrace(
         config=cfg,
         termination=termination,
@@ -289,56 +207,3 @@ def network_lifetime(trace: SimTrace, threshold: int):
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     below = np.nonzero(trace.alive < threshold)[0]
     return int(below[0]) if len(below) else None
-
-
-def config_to_dict(cfg: SimConfig) -> dict:
-    """Plain nested-dict form of a config (JSON-friendly field names)."""
-    return asdict(cfg)
-
-
-_SUBCONFIGS = {
-    "arena": ArenaConfig,
-    "energy": EnergyParams,
-    "msgs": ControlMessageSizes,
-    "scenario": ScenarioConfig,
-}
-
-
-# Payload values each field annotation (a string, as the config modules
-# postpone annotations) accepts; other fields (sub-configs, ``bs_position``)
-# are checked where they are built.  ``abs`` compares ints exactly, so an
-# int too large for a float is not finite either.
-_ACCEPTS = {
-    "int": ("an integer", lambda v: type(v) is int),
-    "float": ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
-    "float | None": ("a finite number or null", lambda v: v is None or _ACCEPTS["float"][1](v)),
-    "bool": ("true or false", lambda v: type(v) is bool),
-    "str": ("a string", lambda v: type(v) is str),
-}
-
-
-def _build(cls, payload: dict):
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(payload) - set(types))
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
-    for name, value in payload.items():
-        expected, accepts = _ACCEPTS.get(types[name], (None, None))
-        if accepts is not None and not accepts(value):
-            raise ValueError(f"{cls.__name__}.{name} must be {expected}, got {value!r}")
-    return cls(**payload)
-
-
-def config_from_dict(data: dict) -> SimConfig:
-    """Inverse of :func:`config_to_dict`; rejects unknown field names."""
-    remainder = dict(data)
-    kwargs = {}
-    for key, cls in _SUBCONFIGS.items():
-        if key in remainder:
-            payload = remainder.pop(key)
-            if not isinstance(payload, dict):
-                raise ValueError(f"{key} must be an object of {cls.__name__} fields, not {payload}")
-            kwargs[key] = _build(cls, payload)
-    cfg = _build(SimConfig, {**kwargs, **remainder})
-    cfg.validate()
-    return cfg

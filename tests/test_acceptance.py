@@ -20,6 +20,7 @@ import pytest
 
 from chsim.arena import ArenaConfig
 from chsim.cli import main
+from chsim.config import ScenarioConfig, SimConfig
 from chsim.election import LeachState, dchne_elect, leach_elect, rrch_elect
 from chsim.energy import (
     ControlMessageSizes,
@@ -31,7 +32,7 @@ from chsim.energy import (
 )
 from chsim.metrics import RunSummary, export, read_curve_csv, read_summary_json
 from chsim.network import Network
-from chsim.simulator import ScenarioConfig, SimConfig, run
+from chsim.simulator import run
 
 AREA = 350.0
 MSGS = ControlMessageSizes()

@@ -187,6 +187,7 @@ class TestExecution:
         {"mobility_speed": "1"},
         {"scenario": {"kind": "scenario2", "frames_per_round": 2.5}},
         {"scenario": {"d_size": 1e400}},
+        {"arena": {"side_a": 1e200}, "msgs": {"d_join": 0}},  # 0 * inf: a NaN residual
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, payload):
         config = tmp_path / "bad.json"

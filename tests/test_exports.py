@@ -1,4 +1,5 @@
-"""Public names: every ``__all__`` entry resolves, and none is listed twice."""
+"""Public names: every ``__all__`` entry resolves, none is listed twice,
+and each has one home submodule."""
 
 import importlib
 
@@ -8,6 +9,7 @@ MODULES = (
     "chsim",
     "chsim.arena",
     "chsim.cli",
+    "chsim.config",
     "chsim.election",
     "chsim.energy",
     "chsim.metrics",
@@ -22,3 +24,13 @@ def test_all_names_resolve_once(name):
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == [], f"{name}.__all__ lists undefined names"
     assert len(set(module.__all__)) == len(module.__all__), f"{name}.__all__ repeats a name"
+
+
+def test_each_public_name_has_one_home():
+    homes = {}
+    for name in (m for m in MODULES if m != "chsim"):
+        for attr in importlib.import_module(name).__all__:
+            homes.setdefault(attr, []).append(name)
+    assert {attr: mods for attr, mods in homes.items() if len(mods) > 1} == {}
+    package = importlib.import_module("chsim")
+    assert [attr for attr in package.__all__ if attr not in homes] == []

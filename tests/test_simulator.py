@@ -5,23 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from chsim.arena import ArenaConfig, distance, place_nodes
-from chsim.energy import (
+from chsim.arena import distance, place_nodes
+from chsim.config import (
+    ArenaConfig,
     ControlMessageSizes,
+    EnergyParams,
+    ScenarioConfig,
+    SimConfig,
+    config_from_dict,
+    config_to_dict,
+)
+from chsim.energy import (
     frame_consumption_chn,
     frame_consumption_nchn,
     tx_to_bs,
 )
 from chsim.network import Network
-from chsim.simulator import (
-    ScenarioConfig,
-    SimConfig,
-    SimTrace,
-    config_from_dict,
-    config_to_dict,
-    network_lifetime,
-    run,
-)
+from chsim.simulator import SimTrace, network_lifetime, run
 
 
 def small_cfg(**overrides):
@@ -79,21 +79,36 @@ class TestScenarioConfig:
 
 class TestSimConfig:
     def test_defaults_are_valid(self):
-        SimConfig().validate()
+        SimConfig()
+        SimConfig(initial_energy=np.float64(3.5))  # a float subclass, exported as a float
 
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            SimConfig(policy="mystery").validate()
-        with pytest.raises(ValueError):
-            SimConfig(cluster_count=0).validate()
-        with pytest.raises(ValueError):
-            SimConfig(arena=ArenaConfig(node_count=5), cluster_count=6).validate()
-        with pytest.raises(ValueError):
-            SimConfig(max_frames=-1).validate()
-        with pytest.raises(ValueError):
-            SimConfig(initial_energy=0.0).validate()
-        with pytest.raises(ValueError):
-            SimConfig(mobility_speed=-1.0).validate()
+        cases = [
+            (lambda: SimConfig(policy="mystery"), "policy"),
+            (lambda: SimConfig(cluster_count=0), "cluster count"),
+            (lambda: SimConfig(arena=ArenaConfig(node_count=5), cluster_count=6), "cluster count"),
+            (lambda: SimConfig(max_frames=-1), "max frames"),
+            (lambda: SimConfig(initial_energy=0.0), "initial energy"),
+            (lambda: SimConfig(mobility_speed=-1.0), "mobility speed"),
+            # field types are checked at construction; the message names class and field
+            (lambda: SimConfig(max_frames=1.5), "SimConfig.max_frames"),
+            (lambda: SimConfig(cluster_count=2.5, policy="leach"), "SimConfig.cluster_count"),
+            (lambda: SimConfig(initial_energy="3"), "SimConfig.initial_energy"),
+            (lambda: SimConfig(record_residuals=1), "SimConfig.record_residuals"),
+            (lambda: SimConfig(arena=5), "SimConfig.arena"),
+            (lambda: ScenarioConfig(frames_per_round=2.5), "ScenarioConfig.frames_per_round"),
+            (lambda: ScenarioConfig(d_size=math.inf), "ScenarioConfig.d_size"),
+            (lambda: ArenaConfig(node_count=10.5), "ArenaConfig.node_count"),
+            (lambda: ArenaConfig(seed=1.5), "ArenaConfig.seed"),
+            (lambda: ArenaConfig(seed=-1), "ArenaConfig.seed"),
+            (lambda: ArenaConfig(bs_position=(True, 0)), "ArenaConfig.bs_position"),
+            (lambda: ArenaConfig(node_count=np.int64(20)), "ArenaConfig.node_count"),
+            (lambda: ControlMessageSizes(d_adv=math.inf), "ControlMessageSizes.d_adv"),
+            (lambda: EnergyParams(e_amp=math.nan), "EnergyParams.e_amp"),
+        ]
+        for build, field in cases:
+            with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+                build()
 
     def test_dict_round_trip(self):
         cfg = small_cfg(policy="leach", scenario=ScenarioConfig(kind="scenario2"))
@@ -108,6 +123,9 @@ class TestSimConfig:
         data["arena"]["shape"] = "hex"
         with pytest.raises(ValueError):
             config_from_dict(data)
+        for not_an_object in ([1], 5, "ab"):
+            with pytest.raises(ValueError, match="SimConfig must be given as an object"):
+                config_from_dict(not_an_object)
 
 
 class TestRun:
