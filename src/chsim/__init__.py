@@ -21,8 +21,6 @@ from .config import (
 )
 from .election import (
     EmptyNetworkError,
-    LeachState,
-    RrchState,
     dchne_elect,
     dchne_reelect_cluster,
     geometric_partition,
@@ -30,6 +28,8 @@ from .election import (
     rrch_elect,
 )
 from .energy import (
+    ElectionCosts,
+    election_costs,
     frame_consumption_chn,
     frame_consumption_nchn,
     rx_cluster,
@@ -71,13 +71,13 @@ __all__ = [
     "config_from_dict",
     "config_to_dict",
     "EmptyNetworkError",
-    "LeachState",
-    "RrchState",
     "dchne_elect",
     "dchne_reelect_cluster",
     "geometric_partition",
     "leach_elect",
     "rrch_elect",
+    "ElectionCosts",
+    "election_costs",
     "frame_consumption_chn",
     "frame_consumption_nchn",
     "rx_cluster",

@@ -116,15 +116,12 @@ def parse_args(argv=None) -> argparse.Namespace:
     return ns
 
 
-def _config_for(inv: argparse.Namespace, seed: int, policy=None, nodes=None) -> SimConfig:
-    """Materialize one run's config: file values first, flags on top."""
-    if inv.config_path:
-        data = json.loads(Path(inv.config_path).read_text())
-        if not isinstance(data, dict):
-            raise ValueError(f"config file {inv.config_path} must hold a JSON object")
-        data = {k: (dict(v) if isinstance(v, dict) else v) for k, v in data.items()}
-    else:
-        data = {}
+def _config_for(
+    inv: argparse.Namespace, base: dict, seed: int, policy=None, nodes=None
+) -> SimConfig:
+    """Materialize one run's config: the config file's values ``base``
+    first, flags on top."""
+    data = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
 
     def put(section, key, value):
         if value is not None:
@@ -149,18 +146,21 @@ def _config_for(inv: argparse.Namespace, seed: int, policy=None, nodes=None) -> 
 def plan_runs(inv: argparse.Namespace) -> list[SimConfig]:
     """The full, deterministically ordered list of runs an invocation
     implies (ordered by policy, then seed, then node count)."""
+    base = json.loads(Path(inv.config_path).read_text()) if inv.config_path else {}
+    if not isinstance(base, dict):
+        raise ValueError(f"config file {inv.config_path} must hold a JSON object")
     seeds = inv.seeds if inv.seeds is not None else (None,)
     if inv.subcommand == "run":
-        return [_config_for(inv, seed=seeds[0])]
+        return [_config_for(inv, base, seed=seeds[0])]
     if inv.subcommand == "compare":
         return [
-            _config_for(inv, seed=seed, policy=policy)
+            _config_for(inv, base, seed=seed, policy=policy)
             for policy in POLICIES
             for seed in seeds
         ]
     node_counts = inv.nodes if inv.nodes is not None else _int_range(DEFAULT_SWEEP_NODES)
     return [
-        _config_for(inv, seed=seed, nodes=n)
+        _config_for(inv, base, seed=seed, nodes=n)
         for n in node_counts
         for seed in seeds
     ]

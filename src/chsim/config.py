@@ -7,6 +7,7 @@ one read from JSON by :func:`config_from_dict` pass the same checks.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
@@ -45,13 +46,20 @@ _ACCEPTS = {
 }
 
 
+# The longest base-station distance whose fourth power (the two-ray uplink term) is a float.
+_MAX_BS_REACH = math.nextafter(sys.float_info.max**0.25, 0.0)
+
+
+def _reject(cfg, name: str, rule: str):
+    raise ValueError(f"{type(cfg).__name__}.{name} must be {rule}, got {getattr(cfg, name)!r}")
+
+
 def _check_types(cfg) -> None:
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
         # a sub-config field takes an instance of its default's class
         expected, accepts = _ACCEPTS.get(f.type) or (f.type, lambda v: isinstance(v, type(f.default)))
-        if not accepts(value):
-            raise ValueError(f"{type(cfg).__name__}.{f.name} must be {expected}, got {value!r}")
+        if not accepts(getattr(cfg, f.name)):
+            _reject(cfg, f.name, expected)
 
 
 @dataclass(frozen=True)
@@ -75,11 +83,22 @@ class ArenaConfig:
         _check_types(self)
         object.__setattr__(self, "bs_position", tuple(self.bs_position))
         if self.side_a <= 0:
-            raise ValueError(f"arena side must be positive, got {self.side_a!r}")
+            _reject(self, "side_a", "> 0")
         if self.node_count < 1:
-            raise ValueError(f"node count must be >= 1, got {self.node_count!r}")
+            _reject(self, "node_count", ">= 1")
         if self.seed < 0:
-            raise ValueError(f"ArenaConfig.seed must be >= 0, got {self.seed!r}")
+            _reject(self, "seed", ">= 0")
+        if not self.bs_reach() <= _MAX_BS_REACH:
+            raise ValueError(
+                f"ArenaConfig.side_a/bs_position must keep every corner within "
+                f"{_MAX_BS_REACH:.4g} m of the base station, got {self.bs_reach():.4g} m"
+            )
+
+    def bs_reach(self) -> float:
+        """Distance from the base station to the farthest arena corner, the
+        longest uplink any node can have."""
+        (x, y), a = self.bs_position, self.side_a
+        return math.hypot(max(abs(x), abs(a - x)), max(abs(y), abs(a - y)))
 
 
 @dataclass(frozen=True)
@@ -101,9 +120,8 @@ class EnergyParams:
     def __post_init__(self):
         _check_types(self)
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {value!r}")
+            if getattr(self, f.name) < 0:
+                _reject(self, f.name, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -126,7 +144,7 @@ class ControlMessageSizes:
         _check_types(self)
         for f in fields(self):
             if getattr(self, f.name) < 0:
-                raise ValueError(f"{f.name} must be a whole non-negative bit count")
+                _reject(self, f.name, ">= 0")
 
 
 @dataclass(frozen=True)
@@ -148,7 +166,7 @@ class ScenarioConfig:
     def __post_init__(self):
         _check_types(self)
         if self.kind not in SCENARIOS:
-            raise ValueError(f"scenario kind must be one of {SCENARIOS}, got {self.kind!r}")
+            _reject(self, "kind", f"one of {SCENARIOS}")
         if self.kind == "scenario1":
             object.__setattr__(self, "event_probability", 1.0)
             object.__setattr__(self, "duty_cycle", 1.0)
@@ -158,13 +176,13 @@ class ScenarioConfig:
             if self.duty_cycle is None:
                 object.__setattr__(self, "duty_cycle", 0.5)
         if not 0.0 <= self.event_probability <= 1.0:
-            raise ValueError(f"event probability must be in [0, 1], got {self.event_probability}")
+            _reject(self, "event_probability", "in [0, 1]")
         if not 0.0 < self.duty_cycle <= 1.0:
-            raise ValueError(f"duty cycle must be in (0, 1], got {self.duty_cycle}")
+            _reject(self, "duty_cycle", "in (0, 1]")
         if self.d_size <= 0:
-            raise ValueError(f"data packet size must be positive, got {self.d_size}")
+            _reject(self, "d_size", "> 0")
         if self.frames_per_round < 1:
-            raise ValueError(f"frames per round must be >= 1, got {self.frames_per_round}")
+            _reject(self, "frames_per_round", ">= 1")
 
 
 @dataclass(frozen=True)
@@ -185,19 +203,17 @@ class SimConfig:
     def __post_init__(self):
         _check_types(self)
         if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {POLICIES}, got {self.policy!r}")
+            _reject(self, "policy", f"one of {POLICIES}")
         if self.cluster_count < 1:
-            raise ValueError(f"cluster count must be >= 1, got {self.cluster_count}")
+            _reject(self, "cluster_count", ">= 1")
         if self.cluster_count > self.arena.node_count:
-            raise ValueError(
-                f"cluster count {self.cluster_count} exceeds node count {self.arena.node_count}"
-            )
+            _reject(self, "cluster_count", f"<= arena.node_count ({self.arena.node_count})")
         if self.max_frames < 0:
-            raise ValueError(f"max frames must be >= 0, got {self.max_frames}")
+            _reject(self, "max_frames", ">= 0")
         if self.initial_energy <= 0:
-            raise ValueError(f"initial energy must be positive, got {self.initial_energy}")
+            _reject(self, "initial_energy", "> 0")
         if self.mobility_speed < 0:
-            raise ValueError(f"mobility speed must be >= 0, got {self.mobility_speed}")
+            _reject(self, "mobility_speed", ">= 0")
 
 
 def config_to_dict(cfg: SimConfig) -> dict:

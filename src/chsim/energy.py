@@ -10,6 +10,7 @@ amplifier, which grows with the fourth power of distance.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ __all__ = [
     "sched_energy",
     "setup_energy_chn",
     "setup_energy_nchn",
+    "ElectionCosts",
+    "election_costs",
     "frame_consumption_chn",
     "frame_consumption_nchn",
 ]
@@ -115,6 +118,26 @@ def setup_energy_nchn(
         msgs.d_adv * params.e_radio
         + tx_intra(msgs.d_join, area_side, c, params)
         + msgs.d_syn * params.e_radio
+    )
+
+
+class ElectionCosts(NamedTuple):
+    """Per-node charges of one election, in joules."""
+
+    trigger: float  # the base-station preamble, received by every candidate
+    head: float  # each winner's setup handshake plus its announce multicast
+    member: float  # each member's setup handshake
+
+
+def election_costs(
+    msgs: ControlMessageSizes, area_side: float, s: int, c: int, params: EnergyParams
+) -> ElectionCosts:
+    """The charges of an election at network size ``s`` and cluster count ``c``."""
+    return ElectionCosts(
+        trigger=msgs.d_preamble * params.e_radio,
+        head=setup_energy_chn(msgs, area_side, s, c, params)
+        + tx_intra(msgs.d_announce, area_side, c, params),
+        member=setup_energy_nchn(msgs, area_side, c, params),
     )
 
 

@@ -29,14 +29,12 @@ from .arena import (
 from .config import SimConfig
 from .election import (
     EmptyNetworkError,
-    LeachState,
-    RrchState,
     dchne_elect,
     dchne_reelect_cluster,
     leach_elect,
     rrch_elect,
 )
-from .energy import frame_consumption_chn, frame_consumption_nchn
+from .energy import election_costs, frame_consumption_chn, frame_consumption_nchn
 from .network import Network
 
 __all__ = ["SimTrace", "run", "network_lifetime"]
@@ -83,8 +81,8 @@ def run(cfg: SimConfig) -> SimTrace:
     placement, mobility, scenario draws, self-election draws and the
     initial geometric split, so two runs of the same config are
     identical and runs differing only in policy see the same
-    environment.  An energy cost that overflows into a NaN residual
-    raises ValueError.
+    environment.  A config whose energy costs overflow a float raises
+    ValueError before the first frame.
     """
     arena = cfg.arena
     scen = cfg.scenario
@@ -98,10 +96,16 @@ def run(cfg: SimConfig) -> SimTrace:
     scenario_rng = substream(arena.seed, SCENARIO)
     leach_rng = substream(arena.seed, LEACH_DRAWS)
     mobility_rng = substream(arena.seed, MOBILITY)
-    leach_state = LeachState()
-    rrch_state = RrchState()
+    headed: set[int] = set()  # LEACH: who has headed in the current epoch
+    prev_head: dict[int, int] = {}  # RRCH: each cluster's last head
 
+    costs = election_costs(msgs, arena.side_a, s, c, params)
     member_tx = frame_consumption_nchn(scen.d_size, 1, arena.side_a, c, params)
+    # no head serves more than S members or sits farther out than a corner
+    worst_head = frame_consumption_chn(s, scen.d_size, arena.bs_reach(), s, c, params)
+    if not np.isfinite([member_tx, *costs, worst_head]).all():
+        raise ValueError(f"energy costs overflow a float: {costs}, member frame {member_tx!r} J, "
+                         f"head frame up to {worst_head!r} J")
 
     def distance_to_bs() -> np.ndarray:
         return np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
@@ -127,18 +131,18 @@ def run(cfg: SimConfig) -> SimTrace:
             round_index = frame // fpr
             try:
                 if cfg.policy == "dchne":
-                    dchne_elect(net, c, params, msgs, arena.side_a, partition_rng)
+                    dchne_elect(net, c, costs, partition_rng)
                 elif cfg.policy == "leach":
-                    leach_elect(net, c, round_index, params, msgs, arena.side_a, leach_rng, leach_state)
+                    leach_elect(net, c, round_index, costs, leach_rng, headed)
                 else:
-                    rrch_elect(net, c, round_index, params, msgs, arena.side_a, rrch_state, partition_rng)
+                    rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
             except EmptyNetworkError:
                 pass
         elif cfg.policy == "dchne":
             # a cluster whose head died resumes under a fresh head right away
             for dead in dead_heads:
                 label = int(net.cluster[dead])
-                winner = dchne_reelect_cluster(net, label, c, params, msgs, arena.side_a)
+                winner = dchne_reelect_cluster(net, label, costs)
                 reelections.append((frame, label, winner))
 
         if cfg.mobility_speed > 0.0:
@@ -181,9 +185,6 @@ def run(cfg: SimConfig) -> SimTrace:
             termination = "all-dead"
             break
 
-    # debit never touches a dead node again, so a NaN residual lasts to the end
-    if np.isnan(net.residual).any():
-        raise ValueError("a residual became NaN: this config's energy costs overflow a float")
     return SimTrace(
         config=cfg,
         termination=termination,

@@ -21,10 +21,11 @@ import pytest
 from chsim.arena import ArenaConfig
 from chsim.cli import main
 from chsim.config import ScenarioConfig, SimConfig
-from chsim.election import LeachState, dchne_elect, leach_elect, rrch_elect
+from chsim.election import dchne_elect, leach_elect, rrch_elect
 from chsim.energy import (
     ControlMessageSizes,
     EnergyParams,
+    election_costs,
     rx_cluster,
     sched_energy,
     tx_intra,
@@ -187,7 +188,7 @@ def test_c3_election_matches_brute_force():
             best = members[before[members] == before[members].max()]
             expected.add(int(best.min()))
 
-        head_ids = dchne_elect(net, c, params, MSGS, AREA)
+        head_ids = dchne_elect(net, c, election_costs(MSGS, AREA, n, c, params))
         assert set(head_ids) == expected, f"trial {trial}"
     print(
         "ACCEPTANCE 3: PASS — 1000 randomized states: elected heads equal "
@@ -204,35 +205,33 @@ def test_c4_rotation_and_probabilistic_head_rates():
 
     # Round-robin: each member of the sole cluster heads exactly once per
     # |members| rounds.
-    from chsim.election import RrchState
-
     rng = np.random.default_rng(44)
     net = Network(rng.uniform(0, AREA, (7, 2)), initial_energy=1e6)
-    state = RrchState()
+    prev_head = {}
+    costs = election_costs(MSGS, AREA, 7, 1, params)
     heads = []
     for rnd in range(7):
-        heads.extend(rrch_elect(net, 1, rnd, params, MSGS, AREA, state, rng))
+        heads.extend(rrch_elect(net, 1, rnd, costs, prev_head, rng))
     assert sorted(heads) == list(range(7))
 
     # Probabilistic rotation: every alive node heads at least once per
     # ceil(1/P)-round epoch (the threshold reaches 1 in the final round).
     net = Network(rng.uniform(0, AREA, (12, 2)), initial_energy=1e6)
-    state = LeachState()
+    headed = set()
     draw_rng = np.random.default_rng(45)
+    costs = election_costs(MSGS, AREA, 12, 3, params)
     epoch_heads = set()
     for rnd in range(4):  # epoch = ceil(12/3) / ... = ceil(1/P) = 4 rounds
-        epoch_heads.update(leach_elect(net, 3, rnd, params, MSGS, AREA, draw_rng, state))
+        epoch_heads.update(leach_elect(net, 3, rnd, costs, draw_rng, headed))
     assert epoch_heads == set(range(12))
 
     # Empirical head rate: mean heads per round within c +/- 10% over 1e4
     # rounds at 100 nodes, 5 clusters.
     net = Network(rng.uniform(0, AREA, (100, 2)), initial_energy=1e9)
-    state = LeachState()
+    headed = set()
     draw_rng = np.random.default_rng(46)
-    counts = [
-        len(leach_elect(net, 5, rnd, params, MSGS, AREA, draw_rng, state))
-        for rnd in range(10_000)
-    ]
+    costs = election_costs(MSGS, AREA, 100, 5, params)
+    counts = [len(leach_elect(net, 5, rnd, costs, draw_rng, headed)) for rnd in range(10_000)]
     mean = float(np.mean(counts))
     assert 4.5 <= mean <= 5.5
     print(

@@ -1,6 +1,7 @@
 """Command-line driver: flags, planning, exit codes, reproducible output."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +67,27 @@ class TestParsing:
         assert len(cfgs) == 20
         assert min(c.arena.node_count for c in cfgs) == 10
         assert max(c.arena.node_count for c in cfgs) == 200
+
+    def test_config_file_is_read_once_per_invocation(self, tmp_path, monkeypatch):
+        config = tmp_path / "base.json"
+        config.write_text(json.dumps({"arena": {"node_count": 20}, "cluster_count": 2}))
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        for argv, runs in (
+            (["compare", "--seeds", "0..2"], 9),
+            (["sweep", "--seeds", "0..1", "--nodes", "10..20..5"], 6),
+        ):
+            reads.clear()
+            cfgs = plan_runs(parse_args(argv + ["--config", str(config)]))
+            assert len(cfgs) == runs
+            assert all(cfg.cluster_count == 2 for cfg in cfgs)
+            assert reads == [config]
 
     def test_range_syntax(self):
         assert parse_args(["compare", "--seeds", "5"]).seeds == (5,)
@@ -187,7 +209,11 @@ class TestExecution:
         {"mobility_speed": "1"},
         {"scenario": {"kind": "scenario2", "frames_per_round": 2.5}},
         {"scenario": {"d_size": 1e400}},
-        {"arena": {"side_a": 1e200}, "msgs": {"d_join": 0}},  # 0 * inf: a NaN residual
+        {"arena": {"side_a": 1e200}, "msgs": {"d_join": 0}},  # was a NaN residual
+        # energy costs that overflow a float, caught before the first frame
+        {"energy": {"e_agg": 1.7e308}},
+        {"energy": {"e_mh": 1e300}},
+        {"arena": {"bs_position": [1e80, 0]}},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, payload):
         config = tmp_path / "bad.json"
@@ -207,4 +233,4 @@ class TestExecution:
 
     def test_invalid_config_combination_is_runtime_error(self, capsys):
         assert main(["run", "--nodes", "5", "--clusters", "9", "--frames", "1"]) == 2
-        assert "cluster count" in capsys.readouterr().err
+        assert "SimConfig.cluster_count" in capsys.readouterr().err

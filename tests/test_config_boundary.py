@@ -47,8 +47,6 @@ def _reject_constant(token):
     raise ValueError(f"export holds {token}")
 
 
-# Extreme magnitudes overflow numpy arithmetic on the way to a clean outcome.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.dictionaries(st.sampled_from(list(_leaves(BASE))), VALUES, min_size=1, max_size=3))
 def test_any_config_runs_or_fails_with_one_error_line(changes):

@@ -5,8 +5,6 @@ import pytest
 
 from chsim.election import (
     EmptyNetworkError,
-    LeachState,
-    RrchState,
     dchne_elect,
     dchne_reelect_cluster,
     geometric_partition,
@@ -16,6 +14,7 @@ from chsim.election import (
 from chsim.energy import (
     ControlMessageSizes,
     EnergyParams,
+    election_costs,
     setup_energy_chn,
     setup_energy_nchn,
     tx_intra,
@@ -37,6 +36,11 @@ def make_net(n=None, positions=None, residuals=3.5, clusters=None, seed=0):
     return net
 
 
+def costs(net, c):
+    """The election charges at this network's size and cluster count ``c``."""
+    return election_costs(MSGS, AREA, len(net), c, PARAMS)
+
+
 def kill(net, index):
     net.debit(np.array([index]), net.residual[index])
 
@@ -44,11 +48,11 @@ def kill(net, index):
 class TestDchne:
     def test_tie_breaks_to_lowest_id(self):
         net = make_net(3, residuals=[3.1, 2.0, 3.1], clusters=[0, 0, 0])
-        assert dchne_elect(net, 1, PARAMS, MSGS, AREA) == (0,)
+        assert dchne_elect(net, 1, costs(net, 1)) == (0,)
 
     def test_single_node_heads_sole_cluster(self):
         net = make_net(1)
-        assert dchne_elect(net, 1, PARAMS, MSGS, AREA, np.random.default_rng(3)) == (0,)
+        assert dchne_elect(net, 1, costs(net, 1), np.random.default_rng(3)) == (0,)
         assert net.cluster.tolist() == [0]
         assert net.head[0]
 
@@ -57,12 +61,12 @@ class TestDchne:
         for i in range(4):
             kill(net, i)
         with pytest.raises(EmptyNetworkError):
-            dchne_elect(net, 2, PARAMS, MSGS, AREA, np.random.default_rng(0))
+            dchne_elect(net, 2, costs(net, 2), np.random.default_rng(0))
 
     def test_bad_cluster_count_raises(self):
         net = make_net(4)
         with pytest.raises(ValueError):
-            dchne_elect(net, 0, PARAMS, MSGS, AREA)
+            dchne_elect(net, 0, costs(net, 1))
 
     def test_winner_matches_brute_force_scan(self):
         rng = np.random.default_rng(11)
@@ -73,7 +77,7 @@ class TestDchne:
         )
         before = net.residual.copy()
         labels = net.cluster.copy()
-        head_ids = dchne_elect(net, 5, PARAMS, MSGS, AREA)
+        head_ids = dchne_elect(net, 5, costs(net, 5))
         expected = set()
         for lab in np.unique(labels):
             members = np.nonzero(labels == lab)[0]
@@ -84,7 +88,7 @@ class TestDchne:
     def test_charges_follow_setup_formulas(self):
         net = make_net(8, clusters=[0, 0, 0, 0, 1, 1, 1, 1])
         c = 2
-        head_ids = dchne_elect(net, c, PARAMS, MSGS, AREA)
+        head_ids = dchne_elect(net, c, costs(net, c))
         s = len(net)
         preamble = MSGS.d_preamble * PARAMS.e_radio
         head_cost = preamble + setup_energy_chn(MSGS, AREA, s, c, PARAMS) + tx_intra(
@@ -98,7 +102,7 @@ class TestDchne:
 
     def test_members_join_nearest_head(self):
         net = make_net(40, seed=5)
-        head_ids = dchne_elect(net, 4, PARAMS, MSGS, AREA, np.random.default_rng(5))
+        head_ids = dchne_elect(net, 4, costs(net, 4), np.random.default_rng(5))
         head_positions = {k: net.positions[h] for k, h in enumerate(head_ids)}
         for node_id, cluster in enumerate(net.cluster):
             if node_id in head_ids:
@@ -113,7 +117,7 @@ class TestDchne:
         net.residual[0] = 5.0  # would win cluster 0 if it were alive
         net.initial[0] = 5.0
         kill(net, 0)
-        head_ids = dchne_elect(net, 2, PARAMS, MSGS, AREA)
+        head_ids = dchne_elect(net, 2, costs(net, 2))
         assert 0 not in head_ids
         assert not net.head[0]
         # every alive node joined a cluster that an alive head leads
@@ -123,20 +127,20 @@ class TestDchne:
         net = make_net(10)
         for i in range(7):
             kill(net, i)
-        head_ids = dchne_elect(net, 10, PARAMS, MSGS, AREA, np.random.default_rng(1))
+        head_ids = dchne_elect(net, 10, costs(net, 10), np.random.default_rng(1))
         assert len(head_ids) == 3
         assert set(np.nonzero(net.cluster != NO_CLUSTER)[0].tolist()) == {7, 8, 9}
 
     def test_books_balance_after_election(self):
         net = make_net(30, seed=2)
-        dchne_elect(net, 3, PARAMS, MSGS, AREA, np.random.default_rng(2))
+        dchne_elect(net, 3, costs(net, 3), np.random.default_rng(2))
         np.testing.assert_allclose(net.initial, net.residual + net.consumed, rtol=1e-12)
 
     def test_election_is_deterministic(self):
         outcomes = []
         for _ in range(2):
             net = make_net(25, seed=9)
-            head_ids = dchne_elect(net, 3, PARAMS, MSGS, AREA, np.random.default_rng(7))
+            head_ids = dchne_elect(net, 3, costs(net, 3), np.random.default_rng(7))
             outcomes.append((head_ids, net.cluster.tolist(), net.consumed.tolist()))
         assert outcomes[0] == outcomes[1]
 
@@ -144,7 +148,7 @@ class TestDchne:
 class TestReelection:
     def make_elected(self):
         net = make_net(12, seed=4)
-        dchne_elect(net, 3, PARAMS, MSGS, AREA, np.random.default_rng(4))
+        dchne_elect(net, 3, costs(net, 3), np.random.default_rng(4))
         return net
 
     def test_replacement_is_cluster_argmax(self):
@@ -160,7 +164,7 @@ class TestReelection:
             else:  # the highest index is left the richest
                 net.debit(members, np.linspace(0.5, 0.0, len(members)))
             before = net.residual.copy()
-            winner = dchne_reelect_cluster(net, label, 3, PARAMS, MSGS, AREA)
+            winner = dchne_reelect_cluster(net, label, costs(net, 3))
             best = members[before[members] == before[members].max()]
             assert winner == int(best.min())
             if tied:
@@ -179,9 +183,34 @@ class TestReelection:
         net.head[dead] = False
         other_heads = np.nonzero(net.head)[0]
         other_residuals = net.residual[net.cluster != label].copy()
-        dchne_reelect_cluster(net, label, 3, PARAMS, MSGS, AREA)
+        dchne_reelect_cluster(net, label, costs(net, 3))
         assert net.head[other_heads].all()
         np.testing.assert_array_equal(net.residual[net.cluster != label], other_residuals)
+
+    def test_charges_follow_setup_formulas(self):
+        net = self.make_elected()
+        dead = int(np.nonzero(net.head)[0][0])
+        label = int(net.cluster[dead])
+        kill(net, dead)
+        net.head[dead] = False
+        members = np.nonzero(net.alive & (net.cluster == label))[0]
+        assert len(members) > 1
+        before = net.consumed.copy()
+        winner = dchne_reelect_cluster(net, label, costs(net, 3))
+        s, c = len(net), 3
+        preamble = MSGS.d_preamble * PARAMS.e_radio
+        head_cost = preamble + setup_energy_chn(MSGS, AREA, s, c, PARAMS) + tx_intra(
+            MSGS.d_announce, AREA, c, PARAMS
+        )
+        member_cost = preamble + setup_energy_nchn(MSGS, AREA, c, PARAMS)
+        paid = net.consumed - before
+        for node_id in range(s):
+            if node_id == winner:
+                assert paid[node_id] == pytest.approx(head_cost, rel=1e-12)
+            elif node_id in members:
+                assert paid[node_id] == pytest.approx(member_cost, rel=1e-12)
+            else:
+                assert paid[node_id] == 0.0
 
     def test_extinct_cluster_returns_none(self):
         net = self.make_elected()
@@ -189,7 +218,7 @@ class TestReelection:
         for i in np.nonzero(net.cluster == label)[0]:
             kill(net, int(i))
             net.head[i] = False
-        assert dchne_reelect_cluster(net, label, 3, PARAMS, MSGS, AREA) is None
+        assert dchne_reelect_cluster(net, label, costs(net, 3)) is None
 
 
 class _ConstantDraws:
@@ -206,20 +235,20 @@ class _ConstantDraws:
 class TestLeach:
     def test_everyone_elects_when_p_is_one(self):
         rng = np.random.default_rng(0)
-        state = LeachState()
+        headed = set()
         net = make_net(6)
         for round_index in range(4):
-            head_ids = leach_elect(net, 6, round_index, PARAMS, MSGS, AREA, rng, state)
+            head_ids = leach_elect(net, 6, round_index, costs(net, 6), rng, headed)
             assert set(head_ids) == set(np.nonzero(net.alive)[0].tolist())
 
     def test_every_node_heads_during_an_epoch(self):
         rng = np.random.default_rng(123)
-        state = LeachState()
+        headed = set()
         net = make_net(12, residuals=1000.0)
-        headed = []
+        served = []
         for round_index in range(4):  # epoch length = ceil(12 / 3)
-            headed.extend(leach_elect(net, 3, round_index, PARAMS, MSGS, AREA, rng, state))
-        assert set(headed) == set(range(12))
+            served.extend(leach_elect(net, 3, round_index, costs(net, 3), rng, headed))
+        assert set(served) == set(range(12))
 
     def test_headed_nodes_sit_out_rest_of_epoch(self):
         class _ScriptedDraws:
@@ -233,35 +262,35 @@ class TestLeach:
                 self.round += 1
                 return block
 
-        state = LeachState()
+        headed = set()
         net = make_net(12, residuals=1000.0)
         draws = _ScriptedDraws()
         seen = set()
         for round_index in range(3):
-            head_ids = leach_elect(net, 3, round_index, PARAMS, MSGS, AREA, draws, state)
+            head_ids = leach_elect(net, 3, round_index, costs(net, 3), draws, headed)
             assert set(head_ids) == {4 * round_index + k for k in range(4)}
             assert seen.isdisjoint(head_ids)
             seen.update(head_ids)
 
     def test_fallback_drafts_highest_residual(self):
-        state = LeachState()
+        headed = set()
         residuals = np.full(12, 5.0)
         residuals[8] = 9.0
         net = make_net(12, residuals=residuals)
-        assert leach_elect(net, 3, 1, PARAMS, MSGS, AREA, _ConstantDraws(1.0), state) == (8,)
-        assert state.headed == {8}
+        assert leach_elect(net, 3, 1, costs(net, 3), _ConstantDraws(1.0), headed) == (8,)
+        assert headed == {8}
         # a residual tie drafts the lowest id
-        state = LeachState()
+        headed = set()
         net = make_net(12, residuals=5.0)
-        assert leach_elect(net, 3, 1, PARAMS, MSGS, AREA, _ConstantDraws(1.0), state) == (0,)
-        assert state.headed == {0}
+        assert leach_elect(net, 3, 1, costs(net, 3), _ConstantDraws(1.0), headed) == (0,)
+        assert headed == {0}
 
     def test_mean_heads_per_round_tracks_cluster_count(self):
         rng = np.random.default_rng(77)
-        state = LeachState()
+        headed = set()
         net = make_net(100, residuals=1000.0)
         counts = [
-            len(leach_elect(net, 5, r, PARAMS, MSGS, AREA, rng, state))
+            len(leach_elect(net, 5, r, costs(net, 5), rng, headed))
             for r in range(2000)
         ]
         assert np.mean(counts) == pytest.approx(5.0, abs=0.5)
@@ -271,12 +300,12 @@ class TestLeach:
         results = []
         for _ in range(2):
             rng = np.random.default_rng(5)
-            state = LeachState()
+            headed = set()
             net = make_net(10, residuals=100.0)
             kill(net, 3)
             results.append(
                 [
-                    leach_elect(net, 2, r, PARAMS, MSGS, AREA, rng, state)
+                    leach_elect(net, 2, r, costs(net, 2), rng, headed)
                     for r in range(5)
                 ]
             )
@@ -285,11 +314,11 @@ class TestLeach:
 
 class TestRrch:
     def rotate(self, net, rounds, c=1, rng_seed=0, on_round=None):
-        state = RrchState()
+        prev_head = {}
         heads = []
         for r in range(rounds):
             heads.append(
-                rrch_elect(net, c, r, PARAMS, MSGS, AREA, state, np.random.default_rng(rng_seed))
+                rrch_elect(net, c, r, costs(net, c), prev_head, np.random.default_rng(rng_seed))
             )
             if on_round is not None:
                 on_round(r, net)
@@ -318,19 +347,19 @@ class TestRrch:
 
     def test_membership_never_changes(self):
         net = make_net(20, seed=8)
-        state = RrchState()
-        rrch_elect(net, 4, 0, PARAMS, MSGS, AREA, state, np.random.default_rng(8))
+        prev_head = {}
+        rrch_elect(net, 4, 0, costs(net, 4), prev_head, np.random.default_rng(8))
         first = net.cluster.copy()
         for r in range(1, 6):
-            rrch_elect(net, 4, r, PARAMS, MSGS, AREA, state, None)
+            rrch_elect(net, 4, r, costs(net, 4), prev_head, None)
             np.testing.assert_array_equal(net.cluster, first)
 
     def test_heads_are_alive_and_one_per_cluster(self):
         net = make_net(20, seed=8)
-        state = RrchState()
+        prev_head = {}
         rng = np.random.default_rng(8)
         for r in range(8):
-            head_ids = rrch_elect(net, 4, r, PARAMS, MSGS, AREA, state, rng)
+            head_ids = rrch_elect(net, 4, r, costs(net, 4), prev_head, rng)
             labels = [net.cluster[h] for h in head_ids]
             assert len(set(labels)) == len(head_ids)
             for h in head_ids:
@@ -353,6 +382,16 @@ class TestGeometricPartition:
         points = rng.uniform(0, AREA, size=(5, 2))
         labels = geometric_partition(points, 5, np.random.default_rng(2))
         assert sorted(labels) == list(range(5))
+
+    def test_empty_group_is_reseeded_at_the_farthest_point(self):
+        class _CoincidentChoice:
+            # both initial centers on the same point, so group 1 starts empty
+            def choice(self, n, size, replace):
+                return np.array([0, 1])
+
+        points = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0]])
+        labels = geometric_partition(points, 2, _CoincidentChoice())
+        assert labels.tolist() == [0, 0, 1]
 
     def test_rejects_bad_group_count(self):
         points = np.zeros((4, 2))

@@ -1,6 +1,7 @@
 """Frame loop: depletion, deaths, packet accounting, determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,12 +85,31 @@ class TestSimConfig:
 
     def test_rejects_bad_fields(self):
         cases = [
-            (lambda: SimConfig(policy="mystery"), "policy"),
-            (lambda: SimConfig(cluster_count=0), "cluster count"),
-            (lambda: SimConfig(arena=ArenaConfig(node_count=5), cluster_count=6), "cluster count"),
-            (lambda: SimConfig(max_frames=-1), "max frames"),
-            (lambda: SimConfig(initial_energy=0.0), "initial energy"),
-            (lambda: SimConfig(mobility_speed=-1.0), "mobility speed"),
+            # range checks name class and field, and give the value
+            (lambda: SimConfig(policy="mystery"), "SimConfig.policy must be one of ('dchne', 'leach', 'rrch'), got 'mystery'"),
+            (lambda: SimConfig(cluster_count=0), "SimConfig.cluster_count must be >= 1, got 0"),
+            (
+                lambda: SimConfig(arena=ArenaConfig(node_count=5), cluster_count=6),
+                "SimConfig.cluster_count must be <= arena.node_count (5), got 6",
+            ),
+            (lambda: SimConfig(max_frames=-1), "SimConfig.max_frames must be >= 0, got -1"),
+            (lambda: SimConfig(initial_energy=0.0), "SimConfig.initial_energy must be > 0, got 0.0"),
+            (lambda: SimConfig(mobility_speed=-1.0), "SimConfig.mobility_speed must be >= 0, got -1.0"),
+            (lambda: ArenaConfig(side_a=0), "ArenaConfig.side_a must be > 0, got 0"),
+            (lambda: ArenaConfig(node_count=0), "ArenaConfig.node_count must be >= 1, got 0"),
+            (lambda: EnergyParams(e_radio=-1.0), "EnergyParams.e_radio must be >= 0, got -1.0"),
+            (lambda: ControlMessageSizes(d_adv=-1), "ControlMessageSizes.d_adv must be >= 0, got -1"),
+            (
+                lambda: ScenarioConfig(kind="scenario3"),
+                "ScenarioConfig.kind must be one of ('scenario1', 'scenario2'), got 'scenario3'",
+            ),
+            (
+                lambda: ScenarioConfig(kind="scenario2", duty_cycle=0.0),
+                "ScenarioConfig.duty_cycle must be in (0, 1], got 0.0",
+            ),
+            # an arena corner whose uplink distance to the fourth power overflows a float
+            (lambda: ArenaConfig(side_a=1e200), "ArenaConfig.side_a/bs_position"),
+            (lambda: ArenaConfig(bs_position=(1e80, 0.0)), "ArenaConfig.side_a/bs_position"),
             # field types are checked at construction; the message names class and field
             (lambda: SimConfig(max_frames=1.5), "SimConfig.max_frames"),
             (lambda: SimConfig(cluster_count=2.5, policy="leach"), "SimConfig.cluster_count"),
@@ -106,8 +126,8 @@ class TestSimConfig:
             (lambda: ControlMessageSizes(d_adv=math.inf), "ControlMessageSizes.d_adv"),
             (lambda: EnergyParams(e_amp=math.nan), "EnergyParams.e_amp"),
         ]
-        for build, field in cases:
-            with pytest.raises(ValueError, match=field.replace(".", r"\.")):
+        for build, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
                 build()
 
     def test_dict_round_trip(self):
