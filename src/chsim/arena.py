@@ -60,18 +60,25 @@ def step_mobility(
     side_a: float,
     speed: float,
     rng: np.random.Generator,
+    frames: int,
 ) -> np.ndarray:
-    """Move every node ``speed`` meters (one frame's travel) in an
-    independent uniform direction, reflecting at the arena boundaries.
+    """Move every node ``speed`` meters per frame for ``frames`` frames,
+    each frame in an independent uniform direction, reflecting at the
+    arena boundaries.
 
-    ``speed = 0`` is the identity.  Returns a new array; the input is
-    not modified.
+    Returns the ``(frames, S, 2)`` positions after each frame; the input
+    is not modified.  The angles are drawn as one ``(frames, S)`` block,
+    which is the same stream as ``frames`` draws of ``S``.  ``speed = 0``
+    is the identity and draws nothing.
     """
     if speed < 0:
         raise ValueError(f"speed must be >= 0, got {speed!r}")
     positions = np.asarray(positions, dtype=float)
     if speed == 0:
-        return positions.copy()
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=len(positions))
-    step = speed * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return _reflect(positions + step, side_a)
+        return np.repeat(positions[None], frames, axis=0)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=(frames, len(positions)))
+    steps = speed * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    path = np.empty_like(steps)
+    for t, step in enumerate(steps):
+        positions = path[t] = _reflect(positions + step, side_a)
+    return path

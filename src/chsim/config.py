@@ -46,6 +46,9 @@ _ACCEPTS = {
 }
 
 
+# The bound on integer fields that enter float arithmetic (the message sizes).
+_FLOAT_SIZED = f"<= {sys.float_info.max:.4g}"
+
 # The longest base-station distance whose fourth power (the two-ray uplink term) is a float.
 _MAX_BS_REACH = math.nextafter(sys.float_info.max**0.25, 0.0)
 
@@ -145,6 +148,8 @@ class ControlMessageSizes:
         for f in fields(self):
             if getattr(self, f.name) < 0:
                 _reject(self, f.name, ">= 0")
+            if not _finite(getattr(self, f.name)):
+                _reject(self, f.name, _FLOAT_SIZED)
 
 
 @dataclass(frozen=True)
@@ -181,6 +186,8 @@ class ScenarioConfig:
             _reject(self, "duty_cycle", "in (0, 1]")
         if self.d_size <= 0:
             _reject(self, "d_size", "> 0")
+        if not _finite(self.d_size):
+            _reject(self, "d_size", _FLOAT_SIZED)
         if self.frames_per_round < 1:
             _reject(self, "frames_per_round", ">= 1")
 

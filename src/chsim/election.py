@@ -101,10 +101,17 @@ def _install(net: Network, head_idx, member_idx, costs: ElectionCosts) -> tuple[
     return tuple(head_idx.tolist())
 
 
+def _non_heads(net: Network, alive_idx: np.ndarray, head_idx: np.ndarray) -> np.ndarray:
+    """The nodes of ``alive_idx`` not in ``head_idx``, in ``alive_idx`` order."""
+    is_head = np.zeros(len(net), dtype=bool)
+    is_head[head_idx] = True
+    return alive_idx[~is_head[alive_idx]]
+
+
 def _join_nearest(net: Network, alive_idx, head_idx, costs: ElectionCosts) -> tuple[int, ...]:
     """Install ``head_idx`` (ascending) as the heads of clusters 0, 1, ...
     and let every other alive node join the nearest of them."""
-    member_idx = alive_idx[~np.isin(alive_idx, head_idx)]
+    member_idx = _non_heads(net, alive_idx, head_idx)
     deltas = net.positions[member_idx][:, None, :] - net.positions[head_idx][None, :, :]
     net.cluster[head_idx] = np.arange(len(head_idx))
     net.cluster[member_idx] = (deltas**2).sum(axis=2).argmin(axis=1)
@@ -223,4 +230,4 @@ def rrch_elect(
         prev_head[lab] = int(later[0] if len(later) else roster[0])
         heads.append(prev_head[lab])
     head_idx = np.array(heads, dtype=int)
-    return _install(net, head_idx, alive_idx[~np.isin(alive_idx, head_idx)], costs)
+    return _install(net, head_idx, _non_heads(net, alive_idx, head_idx), costs)

@@ -15,8 +15,11 @@ class Network:
     State is held in parallel numpy arrays indexed 0..S-1, and a node's
     array index is its id: election tie-breaks and round-robin order use
     it directly.  A node is alive exactly while its residual energy is
-    positive, and all charging goes through :meth:`debit` so that
-    ``initial == residual + consumed`` holds for every node at all times.
+    positive.  ``initial == residual + consumed`` holds for every node at
+    all times: :meth:`debit` caps each charge at what is left, and the
+    simulator commits a segment's frames by subtracting the same charges
+    from ``residual`` and adding them to ``consumed``, frame after frame,
+    only while every charge stays below the residual it is taken from.
     """
 
     def __init__(self, positions, initial_energy=3.5):

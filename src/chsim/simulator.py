@@ -1,13 +1,23 @@
-"""Frame-stepped network simulation: elections, sensing, energy depletion.
+"""Segment-stepped network simulation: elections, sensing, energy depletion.
 
-A run advances frame by frame.  On every round boundary (each
-``frames_per_round`` frames) the configured policy elects heads; in
-between, awake members with an event transmit one data packet to their
-head, which receives, aggregates, schedules and forwards one packet to
-the base station.  All consumption is debited against node batteries;
-nodes die when they hit zero and the trace records the alive count,
-cumulative deliveries and head set of every frame.  A run trusts its
-config, which checked its own fields when built (:mod:`chsim.config`).
+On every round boundary (each ``frames_per_round`` frames) the
+configured policy elects heads; in between, awake members with an event
+transmit one data packet to their head, which receives, aggregates,
+schedules and forwards one packet to the base station.  Nodes die when
+their battery hits zero, and the trace records the alive count,
+cumulative deliveries and head set of every frame.
+
+A run advances a segment at a time (next-event time advance).  Between
+two elections, frames differ only in their random draws until the first
+death, so each block of frames up to the next election draws its traffic
+and movement at once.  A segment starts with the frame prelude (dead
+heads are dismissed, then an election or dchne's re-election), builds
+the ``(frames, S)`` cost matrix of the rest of the block on the network
+as it then stands, and commits every frame before the first death from
+the accumulated residuals.  The death frame is charged exactly, with
+:meth:`~chsim.network.Network.debit`, and the next segment starts after
+it.  A run trusts its config, which checked its own fields when built
+(:mod:`chsim.config`).
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from .arena import (
     step_mobility,
     substream,
 )
-from .config import SimConfig
+from .config import EnergyParams, SimConfig
 from .election import (
     EmptyNetworkError,
     dchne_elect,
@@ -38,6 +48,9 @@ from .energy import election_costs, frame_consumption_chn, frame_consumption_nch
 from .network import Network
 
 __all__ = ["SimTrace", "run", "network_lifetime"]
+
+# Most matrix entries (frames x nodes) one block of frames may hold.
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -74,6 +87,38 @@ class SimTrace:
         return self.head_change_ids[slot] if slot >= 0 else ()
 
 
+def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, r_bs: np.ndarray,
+                   member_tx: float, d_size: int, c: int,
+                   params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
+    """The charges and deliveries of ``k`` frames on the network as it stands.
+
+    ``awake`` and ``events`` are the frames' ``(k, S)`` draws and ``r_bs``
+    the ``(k, S)`` base-station distances.  Each alive, clustered member
+    that is awake and senses an event pays ``member_tx``; each alive head
+    that is awake and has a packet, its own or a member's, pays
+    :func:`~chsim.energy.frame_consumption_chn` for its inbound count.
+    Returns the ``(k, S)`` charges and the ``(k,)`` packets delivered.
+    """
+    alive = net.alive
+    k, s = awake.shape
+    charges = np.zeros((k, s))
+    tx = awake & events & (alive & ~net.head & (net.cluster >= 0))
+    charges[tx] = member_tx
+    heads = np.nonzero(net.head & alive)[0]
+    if len(heads) == 0:
+        return charges, np.zeros(k, dtype=np.int64)
+    # a dead head's members keep a label above every live head's
+    labels = int(net.cluster.max()) + 1
+    rows, members = np.nonzero(tx)
+    counts = np.bincount(rows * labels + net.cluster[members], minlength=k * labels)
+    inbound = counts.reshape(k, labels)[:, net.cluster[heads]]
+    sensed = events[:, heads]
+    forwarding = awake[:, heads] & ((inbound > 0) | sensed)
+    head_cost = frame_consumption_chn(inbound, d_size, r_bs[:, heads], s, c, params)
+    charges[:, heads] = np.where(forwarding, head_cost, 0.0)
+    return charges, np.where(forwarding, inbound + sensed, 0).sum(axis=1)
+
+
 def run(cfg: SimConfig) -> SimTrace:
     """Execute one seeded run to completion and return its trace.
 
@@ -99,6 +144,7 @@ def run(cfg: SimConfig) -> SimTrace:
     headed: set[int] = set()  # LEACH: who has headed in the current epoch
     prev_head: dict[int, int] = {}  # RRCH: each cluster's last head
 
+    fpr = scen.frames_per_round
     costs = election_costs(msgs, arena.side_a, s, c, params)
     member_tx = frame_consumption_nchn(scen.d_size, 1, arena.side_a, c, params)
     # no head serves more than S members or sits farther out than a corner
@@ -107,10 +153,8 @@ def run(cfg: SimConfig) -> SimTrace:
         raise ValueError(f"energy costs overflow a float: {costs}, member frame {member_tx!r} J, "
                          f"head frame up to {worst_head!r} J")
 
-    def distance_to_bs() -> np.ndarray:
-        return np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
-
-    r_bs = distance_to_bs()
+    r_placed = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
+    block_rows = max(1, _BLOCK_ENTRIES // s)
 
     alive_log: list[int] = []
     packets_log: list[int] = []
@@ -122,68 +166,96 @@ def run(cfg: SimConfig) -> SimTrace:
     packets = 0
     prev_heads: tuple[int, ...] | None = None
     termination = "max-frames"
-    fpr = scen.frames_per_round
 
-    for frame in range(cfg.max_frames):
-        dead_heads = np.nonzero(net.head & ~net.alive)[0]
-        net.head[dead_heads] = False
-        if frame % fpr == 0:
-            round_index = frame // fpr
-            try:
-                if cfg.policy == "dchne":
-                    dchne_elect(net, c, costs, partition_rng)
-                elif cfg.policy == "leach":
-                    leach_elect(net, c, round_index, costs, leach_rng, headed)
-                else:
-                    rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
-            except EmptyNetworkError:
-                pass
-        elif cfg.policy == "dchne":
-            # a cluster whose head died resumes under a fresh head right away
-            for dead in dead_heads:
-                label = int(net.cluster[dead])
-                winner = dchne_reelect_cluster(net, label, costs)
-                reelections.append((frame, label, winner))
-
-        if cfg.mobility_speed > 0.0:
-            net.positions = step_mobility(net.positions, arena.side_a, cfg.mobility_speed, mobility_rng)
-            r_bs = distance_to_bs()
-
-        awake = scenario_rng.random(s) < scen.duty_cycle
-        events = scenario_rng.random(s) < scen.event_probability
-
-        alive = net.alive
-        active_heads = np.nonzero(net.head & alive)[0]
-        tx_idx = np.nonzero(alive & ~net.head & awake & events & (net.cluster >= 0))[0]
-        if len(tx_idx):
-            net.debit(tx_idx, member_tx)
-        if len(active_heads):
-            counts = np.bincount(
-                net.cluster[tx_idx], minlength=int(net.cluster[active_heads].max()) + 1
-            )
-            forwarding = awake[active_heads] & (
-                (counts[net.cluster[active_heads]] > 0) | events[active_heads]
-            )
-            fwd = active_heads[forwarding]
-            if len(fwd):
-                inbound = counts[net.cluster[fwd]]
-                net.debit(fwd, frame_consumption_chn(inbound, scen.d_size, r_bs[fwd], s, c, params))
-                packets += int(inbound.sum()) + int(events[fwd].sum())
-
-        alive = net.alive
+    def record(frame: int, alive: np.ndarray, packets_cum, residuals: np.ndarray) -> None:
+        """Log ``len(packets_cum)`` frames from ``frame`` on, over which
+        the alive set and the head set stay as they are now."""
+        nonlocal prev_heads
         heads_now = tuple(np.nonzero(net.head & alive)[0].tolist())
         if heads_now != prev_heads:
             change_frames.append(frame)
             change_ids.append(heads_now)
             prev_heads = heads_now
-        alive_log.append(int(alive.sum()))
-        packets_log.append(packets)
-        chn_count_log.append(len(heads_now))
+        alive_log.extend([int(alive.sum())] * len(packets_cum))
+        packets_log.extend(packets_cum)
+        chn_count_log.extend([len(heads_now)] * len(packets_cum))
         if residual_log is not None:
-            residual_log.append(net.residual.copy())
-        if not alive.any():
-            termination = "all-dead"
-            break
+            residual_log.extend(residuals.copy())
+
+    frame = 0
+    while frame < cfg.max_frames and termination == "max-frames":
+        # A block runs up to the next election.  Every frame draws 2*S
+        # uniforms whatever the state, so one draw serves the whole block
+        # across the deaths in it.
+        start = frame
+        k = min(fpr - start % fpr, cfg.max_frames - start, block_rows)
+        draws = scenario_rng.random((k, 2, s))
+        awake = draws[:, 0] < scen.duty_cycle
+        events = draws[:, 1] < scen.event_probability
+        if cfg.mobility_speed > 0.0:
+            moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed, mobility_rng, k)
+            r_bs = np.hypot(moves[..., 0] - bs[0], moves[..., 1] - bs[1])
+        else:
+            r_bs = np.broadcast_to(r_placed, (k, s))
+        while frame < start + k:
+            dead_heads = np.nonzero(net.head & ~net.alive)[0]
+            net.head[dead_heads] = False
+            if frame % fpr == 0:
+                round_index = frame // fpr
+                try:
+                    if cfg.policy == "dchne":
+                        dchne_elect(net, c, costs, partition_rng)
+                    elif cfg.policy == "leach":
+                        leach_elect(net, c, round_index, costs, leach_rng, headed)
+                    else:
+                        rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
+                except EmptyNetworkError:
+                    pass
+            elif cfg.policy == "dchne":
+                # a cluster whose head died resumes under a fresh head right away
+                for dead in dead_heads:
+                    label = int(net.cluster[dead])
+                    winner = dchne_reelect_cluster(net, label, costs)
+                    reelections.append((frame, label, winner))
+
+            # One segment: the rest of the block, charged as the network
+            # stands now, committed up to the first frame with a death.
+            row = frame - start
+            charges, delivered = _frame_charges(
+                net, awake[row:], events[row:], r_bs[row:], member_tx, scen.d_size, c, params
+            )
+            alive = net.alive
+            n_alive = int(alive.sum())
+            committed = 0
+            # With nobody alive, or a head just killed by its setup charge
+            # (the next frame re-elects), the segment is this one frame.
+            if n_alive and not (net.head & ~alive).any():
+                with np.errstate(over="ignore"):  # only rows past the first death overflow
+                    residual_path = np.subtract.accumulate(np.vstack([net.residual, charges]))
+                # residuals only fall: the frames before the first death are
+                # those after which every alive node is still alive
+                committed = int(np.count_nonzero(
+                    np.count_nonzero(residual_path[1:] > 0.0, axis=1) == n_alive
+                ))
+            if committed:
+                net.consumed = np.add.accumulate(np.vstack([net.consumed, charges[:committed]]))[-1]
+                net.residual = residual_path[committed].copy()
+                packets_cum = packets + np.cumsum(delivered[:committed])
+                packets = int(packets_cum[-1])
+                record(frame, alive, packets_cum.tolist(), residual_path[1 : committed + 1])
+                frame += committed
+            if committed < len(charges):
+                # the frame with the first death, charged exactly
+                net.debit(slice(None), charges[committed])
+                packets += int(delivered[committed])
+                alive = net.alive
+                record(frame, alive, [packets], net.residual[None])
+                frame += 1
+                if not alive.any():
+                    termination = "all-dead"
+                    break
+        if cfg.mobility_speed > 0.0:
+            net.positions = moves[-1]
 
     return SimTrace(
         config=cfg,

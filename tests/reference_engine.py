@@ -1,0 +1,140 @@
+"""The frame-by-frame engine that :func:`chsim.simulator.run` replaced,
+kept as a test oracle.
+
+``reference_run(cfg)`` advances one frame at a time, with a dozen small
+numpy calls per frame and a ``debit`` for every charge.  It is slow but
+plain, so the differential tests hold the segment engine to its exported
+bytes.  Only the mobility call was adapted: it asks ``step_mobility`` for
+a one-frame path.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from chsim.arena import LEACH_DRAWS, MOBILITY, PARTITION, SCENARIO, place_nodes, step_mobility, substream
+from chsim.config import SimConfig
+from chsim.election import (
+    EmptyNetworkError,
+    dchne_elect,
+    dchne_reelect_cluster,
+    leach_elect,
+    rrch_elect,
+)
+from chsim.energy import election_costs, frame_consumption_chn, frame_consumption_nchn
+from chsim.network import Network
+from chsim.simulator import SimTrace
+
+
+def reference_run(cfg: SimConfig) -> SimTrace:
+    arena = cfg.arena
+    scen = cfg.scenario
+    params, msgs = cfg.energy, cfg.msgs
+    c = cfg.cluster_count
+    net = Network(place_nodes(arena), cfg.initial_energy)
+    s = len(net)
+    bs = np.asarray(arena.bs_position, dtype=float)
+
+    partition_rng = substream(arena.seed, PARTITION)
+    scenario_rng = substream(arena.seed, SCENARIO)
+    leach_rng = substream(arena.seed, LEACH_DRAWS)
+    mobility_rng = substream(arena.seed, MOBILITY)
+    headed: set[int] = set()
+    prev_head: dict[int, int] = {}
+
+    costs = election_costs(msgs, arena.side_a, s, c, params)
+    member_tx = frame_consumption_nchn(scen.d_size, 1, arena.side_a, c, params)
+
+    def distance_to_bs() -> np.ndarray:
+        return np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
+
+    r_bs = distance_to_bs()
+
+    alive_log: list[int] = []
+    packets_log: list[int] = []
+    chn_count_log: list[int] = []
+    change_frames: list[int] = []
+    change_ids: list[tuple[int, ...]] = []
+    reelections: list[tuple[int, int, int | None]] = []
+    residual_log: list[np.ndarray] | None = [] if cfg.record_residuals else None
+    packets = 0
+    prev_heads: tuple[int, ...] | None = None
+    termination = "max-frames"
+    fpr = scen.frames_per_round
+
+    for frame in range(cfg.max_frames):
+        dead_heads = np.nonzero(net.head & ~net.alive)[0]
+        net.head[dead_heads] = False
+        if frame % fpr == 0:
+            round_index = frame // fpr
+            try:
+                if cfg.policy == "dchne":
+                    dchne_elect(net, c, costs, partition_rng)
+                elif cfg.policy == "leach":
+                    leach_elect(net, c, round_index, costs, leach_rng, headed)
+                else:
+                    rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
+            except EmptyNetworkError:
+                pass
+        elif cfg.policy == "dchne":
+            for dead in dead_heads:
+                label = int(net.cluster[dead])
+                winner = dchne_reelect_cluster(net, label, costs)
+                reelections.append((frame, label, winner))
+
+        if cfg.mobility_speed > 0.0:
+            net.positions = step_mobility(
+                net.positions, arena.side_a, cfg.mobility_speed, mobility_rng, 1
+            )[0]
+            r_bs = distance_to_bs()
+
+        awake = scenario_rng.random(s) < scen.duty_cycle
+        events = scenario_rng.random(s) < scen.event_probability
+
+        alive = net.alive
+        active_heads = np.nonzero(net.head & alive)[0]
+        tx_idx = np.nonzero(alive & ~net.head & awake & events & (net.cluster >= 0))[0]
+        if len(tx_idx):
+            net.debit(tx_idx, member_tx)
+        if len(active_heads):
+            counts = np.bincount(
+                net.cluster[tx_idx], minlength=int(net.cluster[active_heads].max()) + 1
+            )
+            forwarding = awake[active_heads] & (
+                (counts[net.cluster[active_heads]] > 0) | events[active_heads]
+            )
+            fwd = active_heads[forwarding]
+            if len(fwd):
+                inbound = counts[net.cluster[fwd]]
+                net.debit(fwd, frame_consumption_chn(inbound, scen.d_size, r_bs[fwd], s, c, params))
+                packets += int(inbound.sum()) + int(events[fwd].sum())
+
+        alive = net.alive
+        heads_now = tuple(np.nonzero(net.head & alive)[0].tolist())
+        if heads_now != prev_heads:
+            change_frames.append(frame)
+            change_ids.append(heads_now)
+            prev_heads = heads_now
+        alive_log.append(int(alive.sum()))
+        packets_log.append(packets)
+        chn_count_log.append(len(heads_now))
+        if residual_log is not None:
+            residual_log.append(net.residual.copy())
+        if not alive.any():
+            termination = "all-dead"
+            break
+
+    return SimTrace(
+        config=cfg,
+        termination=termination,
+        alive=np.array(alive_log, dtype=int),
+        packets_cum=np.array(packets_log, dtype=np.int64),
+        chn_count=np.array(chn_count_log, dtype=int),
+        head_change_frames=tuple(change_frames),
+        head_change_ids=tuple(change_ids),
+        reelections=tuple(reelections),
+        final_residual=net.residual.copy(),
+        final_consumed=net.consumed.copy(),
+        initial_energy_per_node=net.initial.copy(),
+        residual_log=residual_log,
+    )

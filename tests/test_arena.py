@@ -72,14 +72,14 @@ class TestMobility:
     def test_zero_speed_is_identity(self):
         pos = place_nodes(ArenaConfig(node_count=20, seed=1))
         rng = substream(1, MOBILITY)
-        moved = step_mobility(pos, 350.0, 0.0, rng)
-        assert np.array_equal(moved, pos)
-        assert moved is not pos
+        moved = step_mobility(pos, 350.0, 0.0, rng, 3)
+        assert moved.shape == (3, 20, 2)
+        assert all(np.array_equal(frame, pos) for frame in moved)
 
     def test_displacement_norm(self):
         pos = np.full((50, 2), 175.0)  # center: no reflection for a 2 m step
         rng = substream(3, MOBILITY)
-        moved = step_mobility(pos, 350.0, 2.0, rng)
+        moved = step_mobility(pos, 350.0, 2.0, rng, 1)[0]
         norms = np.hypot(moved[:, 0] - 175.0, moved[:, 1] - 175.0)
         assert np.allclose(norms, 2.0)
 
@@ -91,24 +91,32 @@ class TestMobility:
             def uniform(self, low, high, size=None):
                 return np.zeros(size)  # angle 0: straight +x
 
-        moved = step_mobility(pos, 350.0, 2.0, RightwardRng())
+        moved = step_mobility(pos, 350.0, 2.0, RightwardRng(), 1)[0]
         assert moved[0, 0] == pytest.approx(349.0, abs=1e-12)
         assert moved[0, 1] == pytest.approx(100.0, abs=1e-12)
 
     def test_stays_in_arena(self):
         pos = place_nodes(ArenaConfig(node_count=100, seed=5))
         rng = substream(5, MOBILITY)
-        for _ in range(200):
-            pos = step_mobility(pos, 350.0, 10.0, rng)
-            assert np.all(pos >= 0) and np.all(pos <= 350)
+        path = step_mobility(pos, 350.0, 10.0, rng, 200)
+        assert np.all(path >= 0) and np.all(path <= 350)
 
     def test_seed_determinism(self):
         pos = place_nodes(ArenaConfig(node_count=30, seed=9))
-        a = step_mobility(pos, 350.0, 2.0, substream(9, MOBILITY))
-        b = step_mobility(pos, 350.0, 2.0, substream(9, MOBILITY))
+        a = step_mobility(pos, 350.0, 2.0, substream(9, MOBILITY), 4)
+        b = step_mobility(pos, 350.0, 2.0, substream(9, MOBILITY), 4)
         assert np.array_equal(a, b)
+
+    def test_path_is_frame_by_frame_steps(self):
+        # one block of angles is the same stream as one draw per frame
+        pos = place_nodes(ArenaConfig(node_count=30, seed=4))
+        path = step_mobility(pos, 350.0, 40.0, substream(4, MOBILITY), 6)
+        rng = substream(4, MOBILITY)
+        for frame in path:
+            pos = step_mobility(pos, 350.0, 40.0, rng, 1)[0]
+            assert np.array_equal(frame, pos)
 
     def test_negative_speed_rejected(self):
         pos = np.zeros((1, 2))
         with pytest.raises(ValueError):
-            step_mobility(pos, 350.0, -1.0, substream(0, MOBILITY))
+            step_mobility(pos, 350.0, -1.0, substream(0, MOBILITY), 1)

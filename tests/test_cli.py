@@ -214,6 +214,9 @@ class TestExecution:
         {"energy": {"e_agg": 1.7e308}},
         {"energy": {"e_mh": 1e300}},
         {"arena": {"bs_position": [1e80, 0]}},
+        # integers too large for a float (was an OverflowError traceback)
+        {"scenario": {"d_size": 10**400}, "max_frames": 2},
+        {"msgs": {"d_adv": 10**400}, "max_frames": 2},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, payload):
         config = tmp_path / "bad.json"

@@ -21,7 +21,7 @@ from chsim.energy import (
     frame_consumption_nchn,
     tx_to_bs,
 )
-from chsim.network import Network
+from chsim import simulator
 from chsim.simulator import SimTrace, network_lifetime, run
 
 
@@ -124,6 +124,9 @@ class TestSimConfig:
             (lambda: ArenaConfig(bs_position=(True, 0)), "ArenaConfig.bs_position"),
             (lambda: ArenaConfig(node_count=np.int64(20)), "ArenaConfig.node_count"),
             (lambda: ControlMessageSizes(d_adv=math.inf), "ControlMessageSizes.d_adv"),
+            # integers that enter float arithmetic must fit in a float
+            (lambda: ControlMessageSizes(d_join=10**400), "ControlMessageSizes.d_join must be <= 1.798e+308"),
+            (lambda: ScenarioConfig(d_size=10**400), "ScenarioConfig.d_size must be <= 1.798e+308"),
             (lambda: EnergyParams(e_amp=math.nan), "EnergyParams.e_amp"),
         ]
         for build, message in cases:
@@ -251,35 +254,43 @@ class TestRun:
             assert all(residuals[h] > 0.0 for h in heads)
 
     def test_frame_debits_are_the_energy_module_formulas(self, monkeypatch):
-        debits = []
-        original = Network.debit
+        # Committed frames and death frames alike take their charges from
+        # one helper; record what it returns.
+        calls = []
+        original = simulator._frame_charges
 
-        def recording_debit(net, selector, amount):
-            taken = original(net, selector, amount)
-            debits.append((net, np.asarray(selector).copy(), taken.copy()))
-            return taken
+        def recording_charges(net, awake, events, *args):
+            charges, delivered = original(net, awake, events, *args)
+            state = (net.head.copy(), net.alive, net.cluster.copy(), net.consumed.copy())
+            calls.append((net, state, awake, events, charges))
+            return charges, delivered
 
-        monkeypatch.setattr(Network, "debit", recording_debit)
+        monkeypatch.setattr(simulator, "_frame_charges", recording_charges)
         cfg = SimConfig(scenario=ScenarioConfig(kind="scenario2"), max_frames=20)
         trace = run(cfg)
-        # One round and no death: after the election's preamble, head setup
-        # and member setup, every frame debits its members, then its heads.
+        # One round and no death: after the election, one segment of 20 frames.
         assert trace.alive[-1] == cfg.arena.node_count
-        frames = debits[3:]
-        assert len(frames) == 2 * 20
-        net = debits[0][0]
+        [(net, (head, alive, cluster, consumed), awake, events, charges)] = calls
+        assert charges.shape == (20, len(net))
         d, c, params = cfg.scenario.d_size, cfg.cluster_count, cfg.energy
         bs = np.asarray(cfg.arena.bs_position, dtype=float)
         r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
         member_cost = frame_consumption_nchn(d, 1, cfg.arena.side_a, c, params)
-        for (_, members, member_taken), (_, heads, head_taken) in zip(frames[::2], frames[1::2]):
-            assert not net.head[members].any() and net.head[heads].all()
-            assert np.all(member_taken == member_cost)
-            inbound = np.array(
-                [np.count_nonzero(net.cluster[members] == net.cluster[h]) for h in heads]
-            )
-            expected = frame_consumption_chn(inbound, d, r_bs[heads], len(net), c, params)
-            assert np.all(head_taken == expected)
+        heads = np.nonzero(head & alive)[0]
+        for frame in range(20):
+            members = np.nonzero(alive & ~head & awake[frame] & events[frame])[0]
+            assert np.all(charges[frame, members] == member_cost)
+            inbound = np.array([np.count_nonzero(cluster[members] == cluster[h]) for h in heads])
+            fwd = awake[frame, heads] & ((inbound > 0) | events[frame, heads])
+            expected = frame_consumption_chn(inbound[fwd], d, r_bs[heads[fwd]], len(net), c, params)
+            assert np.all(charges[frame, heads[fwd]] == expected)
+            idle = np.ones(len(net), dtype=bool)
+            idle[members] = idle[heads[fwd]] = False
+            assert np.all(charges[frame, idle] == 0.0)
+        # the run charged exactly these costs, frame after frame
+        np.testing.assert_array_equal(
+            trace.final_consumed, np.add.accumulate(np.vstack([consumed, charges]))[-1]
+        )
 
     def test_invalid_config_fails_before_any_frame(self):
         with pytest.raises(ValueError):
