@@ -7,7 +7,7 @@ round-robin), two traffic scenarios, and exports traces/summaries for
 plotting and comparison.
 """
 
-from .arena import distance, place_nodes, step_mobility, substream
+from .arena import place_nodes, step_mobility, substream
 from .config import (
     POLICIES,
     SCENARIOS,
@@ -57,7 +57,6 @@ from .simulator import SimTrace, network_lifetime, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "distance",
     "place_nodes",
     "step_mobility",
     "substream",

@@ -11,7 +11,6 @@ from .config import ArenaConfig
 __all__ = [
     "substream",
     "place_nodes",
-    "distance",
     "step_mobility",
     "PLACEMENT",
     "MOBILITY",
@@ -41,13 +40,6 @@ def place_nodes(cfg: ArenaConfig) -> np.ndarray:
     return rng.uniform(0.0, cfg.side_a, size=(cfg.node_count, 2))
 
 
-def distance(a, b) -> float:
-    """Euclidean distance between two (x, y) points."""
-    ax, ay = float(a[0]), float(a[1])
-    bx, by = float(b[0]), float(b[1])
-    return math.hypot(ax - bx, ay - by)
-
-
 def _reflect(coords: np.ndarray, side: float) -> np.ndarray:
     # Fold out-of-arena coordinates back inside by mirroring at the walls;
     # the modulo handles steps longer than the arena itself.
@@ -69,7 +61,9 @@ def step_mobility(
     Returns the ``(frames, S, 2)`` positions after each frame; the input
     is not modified.  The angles are drawn as one ``(frames, S)`` block,
     which is the same stream as ``frames`` draws of ``S``.  ``speed = 0``
-    is the identity and draws nothing.
+    is the identity and draws nothing.  Each frame adds its step into
+    the path row and folds back only the coordinates that left the
+    arena: the fold is the identity on ``[0, side_a]``.
     """
     if speed < 0:
         raise ValueError(f"speed must be >= 0, got {speed!r}")
@@ -77,8 +71,12 @@ def step_mobility(
     if speed == 0:
         return np.repeat(positions[None], frames, axis=0)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=(frames, len(positions)))
-    steps = speed * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    path = np.empty_like(steps)
-    for t, step in enumerate(steps):
-        positions = path[t] = _reflect(positions + step, side_a)
+    # each row holds its frame's step until the frame's positions replace it
+    path = speed * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    for row in path:
+        np.add(positions, row, out=row)
+        outside = (row < 0.0) | (row > side_a)
+        if outside.any():
+            row[outside] = _reflect(row[outside], side_a)
+        positions = row
     return path

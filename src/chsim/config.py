@@ -8,6 +8,7 @@ one read from JSON by :func:`config_from_dict` pass the same checks.
 from __future__ import annotations
 
 import math
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 
@@ -54,7 +55,10 @@ _MAX_BS_REACH = math.nextafter(sys.float_info.max**0.25, 0.0)
 
 
 def _reject(cfg, name: str, rule: str):
-    raise ValueError(f"{type(cfg).__name__}.{name} must be {rule}, got {getattr(cfg, name)!r}")
+    # reprlib caps what a huge value prints, so the error stays one short line
+    raise ValueError(
+        f"{type(cfg).__name__}.{name} must be {rule}, got {reprlib.repr(getattr(cfg, name))}"
+    )
 
 
 def _check_types(cfg) -> None:
@@ -231,10 +235,12 @@ def config_to_dict(cfg: SimConfig) -> dict:
 def _build(cls, payload):
     """``cls`` from a dict of its fields, with sub-configs built from nested dicts."""
     if not isinstance(payload, dict):
-        raise ValueError(f"{cls.__name__} must be given as an object of fields, not {payload!r}")
+        raise ValueError(
+            f"{cls.__name__} must be given as an object of fields, not {reprlib.repr(payload)}"
+        )
     unknown = sorted(set(payload) - {f.name for f in fields(cls)})
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields: {unknown}")
+        raise ValueError(f"unknown {cls.__name__} fields: {reprlib.repr(unknown)}")
     subs = {f.name: type(f.default) for f in fields(cls) if is_dataclass(f.default)}
     return cls(**{k: _build(subs[k], v) if k in subs else v for k, v in payload.items()})
 

@@ -13,6 +13,13 @@ Every election takes the per-node charges that
 writes its charges, head flags and cluster labels into the
 :class:`~chsim.network.Network` it is given and returns only the tuple
 of elected head ids.
+
+A round's heads are found for all clusters at once, with no loop over
+clusters: the residual-energy election sorts the alive nodes by
+(cluster, residual descending, id) and takes the first node of each
+cluster; round-robin sorts (cluster, id) keys and finds each cluster's
+next head with one binary search.  Members join the nearest head
+through one members x heads matrix of squared distances.
 """
 
 from __future__ import annotations
@@ -112,10 +119,17 @@ def _join_nearest(net: Network, alive_idx, head_idx, costs: ElectionCosts) -> tu
     """Install ``head_idx`` (ascending) as the heads of clusters 0, 1, ...
     and let every other alive node join the nearest of them."""
     member_idx = _non_heads(net, alive_idx, head_idx)
-    deltas = net.positions[member_idx][:, None, :] - net.positions[head_idx][None, :, :]
+    x, y = net.positions.T
+    dx = x[member_idx, None] - x[head_idx]
+    dy = y[member_idx, None] - y[head_idx]
     net.cluster[head_idx] = np.arange(len(head_idx))
-    net.cluster[member_idx] = (deltas**2).sum(axis=2).argmin(axis=1)
+    net.cluster[member_idx] = (dx**2 + dy**2).argmin(axis=1)
     return _install(net, head_idx, member_idx, costs)
+
+
+def _group_starts(sorted_labels: np.ndarray) -> np.ndarray:
+    """Positions where a new label begins in an array sorted by label."""
+    return np.nonzero(np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1])))[0]
 
 
 def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) -> tuple[int, ...]:
@@ -140,11 +154,12 @@ def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) 
         labels = geometric_partition(
             net.positions[alive_idx], min(c, len(alive_idx)), partition_rng
         )
-    heads = [
-        _argmax_residual(net, alive_idx[labels == lab])
-        for lab in np.unique(labels[labels != NO_CLUSTER])
-    ]
-    return _join_nearest(net, alive_idx, np.array(sorted(heads), dtype=int), costs)
+    clustered = labels != NO_CLUSTER
+    ids, labels = alive_idx[clustered], labels[clustered]
+    # by cluster, then highest residual, then lowest id: each cluster's winner comes first
+    order = np.lexsort((ids, -net.residual[ids], labels))
+    winners = ids[order][_group_starts(labels[order])]
+    return _join_nearest(net, alive_idx, np.sort(winners), costs)
 
 
 def dchne_reelect_cluster(net: Network, cluster: int, costs: ElectionCosts) -> int | None:
@@ -223,11 +238,15 @@ def rrch_elect(
         raise ValueError(f"round index must be >= 0, got {round_index}")
     alive_idx = _new_round(net, costs)
     labels = net.cluster[alive_idx]  # every node alive now joined a cluster in the first round
-    heads: list[int] = []
-    for lab in np.unique(labels).tolist():
-        roster = alive_idx[labels == lab]
-        later = roster[roster > prev_head[lab]]
-        prev_head[lab] = int(later[0] if len(later) else roster[0])
-        heads.append(prev_head[lab])
-    head_idx = np.array(heads, dtype=int)
+    # one sorted key per node, grouping by cluster and ascending id within it
+    span = len(net) + 1
+    keys = np.sort(labels * span + alive_idx)
+    starts = _group_starts(keys // span)
+    ends = np.append(starts[1:], len(keys))
+    clusters = keys[starts] // span
+    last = np.array([prev_head[lab] for lab in clusters.tolist()])
+    # the first member above the last head, or the cluster's first member on wrap-around
+    later = np.searchsorted(keys, clusters * span + last, side="right")
+    head_idx = keys[np.where(later < ends, later, starts)] % span
+    prev_head.update(zip(clusters.tolist(), head_idx.tolist()))
     return _install(net, head_idx, _non_heads(net, alive_idx, head_idx), costs)

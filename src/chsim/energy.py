@@ -163,15 +163,7 @@ def frame_consumption_chn(n_members, d_size: float, r_bs, s: int, c: int, params
     )
 
 
-def frame_consumption_nchn(
-    d_size: float,
-    n_packets: int,
-    area_side: float,
-    c: int,
-    params: EnergyParams,
-) -> float:
-    """Per-frame energy for a member transmitting ``n_packets`` packets of
-    ``d_size`` bits each to its cluster head."""
-    if n_packets < 0:
-        raise ValueError(f"packet count must be >= 0, got {n_packets!r}")
-    return n_packets * tx_intra(d_size, area_side, c, params)
+def frame_consumption_nchn(d_size: float, area_side: float, c: int, params: EnergyParams) -> float:
+    """Per-frame energy for a member transmitting one ``d_size``-bit
+    packet to its cluster head."""
+    return tx_intra(d_size, area_side, c, params)

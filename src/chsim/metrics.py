@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -212,12 +212,14 @@ def _csv_bytes(obj) -> bytes:
 
 
 def _jsonable(obj):
+    # Summaries and table rows hold only scalars and tuples, which json
+    # writes as they are, so a shallow vars() stands in for a deep asdict().
     if isinstance(obj, RunSummary):
-        return asdict(obj)
+        return vars(obj)
     if isinstance(obj, ComparisonTable):
         return {
-            "rows": [asdict(r) for r in obj.rows],
-            "aggregates": [asdict(a) for a in obj.aggregates],
+            "rows": [vars(r) for r in obj.rows],
+            "aggregates": [vars(a) for a in obj.aggregates],
         }
     if isinstance(obj, SimTrace):
         return {
@@ -236,7 +238,7 @@ def _jsonable(obj):
             else [r.tolist() for r in obj.residual_log],
         }
     if isinstance(obj, (list, tuple)) and all(isinstance(x, RunSummary) for x in obj):
-        return [asdict(s) for s in obj]
+        return [vars(s) for s in obj]
     raise ValueError(f"cannot export {type(obj).__name__} as json")
 
 

@@ -146,7 +146,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     fpr = scen.frames_per_round
     costs = election_costs(msgs, arena.side_a, s, c, params)
-    member_tx = frame_consumption_nchn(scen.d_size, 1, arena.side_a, c, params)
+    member_tx = frame_consumption_nchn(scen.d_size, arena.side_a, c, params)
     # no head serves more than S members or sits farther out than a corner
     worst_head = frame_consumption_chn(s, scen.d_size, arena.bs_reach(), s, c, params)
     if not np.isfinite([member_tx, *costs, worst_head]).all():
@@ -190,6 +190,7 @@ def run(cfg: SimConfig) -> SimTrace:
         start = frame
         k = min(fpr - start % fpr, cfg.max_frames - start, block_rows)
         draws = scenario_rng.random((k, 2, s))
+        residual_rows = np.empty((k + 1, s))  # a segment's residuals before and after each frame
         awake = draws[:, 0] < scen.duty_cycle
         events = draws[:, 1] < scen.event_probability
         if cfg.mobility_speed > 0.0:
@@ -230,8 +231,11 @@ def run(cfg: SimConfig) -> SimTrace:
             # With nobody alive, or a head just killed by its setup charge
             # (the next frame re-elects), the segment is this one frame.
             if n_alive and not (net.head & ~alive).any():
+                residual_path = residual_rows[: len(charges) + 1]
+                residual_path[0] = net.residual
+                residual_path[1:] = charges
                 with np.errstate(over="ignore"):  # only rows past the first death overflow
-                    residual_path = np.subtract.accumulate(np.vstack([net.residual, charges]))
+                    np.subtract.accumulate(residual_path, out=residual_path)
                 # residuals only fall: the frames before the first death are
                 # those after which every alive node is still alive
                 committed = int(np.count_nonzero(

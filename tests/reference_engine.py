@@ -1,29 +1,107 @@
 """The frame-by-frame engine that :func:`chsim.simulator.run` replaced,
-kept as a test oracle.
+kept as a test oracle, with frozen copies of the per-cluster and
+per-frame code that chsim has since vectorized.
 
 ``reference_run(cfg)`` advances one frame at a time, with a dozen small
 numpy calls per frame and a ``debit`` for every charge.  It is slow but
 plain, so the differential tests hold the segment engine to its exported
-bytes.  Only the mobility call was adapted: it asks ``step_mobility`` for
-a one-frame path.
+bytes.  It does not run chsim's elections or mobility: ``_dchne_elect``
+takes one ``argmax`` per cluster, ``_rrch_elect`` walks each cluster's
+roster, ``_join_nearest`` sums a members x heads x 2 delta array, and
+mobility folds every coordinate every frame, as chsim did before it took
+these loops out.  Only the charges, the trigger and the single-cluster
+re-election, which that change left alone, come from chsim.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from chsim.arena import LEACH_DRAWS, MOBILITY, PARTITION, SCENARIO, place_nodes, step_mobility, substream
+from chsim.arena import LEACH_DRAWS, MOBILITY, PARTITION, SCENARIO, place_nodes, substream
 from chsim.config import SimConfig
 from chsim.election import (
     EmptyNetworkError,
-    dchne_elect,
+    _argmax_residual,
+    _install,
+    _new_round,
+    _non_heads,
     dchne_reelect_cluster,
-    leach_elect,
-    rrch_elect,
+    geometric_partition,
 )
 from chsim.energy import election_costs, frame_consumption_chn, frame_consumption_nchn
-from chsim.network import Network
+from chsim.network import NO_CLUSTER, Network
 from chsim.simulator import SimTrace
+
+
+def _reflect(coords: np.ndarray, side: float) -> np.ndarray:
+    folded = np.mod(coords, 2.0 * side)
+    return np.where(folded > side, 2.0 * side - folded, folded)
+
+
+def _step_mobility(positions: np.ndarray, side_a: float, speed: float, rng) -> np.ndarray:
+    """One frame of movement, every coordinate folded."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=len(positions))
+    step = speed * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return _reflect(positions + step, side_a)
+
+
+def _join_nearest(net: Network, alive_idx, head_idx, costs) -> tuple[int, ...]:
+    member_idx = _non_heads(net, alive_idx, head_idx)
+    deltas = net.positions[member_idx][:, None, :] - net.positions[head_idx][None, :, :]
+    net.cluster[head_idx] = np.arange(len(head_idx))
+    net.cluster[member_idx] = (deltas**2).sum(axis=2).argmin(axis=1)
+    return _install(net, head_idx, member_idx, costs)
+
+
+def _dchne_elect(net: Network, c: int, costs, partition_rng) -> tuple[int, ...]:
+    alive_idx = _new_round(net, costs)
+    labels = net.cluster[alive_idx]
+    if np.all(labels == NO_CLUSTER):
+        labels = geometric_partition(
+            net.positions[alive_idx], min(c, len(alive_idx)), partition_rng
+        )
+    heads = [
+        _argmax_residual(net, alive_idx[labels == lab])
+        for lab in np.unique(labels[labels != NO_CLUSTER])
+    ]
+    return _join_nearest(net, alive_idx, np.array(sorted(heads), dtype=int), costs)
+
+
+def _leach_elect(net: Network, c: int, round_index: int, costs, rng, headed: set[int]):
+    s = len(net)
+    draws = rng.random(s)
+    alive_idx = _new_round(net, costs)
+    epoch = math.ceil(s / c)
+    if round_index % epoch == 0:
+        headed.clear()
+    p = c / s
+    threshold = p / (1.0 - p * (round_index % epoch))
+    eligible = net.alive
+    eligible[list(headed)] = False
+    head_idx = np.nonzero(eligible & (draws < threshold))[0]
+    if len(head_idx) == 0:
+        head_idx = np.array([_argmax_residual(net, alive_idx)])
+    headed.update(head_idx.tolist())
+    return _join_nearest(net, alive_idx, head_idx, costs)
+
+
+def _rrch_elect(net: Network, c: int, costs, prev_head: dict[int, int], partition_rng):
+    if not prev_head:
+        head_ids = _dchne_elect(net, c, costs, partition_rng)
+        prev_head.update(enumerate(head_ids))
+        return head_ids
+    alive_idx = _new_round(net, costs)
+    labels = net.cluster[alive_idx]
+    heads: list[int] = []
+    for lab in np.unique(labels).tolist():
+        roster = alive_idx[labels == lab]
+        later = roster[roster > prev_head[lab]]
+        prev_head[lab] = int(later[0] if len(later) else roster[0])
+        heads.append(prev_head[lab])
+    head_idx = np.array(heads, dtype=int)
+    return _install(net, head_idx, _non_heads(net, alive_idx, head_idx), costs)
 
 
 def reference_run(cfg: SimConfig) -> SimTrace:
@@ -43,7 +121,7 @@ def reference_run(cfg: SimConfig) -> SimTrace:
     prev_head: dict[int, int] = {}
 
     costs = election_costs(msgs, arena.side_a, s, c, params)
-    member_tx = frame_consumption_nchn(scen.d_size, 1, arena.side_a, c, params)
+    member_tx = frame_consumption_nchn(scen.d_size, arena.side_a, c, params)
 
     def distance_to_bs() -> np.ndarray:
         return np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
@@ -69,11 +147,11 @@ def reference_run(cfg: SimConfig) -> SimTrace:
             round_index = frame // fpr
             try:
                 if cfg.policy == "dchne":
-                    dchne_elect(net, c, costs, partition_rng)
+                    _dchne_elect(net, c, costs, partition_rng)
                 elif cfg.policy == "leach":
-                    leach_elect(net, c, round_index, costs, leach_rng, headed)
+                    _leach_elect(net, c, round_index, costs, leach_rng, headed)
                 else:
-                    rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
+                    _rrch_elect(net, c, costs, prev_head, partition_rng)
             except EmptyNetworkError:
                 pass
         elif cfg.policy == "dchne":
@@ -83,9 +161,9 @@ def reference_run(cfg: SimConfig) -> SimTrace:
                 reelections.append((frame, label, winner))
 
         if cfg.mobility_speed > 0.0:
-            net.positions = step_mobility(
-                net.positions, arena.side_a, cfg.mobility_speed, mobility_rng, 1
-            )[0]
+            net.positions = _step_mobility(
+                net.positions, arena.side_a, cfg.mobility_speed, mobility_rng
+            )
             r_bs = distance_to_bs()
 
         awake = scenario_rng.random(s) < scen.duty_cycle

@@ -6,7 +6,7 @@ import pytest
 from chsim.arena import (
     ArenaConfig,
     MOBILITY,
-    distance,
+    _reflect,
     place_nodes,
     step_mobility,
     substream,
@@ -43,29 +43,6 @@ class TestPlacement:
         for bs in ((math.nan, 0.0), (175.0, math.inf), (175.0,), ("1", 2), 5):
             with pytest.raises(ValueError):
                 ArenaConfig(bs_position=bs)
-
-
-class TestDistance:
-    def test_zero(self):
-        assert distance((0, 0), (0, 0)) == 0.0
-
-    def test_pythagorean_triple(self):
-        assert distance((0, 0), (3, 4)) == 5.0
-
-    def test_matches_oracle_on_random_pairs(self):
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            a = rng.uniform(-100, 100, 2)
-            b = rng.uniform(-100, 100, 2)
-            expected = math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2)
-            assert distance(a, b) == pytest.approx(expected, rel=1e-12)
-            assert distance(a, b) == distance(b, a)
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            a, b, c = rng.uniform(0, 350, (3, 2))
-            assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-9
 
 
 class TestMobility:
@@ -115,6 +92,28 @@ class TestMobility:
         for frame in path:
             pos = step_mobility(pos, 350.0, 40.0, rng, 1)[0]
             assert np.array_equal(frame, pos)
+
+    def test_path_equals_folding_every_coordinate_every_frame(self):
+        # steps that land exactly on the walls 0 and side_a, then cross them
+        pos = np.array([[349.0, 100.0], [1.0, 200.0], [175.0, 1.0], [175.0, 349.0]])
+        theta = np.array([
+            [0.0, math.pi, 1.5 * math.pi, 0.5 * math.pi],
+            [0.0, math.pi, 1.5 * math.pi, 0.5 * math.pi],
+            [math.pi, 0.0, 0.5 * math.pi, 1.5 * math.pi],
+        ])
+
+        class ScriptedRng:
+            def uniform(self, low, high, size=None):
+                assert size == theta.shape
+                return theta
+
+        path = step_mobility(pos, 350.0, 1.0, ScriptedRng(), len(theta))
+        assert (path[0, 0, 0], path[0, 1, 0], path[0, 2, 1], path[0, 3, 1]) == (350.0, 0.0, 0.0, 350.0)
+        for row, angles in zip(path, theta):
+            step = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+            pos = _reflect(pos + step, 350.0)
+            assert np.array_equal(row, pos)
+        assert np.all(path >= 0) and np.all(path <= 350)
 
     def test_negative_speed_rejected(self):
         pos = np.zeros((1, 2))

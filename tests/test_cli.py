@@ -217,6 +217,11 @@ class TestExecution:
         # integers too large for a float (was an OverflowError traceback)
         {"scenario": {"d_size": 10**400}, "max_frames": 2},
         {"msgs": {"d_adv": 10**400}, "max_frames": 2},
+        # huge rejected values print abridged (each line was 400+ characters)
+        {"msgs": {"d_adv": 10**400}},
+        {"arena": [10**400]},
+        {"policy": "x" * 500},
+        {"x" * 500: 1},
     ])
     def test_malformed_config_is_one_line_error(self, tmp_path, capsys, payload):
         config = tmp_path / "bad.json"
@@ -225,6 +230,7 @@ class TestExecution:
         assert main(["run", "--seed", "1", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) <= 200
 
     def test_missing_config_file_is_runtime_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2

@@ -1,5 +1,8 @@
 """Election policies: winners, tie-breaks, charges, membership, rotation."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,13 @@ from chsim.energy import (
     tx_intra,
 )
 from chsim.network import NO_CLUSTER, Network
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+# Hypothesis caches facts about the code under test; keep them out of the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 AREA = 350.0
 PARAMS = EnergyParams()
@@ -399,3 +409,80 @@ class TestGeometricPartition:
             geometric_partition(points, 5, np.random.default_rng(0))
         with pytest.raises(ValueError):
             geometric_partition(points, 0, np.random.default_rng(0))
+
+
+@st.composite
+def clustered_networks(draw):
+    """A clustered network with residual ties, dead nodes and nodes that
+    the election trigger kills (5e-6 J is below its charge)."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, n))
+    residuals = draw(st.lists(st.sampled_from([5e-6, 1e-3, 2e-3, 3.5]), min_size=n, max_size=n))
+    net = make_net(n, residuals=residuals, seed=draw(st.integers(0, 2**16)))
+    net.cluster[:] = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    for dead in draw(st.sets(st.integers(0, n - 1))):
+        kill(net, dead)
+    return net, k
+
+
+def triggered(net, k):
+    """A copy of ``net`` after the election trigger, and its alive nodes
+    by cluster in ascending id order."""
+    after = make_net(len(net), positions=net.positions, clusters=net.cluster)
+    after.residual[:], after.consumed[:] = net.residual, net.consumed
+    alive = np.nonzero(after.alive)[0]
+    after.debit(alive, costs(net, k).trigger)
+    rosters = {}
+    for i in range(len(after)):
+        if after.alive[i]:
+            rosters.setdefault(int(after.cluster[i]), []).append(i)
+    return after, rosters
+
+
+class TestVectorizedElectionsMatchScan:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(clustered_networks())
+    def test_dchne_heads_are_each_clusters_first_best(self, case):
+        net, k = case
+        after, rosters = triggered(net, k)
+        if not rosters:
+            with pytest.raises(EmptyNetworkError):
+                dchne_elect(net, k, costs(net, k))
+            return
+        expected = []
+        for roster in rosters.values():
+            best = roster[0]
+            for i in roster[1:]:
+                if after.residual[i] > after.residual[best]:
+                    best = i
+            expected.append(best)
+        heads = dchne_elect(net, k, costs(net, k))
+        assert heads == tuple(sorted(expected))
+        positions = net.positions.tolist()
+        for i in (i for roster in rosters.values() for i in roster if i not in heads):
+            gaps = [(positions[i][0] - positions[h][0]) ** 2 + (positions[i][1] - positions[h][1]) ** 2
+                    for h in heads]
+            assert net.cluster[i] == gaps.index(min(gaps))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(clustered_networks(), st.data())
+    def test_rrch_heads_are_each_clusters_next_in_id_order(self, case, data):
+        net, k = case
+        after, rosters = triggered(net, k)
+        members = [np.nonzero(net.cluster == lab)[0].tolist() or [0] for lab in range(k)]
+        # a last head anywhere in its cluster, dead or alive; its highest id forces a wrap-around
+        prev_head = {lab: data.draw(st.sampled_from(ids)) for lab, ids in enumerate(members)}
+        wrap = data.draw(st.integers(0, k - 1))
+        prev_head[wrap] = max(members[wrap])
+        expected = {}
+        for lab, roster in sorted(rosters.items()):
+            later = [i for i in roster if i > prev_head[lab]]
+            expected[lab] = later[0] if later else roster[0]
+        if not rosters:
+            with pytest.raises(EmptyNetworkError):
+                rrch_elect(net, k, 1, costs(net, k), prev_head)
+            return
+        heads = rrch_elect(net, k, 1, costs(net, k), prev_head)
+        assert heads == tuple(expected.values())
+        assert {lab: prev_head[lab] for lab in expected} == expected
+        assert net.head.tolist() == [i in heads for i in range(len(net))]

@@ -184,16 +184,14 @@ class TestFrameConsumptionChn:
 
 
 class TestFrameConsumptionNchn:
-    def test_zero_packets(self):
-        assert frame_consumption_nchn(4000, 0, 350, 10, P) == 0.0
-
     def test_electronics_only(self):
-        assert frame_consumption_nchn(4000, 1, 0, 10, P) == pytest.approx(1.6e-4, rel=1e-12)
+        assert frame_consumption_nchn(4000, 0, 10, P) == pytest.approx(1.6e-4, rel=1e-12)
 
     def test_derived_three_packets(self):
+        # a member sends one packet a frame: three frames cost three charges
         expected = 3 * oracle_tx_intra(4000, 350, 10)
         assert expected == pytest.approx(6.905619897105775e-4, rel=1e-12)
-        assert frame_consumption_nchn(4000, 3, 350, 10, P) == pytest.approx(expected, rel=1e-12)
+        assert 3 * frame_consumption_nchn(4000, 350, 10, P) == pytest.approx(expected, rel=1e-12)
 
 
 class TestProperties:
@@ -234,7 +232,7 @@ class TestProperties:
             assert setup_energy_chn(m, a, s, c, P) >= 0
             assert setup_energy_nchn(m, a, c, P) >= 0
             assert frame_consumption_chn(n, d, r, s, c, P) >= 0
-            assert frame_consumption_nchn(d, n, a, c, P) >= 0
+            assert frame_consumption_nchn(d, a, c, P) >= 0
 
     def test_linear_in_data_size(self):
         rng = np.random.default_rng(7)

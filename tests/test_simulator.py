@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from chsim.arena import distance, place_nodes
+from chsim.arena import place_nodes
 from chsim.config import (
     ArenaConfig,
     ControlMessageSizes,
@@ -171,7 +171,8 @@ class TestRun:
         # sole node is its own head: no members, no scheduling traffic,
         # so each frame costs exactly one base-station forward
         pos = place_nodes(arena)[0]
-        per_frame = tx_to_bs(cfg.scenario.d_size, distance(pos, arena.bs_position), cfg.energy)
+        r_bs = math.hypot(pos[0] - arena.bs_position[0], pos[1] - arena.bs_position[1])
+        per_frame = tx_to_bs(cfg.scenario.d_size, r_bs, cfg.energy)
         expected_frames = math.ceil(cfg.initial_energy / per_frame)
         trace = run(cfg)
         assert trace.termination == "all-dead"
@@ -275,7 +276,7 @@ class TestRun:
         d, c, params = cfg.scenario.d_size, cfg.cluster_count, cfg.energy
         bs = np.asarray(cfg.arena.bs_position, dtype=float)
         r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
-        member_cost = frame_consumption_nchn(d, 1, cfg.arena.side_a, c, params)
+        member_cost = frame_consumption_nchn(d, cfg.arena.side_a, c, params)
         heads = np.nonzero(head & alive)[0]
         for frame in range(20):
             members = np.nonzero(alive & ~head & awake[frame] & events[frame])[0]
