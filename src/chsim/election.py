@@ -62,6 +62,12 @@ def geometric_partition(positions, k: int, rng) -> np.ndarray:
     for _ in range(20):
         d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = d2.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        if counts.all():
+            # bincount sums each group in ascending index order, as mean() does
+            centers[:, 0] = np.bincount(labels, weights=positions[:, 0], minlength=k) / counts
+            centers[:, 1] = np.bincount(labels, weights=positions[:, 1], minlength=k) / counts
+            continue
         for j in range(k):
             chosen = labels == j
             if chosen.any():

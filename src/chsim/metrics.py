@@ -3,13 +3,16 @@
 CSV is the plotting interface: an alive-curve export has exactly the
 columns ``frame,alive,packets_cum,chn_count`` and any external grapher
 can consume it.  JSON mirrors the dataclass structure with snake_case
-keys and round-trips summaries exactly.
+keys and round-trips summaries exactly.  A trace's residual matrix is
+streamed to the destination a block of rows at a time, in the bytes
+``json.dumps`` would give it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -34,6 +37,8 @@ __all__ = [
 ]
 
 CURVE_COLUMNS = ("frame", "alive", "packets_cum", "chn_count")
+# Most residuals one block of the streamed JSON matrix holds.
+_JSON_BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -184,7 +189,7 @@ def compare(summaries) -> ComparisonTable:
     return ComparisonTable(rows=tuple(rows), aggregates=tuple(aggregates))
 
 
-def _csv_bytes(obj) -> bytes:
+def _csv_text(obj) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     if isinstance(obj, (RunSummary, SimTrace)):
@@ -208,7 +213,7 @@ def _csv_bytes(obj) -> bytes:
             )
     else:
         raise ValueError(f"cannot export {type(obj).__name__} as csv")
-    return out.getvalue().encode()
+    return out.getvalue()
 
 
 def _jsonable(obj):
@@ -233,17 +238,62 @@ def _jsonable(obj):
             "reelections": [list(r) for r in obj.reelections],
             "final_residual": obj.final_residual.tolist(),
             "final_consumed": obj.final_consumed.tolist(),
-            "residuals": None
-            if obj.residual_log is None
-            else [r.tolist() for r in obj.residual_log],
         }
     if isinstance(obj, (list, tuple)) and all(isinstance(x, RunSummary) for x in obj):
         return [vars(s) for s in obj]
     raise ValueError(f"cannot export {type(obj).__name__} as json")
 
 
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n").encode()
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _matrix_json(matrix: np.ndarray):
+    """Yield the JSON text of a 2-D float array's rows, a block at a time.
+
+    Most residuals repeat from frame to frame, so each block formats one
+    string per distinct bit pattern (not per distinct value, which would
+    merge ``-0.0`` with ``0.0``) and fills its rows from a template.
+    """
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
+    rows, width = bits.shape
+    row = "[" + ",".join(["%s"] * width) + "]"
+    step = max(1, _JSON_BLOCK_ENTRIES // width)
+    yield "["
+    for start in range(0, rows, step):
+        block = bits[start : start + step]
+        distinct, inverse = np.unique(block.ravel(), return_inverse=True)
+        values = distinct.view(np.float64)
+        texts = np.array(list(map(float.__repr__, values.tolist())), dtype=object)
+        odd = ~np.isfinite(values)
+        texts[odd] = [json.dumps(x) for x in values[odd].tolist()]  # NaN, Infinity, -Infinity
+        text = ",".join([row] * len(block)) % tuple(texts[inverse])
+        yield "," + text if start else text
+    yield "]"
+
+
+def _json_chunks(obj):
+    """The JSON document of ``obj``, newline-terminated, as str pieces.
+
+    A trace's residuals go between the keys that sort before and after
+    ``"residuals"``, each side encoded whole; neither side is empty.
+    """
+    doc = _jsonable(obj)
+    if not isinstance(obj, SimTrace):
+        return [_dumps(doc) + "\n"]
+    head = _dumps({k: v for k, v in doc.items() if k < "residuals"})
+    tail = _dumps({k: v for k, v in doc.items() if k > "residuals"})
+    residuals = ["null"] if obj.residual_log is None else _matrix_json(obj.residual_log)
+    return itertools.chain([head[:-1], ',"residuals":'], residuals, [",", tail[1:], "\n"])
+
+
+def _write(chunks, fh) -> int:
+    written = 0
+    for chunk in chunks:
+        data = chunk.encode()
+        fh.write(data)
+        written += len(data)
+    return written
 
 
 def export(obj, fmt: str, destination) -> int:
@@ -251,17 +301,15 @@ def export(obj, fmt: str, destination) -> int:
     ``destination`` (a path or a binary file-like) and return the number
     of bytes written.  ``fmt`` is ``"csv"`` or ``"json"``."""
     if fmt == "csv":
-        payload = _csv_bytes(obj)
+        chunks = [_csv_text(obj)]
     elif fmt == "json":
-        payload = _json_bytes(obj)
+        chunks = _json_chunks(obj)
     else:
         raise ValueError(f"unknown export format {fmt!r}: use 'csv' or 'json'")
     if hasattr(destination, "write"):
-        destination.write(payload)
-    else:
-        with open(destination, "wb") as fh:
-            fh.write(payload)
-    return len(payload)
+        return _write(chunks, destination)
+    with open(destination, "wb") as fh:
+        return _write(chunks, fh)
 
 
 def _read_bytes(source) -> bytes:

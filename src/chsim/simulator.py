@@ -22,7 +22,6 @@ it.  A run trusts its config, which checked its own fields when built
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,9 @@ __all__ = ["SimTrace", "run", "network_lifetime"]
 
 # Most matrix entries (frames x nodes) one block of frames may hold.
 _BLOCK_ENTRIES = 1 << 16
+# Frames the trace columns first hold room for: every run of the default
+# profiles fits, and a huge max_frames grows them only as frames are run.
+_FIRST_ROWS = 1 << 14
 
 
 @dataclass(eq=False)
@@ -58,10 +60,12 @@ class SimTrace:
     """Per-frame history and final energy books of one run.
 
     Columns (``alive``, ``packets_cum``, ``chn_count``) are parallel
-    arrays indexed by frame.  Head sets are stored as change points
-    (``head_change_frames`` ascending, with the head ids that took over
-    at each) and expanded on demand; ``reelections`` lists mid-round
-    replacements of dead heads as (frame, cluster, new head id or None).
+    arrays indexed by frame; ``residual_log``, when recorded, is the
+    ``(frames, S)`` array of every node's residual after each frame.
+    Head sets are stored as change points (``head_change_frames``
+    ascending, with the head ids that took over at each);
+    ``reelections`` lists mid-round replacements of dead heads as
+    (frame, cluster, new head id or None).
     """
 
     config: SimConfig
@@ -75,16 +79,20 @@ class SimTrace:
     final_residual: np.ndarray
     final_consumed: np.ndarray
     initial_energy_per_node: np.ndarray
-    residual_log: list[np.ndarray] | None = None
+    residual_log: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.alive)
 
-    def chn_ids_at(self, frame: int) -> tuple[int, ...]:
-        if not 0 <= frame < len(self):
-            raise IndexError(f"frame {frame} outside recorded range 0..{len(self) - 1}")
-        slot = bisect.bisect_right(self.head_change_frames, frame) - 1
-        return self.head_change_ids[slot] if slot >= 0 else ()
+
+def _room(column: np.ndarray, rows: int, limit: int) -> np.ndarray:
+    """``column`` if it holds ``rows`` rows, else a copy of it with room
+    for twice as many rows as now (at least ``rows``, at most ``limit``)."""
+    if rows <= len(column):
+        return column
+    grown = np.empty((min(max(rows, 2 * len(column)), limit), *column.shape[1:]), column.dtype)
+    grown[: len(column)] = column
+    return grown
 
 
 def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, r_bs: np.ndarray,
@@ -156,31 +164,33 @@ def run(cfg: SimConfig) -> SimTrace:
     r_placed = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
     block_rows = max(1, _BLOCK_ENTRIES // s)
 
-    alive_log: list[int] = []
-    packets_log: list[int] = []
-    chn_count_log: list[int] = []
+    room = min(cfg.max_frames, _FIRST_ROWS)
+    alive_log = np.empty(room, dtype=int)
+    packets_log = np.empty(room, dtype=np.int64)
+    chn_count_log = np.empty(room, dtype=int)
+    residual_log = np.empty((room, s)) if cfg.record_residuals else None
     change_frames: list[int] = []
     change_ids: list[tuple[int, ...]] = []
     reelections: list[tuple[int, int, int | None]] = []
-    residual_log: list[np.ndarray] | None = [] if cfg.record_residuals else None
     packets = 0
     prev_heads: tuple[int, ...] | None = None
     termination = "max-frames"
 
     def record(frame: int, alive: np.ndarray, packets_cum, residuals: np.ndarray) -> None:
-        """Log ``len(packets_cum)`` frames from ``frame`` on, over which
-        the alive set and the head set stay as they are now."""
+        """Fill the rows of ``len(residuals)`` frames from ``frame`` on,
+        over which the alive set and the head set stay as they are now."""
         nonlocal prev_heads
+        stop = frame + len(residuals)
         heads_now = tuple(np.nonzero(net.head & alive)[0].tolist())
         if heads_now != prev_heads:
             change_frames.append(frame)
             change_ids.append(heads_now)
             prev_heads = heads_now
-        alive_log.extend([int(alive.sum())] * len(packets_cum))
-        packets_log.extend(packets_cum)
-        chn_count_log.extend([len(heads_now)] * len(packets_cum))
+        alive_log[frame:stop] = np.count_nonzero(alive)
+        packets_log[frame:stop] = packets_cum
+        chn_count_log[frame:stop] = len(heads_now)
         if residual_log is not None:
-            residual_log.extend(residuals.copy())
+            residual_log[frame:stop] = residuals
 
     frame = 0
     while frame < cfg.max_frames and termination == "max-frames":
@@ -189,6 +199,11 @@ def run(cfg: SimConfig) -> SimTrace:
         # across the deaths in it.
         start = frame
         k = min(fpr - start % fpr, cfg.max_frames - start, block_rows)
+        alive_log = _room(alive_log, start + k, cfg.max_frames)
+        packets_log = _room(packets_log, start + k, cfg.max_frames)
+        chn_count_log = _room(chn_count_log, start + k, cfg.max_frames)
+        if residual_log is not None:
+            residual_log = _room(residual_log, start + k, cfg.max_frames)
         draws = scenario_rng.random((k, 2, s))
         residual_rows = np.empty((k + 1, s))  # a segment's residuals before and after each frame
         awake = draws[:, 0] < scen.duty_cycle
@@ -246,14 +261,14 @@ def run(cfg: SimConfig) -> SimTrace:
                 net.residual = residual_path[committed].copy()
                 packets_cum = packets + np.cumsum(delivered[:committed])
                 packets = int(packets_cum[-1])
-                record(frame, alive, packets_cum.tolist(), residual_path[1 : committed + 1])
+                record(frame, alive, packets_cum, residual_path[1 : committed + 1])
                 frame += committed
             if committed < len(charges):
                 # the frame with the first death, charged exactly
                 net.debit(slice(None), charges[committed])
                 packets += int(delivered[committed])
                 alive = net.alive
-                record(frame, alive, [packets], net.residual[None])
+                record(frame, alive, packets, net.residual[None])
                 frame += 1
                 if not alive.any():
                     termination = "all-dead"
@@ -261,12 +276,14 @@ def run(cfg: SimConfig) -> SimTrace:
         if cfg.mobility_speed > 0.0:
             net.positions = moves[-1]
 
+    if residual_log is not None and frame < len(residual_log):
+        residual_log = residual_log[:frame].copy()  # give back the room no frame used
     return SimTrace(
         config=cfg,
         termination=termination,
-        alive=np.array(alive_log, dtype=int),
-        packets_cum=np.array(packets_log, dtype=np.int64),
-        chn_count=np.array(chn_count_log, dtype=int),
+        alive=alive_log[:frame],
+        packets_cum=packets_log[:frame],
+        chn_count=chn_count_log[:frame],
         head_change_frames=tuple(change_frames),
         head_change_ids=tuple(change_ids),
         reelections=tuple(reelections),

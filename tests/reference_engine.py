@@ -214,5 +214,5 @@ def reference_run(cfg: SimConfig) -> SimTrace:
         final_residual=net.residual.copy(),
         final_consumed=net.consumed.copy(),
         initial_energy_per_node=net.initial.copy(),
-        residual_log=residual_log,
+        residual_log=None if residual_log is None else np.array(residual_log).reshape(-1, s),
     )

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from chsim import simulator
 from chsim.cli import main
 from chsim.config import ArenaConfig, ControlMessageSizes, EnergyParams, ScenarioConfig, SimConfig
 from chsim.metrics import export
@@ -81,6 +82,23 @@ def assert_same_trace(cfg: SimConfig):
 ])
 def test_named_case_matches_reference(cfg):
     assert_same_trace(cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(SimConfig(policy="leach", arena=ArenaConfig(node_count=12, seed=1),
+                           cluster_count=3, initial_energy=0.02, max_frames=300,
+                           scenario=ScenarioConfig(frames_per_round=5), record_residuals=True),
+                 id="all-dead"),
+    pytest.param(SimConfig(arena=ArenaConfig(node_count=30, seed=9), cluster_count=3,
+                           max_frames=333, scenario=ScenarioConfig(frames_per_round=7),
+                           record_residuals=True),
+                 id="max-frames"),
+])
+def test_trace_columns_grown_past_their_first_room_match_reference(cfg, monkeypatch):
+    # the columns start with room for 5 frames and double as frames are run
+    monkeypatch.setattr(simulator, "_FIRST_ROWS", 5)
+    assert_same_trace(cfg)
+    assert len(run(cfg)) > 5
 
 
 def test_named_cases_reach_their_pitfalls():

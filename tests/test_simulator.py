@@ -1,5 +1,6 @@
 """Frame loop: depletion, deaths, packet accounting, determinism."""
 
+import bisect
 import math
 import re
 
@@ -244,13 +245,16 @@ class TestRun:
     def test_records_mirror_columns(self):
         trace = run(small_cfg(arena=ArenaConfig(node_count=12, seed=1),
                               cluster_count=2, max_frames=50, record_residuals=True))
-        assert len(trace.residual_log) == len(trace.packets_cum) == len(trace) == 50
+        assert len(trace.packets_cum) == len(trace) == 50
+        assert trace.residual_log.shape == (len(trace), 12)
+        assert trace.residual_log.dtype == np.float64
         for i in (0, 17, len(trace) - 1):
             residuals = trace.residual_log[i]
-            assert len(residuals) == 12
             assert trace.alive[i] == np.count_nonzero(residuals > 0.0)
             assert 0 < trace.packets_cum[i] <= 12 * (i + 1)
-            heads = trace.chn_ids_at(i)
+            # the head set in force at frame i, from the trace's change points
+            slot = bisect.bisect_right(trace.head_change_frames, i) - 1
+            heads = trace.head_change_ids[slot] if slot >= 0 else ()
             assert len(heads) == trace.chn_count[i]
             assert all(residuals[h] > 0.0 for h in heads)
 

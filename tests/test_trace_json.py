@@ -1,0 +1,110 @@
+"""The streamed JSON trace writer gives the bytes of one ``json.dumps``
+call on the whole trace.
+
+The differential tests send both engines' traces through the same
+``export``, so a wrong writer would pass them; these tests compare it
+with the document the writer replaced, encoded in one call.
+"""
+
+import dataclasses
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from chsim import metrics
+from chsim.config import ArenaConfig, SimConfig, config_to_dict
+from chsim.metrics import export
+from chsim.simulator import run
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+# Hypothesis caches facts about the code under test; keep them out of the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
+
+
+def oracle(trace) -> bytes:
+    """The trace's document as the writer before streaming built it."""
+    doc = {
+        "config": config_to_dict(trace.config),
+        "termination": trace.termination,
+        "alive": trace.alive.tolist(),
+        "packets_cum": trace.packets_cum.tolist(),
+        "chn_count": trace.chn_count.tolist(),
+        "head_change_frames": list(trace.head_change_frames),
+        "head_change_ids": [list(ids) for ids in trace.head_change_ids],
+        "reelections": [list(r) for r in trace.reelections],
+        "final_residual": trace.final_residual.tolist(),
+        "final_consumed": trace.final_consumed.tolist(),
+        "residuals": None if trace.residual_log is None
+        else [r.tolist() for r in trace.residual_log],
+    }
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def exported(trace) -> bytes:
+    """The trace exported to a file-like and to a path, which must agree,
+    with the byte count ``export`` returns checked for each."""
+    out = io.BytesIO()
+    assert export(trace, "json", out) == len(out.getvalue())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "trace.json")
+        assert export(trace, "json", path) == path.stat().st_size
+        assert path.read_bytes() == out.getvalue()
+    return out.getvalue()
+
+
+def traced(**overrides):
+    defaults = dict(arena=ArenaConfig(node_count=12, seed=4), cluster_count=2, max_frames=30,
+                    record_residuals=True)
+    defaults.update(overrides)
+    return run(SimConfig(**defaults))
+
+
+SMALL = traced()
+# 190 nodes, one frame more than a block of the streamed matrix holds
+BLOCK_PLUS_ONE = traced(arena=ArenaConfig(seed=2), cluster_count=10,
+                        max_frames=metrics._JSON_BLOCK_ENTRIES // 190 + 1)
+
+
+@pytest.mark.parametrize("trace", [
+    pytest.param(traced(max_frames=0), id="no-frames"),
+    pytest.param(traced(max_frames=1), id="one-frame"),
+    pytest.param(traced(record_residuals=False), id="no-residuals"),
+    pytest.param(SMALL, id="small"),
+    pytest.param(BLOCK_PLUS_ONE, id="block-plus-one"),
+])
+def test_run_traces_match_one_shot_encoding(trace):
+    assert exported(trace) == oracle(trace)
+
+
+def test_block_plus_one_spans_two_blocks():
+    assert len(BLOCK_PLUS_ONE) == BLOCK_PLUS_ONE.config.max_frames
+    pieces = list(metrics._matrix_json(BLOCK_PLUS_ONE.residual_log))
+    assert len(pieces) == 4  # "[", two blocks, "]"
+
+
+SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.8e308, -1.8e308,
+           math.inf, -math.inf, math.nan, -math.nan, 1.0, 0.1, 3.5]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    matrix=st.tuples(st.integers(0, 9), st.integers(1, 6)).flatmap(
+        lambda shape: arrays(np.float64, shape, elements=FLOATS)),
+    block_entries=st.integers(1, 40),
+)
+def test_any_float_matrix_matches_one_shot_encoding(matrix, block_entries):
+    # non-finite values come out as json.dumps writes them: NaN, Infinity, -Infinity
+    trace = dataclasses.replace(SMALL, residual_log=matrix)
+    with mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", block_entries):
+        assert exported(trace) == oracle(trace)
