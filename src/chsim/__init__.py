@@ -20,7 +20,6 @@ from .config import (
     config_to_dict,
 )
 from .election import (
-    EmptyNetworkError,
     dchne_elect,
     dchne_reelect_cluster,
     geometric_partition,
@@ -69,7 +68,6 @@ __all__ = [
     "SimConfig",
     "config_from_dict",
     "config_to_dict",
-    "EmptyNetworkError",
     "dchne_elect",
     "dchne_reelect_cluster",
     "geometric_partition",

@@ -12,7 +12,8 @@ Every election takes the per-node charges that
 :func:`~chsim.energy.election_costs` computes once per run.  A policy
 writes its charges, head flags and cluster labels into the
 :class:`~chsim.network.Network` it is given and returns only the tuple
-of elected head ids.
+of elected head ids, which is empty when no node is alive after the
+election trigger.
 
 A round's heads are found for all clusters at once, with no loop over
 clusters: the residual-energy election sorts the alive nodes by
@@ -32,17 +33,12 @@ from .energy import ElectionCosts
 from .network import NO_CLUSTER, Network
 
 __all__ = [
-    "EmptyNetworkError",
     "geometric_partition",
     "dchne_elect",
     "dchne_reelect_cluster",
     "leach_elect",
     "rrch_elect",
 ]
-
-
-class EmptyNetworkError(ValueError):
-    """An election was attempted with no alive node left."""
 
 
 def geometric_partition(positions, k: int, rng) -> np.ndarray:
@@ -97,12 +93,9 @@ def _trigger(net: Network, idx: np.ndarray, cost: float) -> np.ndarray:
 
 def _new_round(net: Network, costs: ElectionCosts) -> np.ndarray:
     """Dismiss every head and trigger an election at every alive node;
-    return the nodes alive afterwards."""
+    return the nodes alive afterwards (none, if the trigger killed the last)."""
     net.head[:] = False
-    alive_idx = _trigger(net, np.nonzero(net.alive)[0], costs.trigger)
-    if len(alive_idx) == 0:
-        raise EmptyNetworkError("no node is alive after the election trigger")
-    return alive_idx
+    return _trigger(net, np.nonzero(net.alive)[0], costs.trigger)
 
 
 def _install(net: Network, head_idx, member_idx, costs: ElectionCosts) -> tuple[int, ...]:
@@ -153,6 +146,8 @@ def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) 
     if c < 1:
         raise ValueError(f"cluster count must be >= 1, got {c}")
     alive_idx = _new_round(net, costs)
+    if len(alive_idx) == 0:
+        return ()
     labels = net.cluster[alive_idx]
     if np.all(labels == NO_CLUSTER):
         if partition_rng is None:
@@ -209,6 +204,8 @@ def leach_elect(
     s = len(net)
     draws = rng.random(s)
     alive_idx = _new_round(net, costs)
+    if len(alive_idx) == 0:
+        return ()
     epoch = math.ceil(s / c)
     if round_index % epoch == 0:
         headed.clear()
@@ -243,6 +240,8 @@ def rrch_elect(
     if round_index < 0:
         raise ValueError(f"round index must be >= 0, got {round_index}")
     alive_idx = _new_round(net, costs)
+    if len(alive_idx) == 0:
+        return ()
     labels = net.cluster[alive_idx]  # every node alive now joined a cluster in the first round
     # one sorted key per node, grouping by cluster and ascending id within it
     span = len(net) + 1

@@ -59,10 +59,6 @@ class RunSummary:
     all_dead_frame: int | None
     curve: tuple[tuple[int, int, int, int], ...]
 
-    @property
-    def alive_curve(self) -> list[tuple[int, int]]:
-        return [(frame, alive) for frame, alive, _, _ in self.curve]
-
     def lifetime(self) -> int:
         """Frames until the last death — or until the run was cut off,
         when nodes were still alive at the end."""

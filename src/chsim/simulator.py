@@ -7,17 +7,20 @@ schedules and forwards one packet to the base station.  Nodes die when
 their battery hits zero, and the trace records the alive count,
 cumulative deliveries and head set of every frame.
 
-A run advances a segment at a time (next-event time advance).  Between
-two elections, frames differ only in their random draws until the first
-death, so each block of frames up to the next election draws its traffic
-and movement at once.  A segment starts with the frame prelude (dead
-heads are dismissed, then an election or dchne's re-election), builds
-the ``(frames, S)`` cost matrix of the rest of the block on the network
-as it then stands, and commits every frame before the first death from
-the accumulated residuals.  The death frame is charged exactly, with
-:meth:`~chsim.network.Network.debit`, and the next segment starts after
-it.  A run trusts its config, which checked its own fields when built
-(:mod:`chsim.config`).
+A run advances a segment at a time (next-event time advance).  Every
+frame draws the same number of uniforms (and of angles, when nodes
+move) whatever the network's state, so a block of frames draws its
+traffic, send mask and movement path at once.  A block spans as many
+whole rounds as its size allows, or part of a round longer than that.
+Between two elections, frames differ only in those draws until the first
+death.  A segment starts with the frame prelude (dead heads are
+dismissed, then an election or dchne's re-election), builds the
+``(frames, S)`` cost matrix of the frames up to the next round boundary
+or the block's end on the network as it then stands, and commits every
+frame before the first death from the accumulated residuals.  The death
+frame is charged exactly, with :meth:`~chsim.network.Network.debit`, and
+the next segment starts after it.  A run trusts its config, which
+checked its own fields when built (:mod:`chsim.config`).
 """
 
 from __future__ import annotations
@@ -36,20 +39,16 @@ from .arena import (
     substream,
 )
 from .config import EnergyParams, SimConfig
-from .election import (
-    EmptyNetworkError,
-    dchne_elect,
-    dchne_reelect_cluster,
-    leach_elect,
-    rrch_elect,
-)
+from .election import dchne_elect, dchne_reelect_cluster, leach_elect, rrch_elect
 from .energy import election_costs, frame_consumption_chn, frame_consumption_nchn
 from .network import Network
 
 __all__ = ["SimTrace", "run", "network_lifetime"]
 
-# Most matrix entries (frames x nodes) one block of frames may hold.
-_BLOCK_ENTRIES = 1 << 16
+# Most matrix entries (frames x nodes) one block of frames may hold.  At
+# 1 << 16 the peak memory of a scenario1 compare and of a mobile sweep
+# rose by 6-8 %; at 1 << 14, by under 2 %.
+_BLOCK_ENTRIES = 1 << 14
 # Frames the trace columns first hold room for: every run of the default
 # profiles fits, and a huge max_frames grows them only as frames are run.
 _FIRST_ROWS = 1 << 14
@@ -95,34 +94,33 @@ def _room(column: np.ndarray, rows: int, limit: int) -> np.ndarray:
     return grown
 
 
-def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, r_bs: np.ndarray,
-                   member_tx: float, d_size: int, c: int,
+def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, sends: np.ndarray,
+                   r_bs: np.ndarray, member_tx: float, d_size: int, c: int,
                    params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
     """The charges and deliveries of ``k`` frames on the network as it stands.
 
-    ``awake`` and ``events`` are the frames' ``(k, S)`` draws and ``r_bs``
-    the ``(k, S)`` base-station distances.  Each alive, clustered member
-    that is awake and senses an event pays ``member_tx``; each alive head
-    that is awake and has a packet, its own or a member's, pays
-    :func:`~chsim.energy.frame_consumption_chn` for its inbound count.
+    ``awake`` and ``events`` are the frames' ``(k, S)`` draws, ``sends``
+    is ``awake & events``, and ``r_bs`` holds the base-station distances,
+    ``(S,)`` for every frame or ``(k, S)`` one row per frame.  Each alive,
+    clustered member that is awake and senses an event pays ``member_tx``;
+    each alive head that is awake and has a packet, its own or a
+    member's, pays :func:`~chsim.energy.frame_consumption_chn` for its
+    inbound count.  A head counts the members that share its cluster
+    label, so the members of a dead head pay for packets no head counts.
     Returns the ``(k, S)`` charges and the ``(k,)`` packets delivered.
     """
     alive = net.alive
-    k, s = awake.shape
-    charges = np.zeros((k, s))
-    tx = awake & events & (alive & ~net.head & (net.cluster >= 0))
-    charges[tx] = member_tx
+    tx = sends & (alive & ~net.head & (net.cluster >= 0))
+    charges = tx * member_tx
     heads = np.nonzero(net.head & alive)[0]
     if len(heads) == 0:
-        return charges, np.zeros(k, dtype=np.int64)
-    # a dead head's members keep a label above every live head's
-    labels = int(net.cluster.max()) + 1
-    rows, members = np.nonzero(tx)
-    counts = np.bincount(rows * labels + net.cluster[members], minlength=k * labels)
-    inbound = counts.reshape(k, labels)[:, net.cluster[heads]]
+        return charges, np.zeros(len(tx), dtype=np.int64)
+    # sums of 0/1 products are exact in float64
+    joins = (net.cluster[:, None] == net.cluster[heads]).astype(float)
+    inbound = (tx @ joins).astype(np.int64)
     sensed = events[:, heads]
     forwarding = awake[:, heads] & ((inbound > 0) | sensed)
-    head_cost = frame_consumption_chn(inbound, d_size, r_bs[:, heads], s, c, params)
+    head_cost = frame_consumption_chn(inbound, d_size, r_bs[..., heads], len(net), c, params)
     charges[:, heads] = np.where(forwarding, head_cost, 0.0)
     return charges, np.where(forwarding, inbound + sensed, 0).sum(axis=1)
 
@@ -161,8 +159,14 @@ def run(cfg: SimConfig) -> SimTrace:
         raise ValueError(f"energy costs overflow a float: {costs}, member frame {member_tx!r} J, "
                          f"head frame up to {worst_head!r} J")
 
-    r_placed = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
+    mobile = cfg.mobility_speed > 0.0
+    r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
     block_rows = max(1, _BLOCK_ENTRIES // s)
+    if block_rows > fpr:
+        block_rows -= block_rows % fpr  # whole rounds, so no segment ends short of an election
+    # a segment's residuals (and consumed energy) before and after each frame
+    residual_rows = np.empty((block_rows + 1, s))
+    consumed_rows = np.empty((block_rows + 1, s))
 
     room = min(cfg.max_frames, _FIRST_ROWS)
     alive_log = np.empty(room, dtype=int)
@@ -194,39 +198,34 @@ def run(cfg: SimConfig) -> SimTrace:
 
     frame = 0
     while frame < cfg.max_frames and termination == "max-frames":
-        # A block runs up to the next election.  Every frame draws 2*S
-        # uniforms whatever the state, so one draw serves the whole block
-        # across the deaths in it.
         start = frame
-        k = min(fpr - start % fpr, cfg.max_frames - start, block_rows)
+        k = min(cfg.max_frames - start, block_rows)
         alive_log = _room(alive_log, start + k, cfg.max_frames)
         packets_log = _room(packets_log, start + k, cfg.max_frames)
         chn_count_log = _room(chn_count_log, start + k, cfg.max_frames)
         if residual_log is not None:
             residual_log = _room(residual_log, start + k, cfg.max_frames)
         draws = scenario_rng.random((k, 2, s))
-        residual_rows = np.empty((k + 1, s))  # a segment's residuals before and after each frame
         awake = draws[:, 0] < scen.duty_cycle
         events = draws[:, 1] < scen.event_probability
-        if cfg.mobility_speed > 0.0:
+        sends = awake & events
+        if mobile:
             moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed, mobility_rng, k)
-            r_bs = np.hypot(moves[..., 0] - bs[0], moves[..., 1] - bs[1])
-        else:
-            r_bs = np.broadcast_to(r_placed, (k, s))
+            r_path = np.hypot(moves[..., 0] - bs[0], moves[..., 1] - bs[1])
         while frame < start + k:
+            row = frame - start
             dead_heads = np.nonzero(net.head & ~net.alive)[0]
             net.head[dead_heads] = False
             if frame % fpr == 0:
+                if mobile and row:
+                    net.positions = moves[row - 1]  # where the nodes stand after the last frame
                 round_index = frame // fpr
-                try:
-                    if cfg.policy == "dchne":
-                        dchne_elect(net, c, costs, partition_rng)
-                    elif cfg.policy == "leach":
-                        leach_elect(net, c, round_index, costs, leach_rng, headed)
-                    else:
-                        rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
-                except EmptyNetworkError:
-                    pass
+                if cfg.policy == "dchne":
+                    dchne_elect(net, c, costs, partition_rng)
+                elif cfg.policy == "leach":
+                    leach_elect(net, c, round_index, costs, leach_rng, headed)
+                else:
+                    rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
             elif cfg.policy == "dchne":
                 # a cluster whose head died resumes under a fresh head right away
                 for dead in dead_heads:
@@ -234,11 +233,13 @@ def run(cfg: SimConfig) -> SimTrace:
                     winner = dchne_reelect_cluster(net, label, costs)
                     reelections.append((frame, label, winner))
 
-            # One segment: the rest of the block, charged as the network
-            # stands now, committed up to the first frame with a death.
-            row = frame - start
+            # One segment: the frames up to the next election or the end of
+            # the block, charged as the network stands now, committed up to
+            # the first frame with a death.
+            rows = slice(row, min(k, row + fpr - frame % fpr))
             charges, delivered = _frame_charges(
-                net, awake[row:], events[row:], r_bs[row:], member_tx, scen.d_size, c, params
+                net, awake[rows], events[rows], sends[rows], r_path[rows] if mobile else r_bs,
+                member_tx, scen.d_size, c, params,
             )
             alive = net.alive
             n_alive = int(alive.sum())
@@ -253,11 +254,19 @@ def run(cfg: SimConfig) -> SimTrace:
                     np.subtract.accumulate(residual_path, out=residual_path)
                 # residuals only fall: the frames before the first death are
                 # those after which every alive node is still alive
-                committed = int(np.count_nonzero(
-                    np.count_nonzero(residual_path[1:] > 0.0, axis=1) == n_alive
-                ))
+                committed = len(charges)
+                if np.count_nonzero(residual_path[-1] > 0.0) < n_alive:
+                    committed = int(np.count_nonzero(
+                        np.count_nonzero(residual_path[1:] > 0.0, axis=1) == n_alive
+                    ))
             if committed:
-                net.consumed = np.add.accumulate(np.vstack([net.consumed, charges[:committed]]))[-1]
+                consumed_path = consumed_rows[: committed + 1]
+                consumed_path[0] = net.consumed
+                consumed_path[1:] = charges[:committed]
+                if s > 1:
+                    net.consumed = np.add.reduce(consumed_path, axis=0)  # row after row
+                else:  # numpy sums a lone column pairwise, not row after row
+                    net.consumed = np.add.accumulate(consumed_path)[-1]
                 net.residual = residual_path[committed].copy()
                 packets_cum = packets + np.cumsum(delivered[:committed])
                 packets = int(packets_cum[-1])
@@ -273,7 +282,7 @@ def run(cfg: SimConfig) -> SimTrace:
                 if not alive.any():
                     termination = "all-dead"
                     break
-        if cfg.mobility_speed > 0.0:
+        if mobile:
             net.positions = moves[-1]
 
     if residual_log is not None and frame < len(residual_log):

@@ -22,7 +22,6 @@ import numpy as np
 from chsim.arena import LEACH_DRAWS, MOBILITY, PARTITION, SCENARIO, place_nodes, substream
 from chsim.config import SimConfig
 from chsim.election import (
-    EmptyNetworkError,
     _argmax_residual,
     _install,
     _new_round,
@@ -57,6 +56,8 @@ def _join_nearest(net: Network, alive_idx, head_idx, costs) -> tuple[int, ...]:
 
 def _dchne_elect(net: Network, c: int, costs, partition_rng) -> tuple[int, ...]:
     alive_idx = _new_round(net, costs)
+    if len(alive_idx) == 0:
+        return ()
     labels = net.cluster[alive_idx]
     if np.all(labels == NO_CLUSTER):
         labels = geometric_partition(
@@ -73,6 +74,8 @@ def _leach_elect(net: Network, c: int, round_index: int, costs, rng, headed: set
     s = len(net)
     draws = rng.random(s)
     alive_idx = _new_round(net, costs)
+    if len(alive_idx) == 0:
+        return ()
     epoch = math.ceil(s / c)
     if round_index % epoch == 0:
         headed.clear()
@@ -93,6 +96,8 @@ def _rrch_elect(net: Network, c: int, costs, prev_head: dict[int, int], partitio
         prev_head.update(enumerate(head_ids))
         return head_ids
     alive_idx = _new_round(net, costs)
+    if len(alive_idx) == 0:
+        return ()
     labels = net.cluster[alive_idx]
     heads: list[int] = []
     for lab in np.unique(labels).tolist():
@@ -145,15 +150,12 @@ def reference_run(cfg: SimConfig) -> SimTrace:
         net.head[dead_heads] = False
         if frame % fpr == 0:
             round_index = frame // fpr
-            try:
-                if cfg.policy == "dchne":
-                    _dchne_elect(net, c, costs, partition_rng)
-                elif cfg.policy == "leach":
-                    _leach_elect(net, c, round_index, costs, leach_rng, headed)
-                else:
-                    _rrch_elect(net, c, costs, prev_head, partition_rng)
-            except EmptyNetworkError:
-                pass
+            if cfg.policy == "dchne":
+                _dchne_elect(net, c, costs, partition_rng)
+            elif cfg.policy == "leach":
+                _leach_elect(net, c, round_index, costs, leach_rng, headed)
+            else:
+                _rrch_elect(net, c, costs, prev_head, partition_rng)
         elif cfg.policy == "dchne":
             for dead in dead_heads:
                 label = int(net.cluster[dead])

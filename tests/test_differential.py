@@ -3,7 +3,8 @@ frame-by-frame reference engine it replaced (``reference_engine.py``).
 
 Each case exports both traces as JSON with residuals and compares the
 bytes, so a trace that differs anywhere, in length, in a head set or in
-the last bit of a residual, fails.
+the last bit of a residual, fails.  The segment engine's cost matrix,
+``_frame_charges``, is also held to a plain loop over frames and heads.
 """
 
 import hashlib
@@ -11,13 +12,17 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from chsim import simulator
 from chsim.cli import main
 from chsim.config import ArenaConfig, ControlMessageSizes, EnergyParams, ScenarioConfig, SimConfig
+from chsim.energy import frame_consumption_chn
 from chsim.metrics import export
+from chsim.network import Network
 from chsim.simulator import run
 
 from reference_engine import reference_run
@@ -57,7 +62,7 @@ def assert_same_trace(cfg: SimConfig):
     pytest.param(SimConfig(arena=ArenaConfig(seed=6), record_residuals=True),
                  id="dchne-head-killed-by-setup"),
     # members of a dead head's cluster keep transmitting under a label
-    # above every live head's
+    # that no live head has
     pytest.param(SimConfig(policy="leach", arena=ArenaConfig(node_count=12, seed=1),
                            cluster_count=3, initial_energy=0.02, max_frames=300,
                            scenario=ScenarioConfig(frames_per_round=5), record_residuals=True),
@@ -75,12 +80,54 @@ def assert_same_trace(cfg: SimConfig):
                            scenario=ScenarioConfig(frames_per_round=100), max_frames=200,
                            record_residuals=True),
                  id="huge-costs-overflow-past-death"),
-    # a round longer than one block of draws (190 nodes: 344 frames)
+    # a round longer than one block of draws (190 nodes: 86 frames)
     pytest.param(SimConfig(arena=ArenaConfig(seed=2), initial_energy=0.3, max_frames=1500,
                            scenario=ScenarioConfig(frames_per_round=400), record_residuals=True),
                  id="dchne-round-over-several-blocks"),
+    # one node: its consumed energy is a lone column, which numpy's
+    # reduce would sum pairwise rather than frame after frame
+    pytest.param(SimConfig(arena=ArenaConfig(node_count=1), cluster_count=1, max_frames=400,
+                           scenario=ScenarioConfig(kind="scenario2"), record_residuals=True),
+                 id="one-node-network"),
 ])
 def test_named_case_matches_reference(cfg):
+    assert_same_trace(cfg)
+
+
+MOBILE = dict(arena=ArenaConfig(node_count=13, seed=3), cluster_count=3, initial_energy=0.3,
+              scenario=ScenarioConfig(kind="scenario2"), record_residuals=True)
+
+
+@pytest.mark.parametrize("budget, cfg", [
+    # 7-frame blocks end inside the 20-frame rounds, and deaths fall in them
+    pytest.param(30 * 7, SimConfig(arena=ArenaConfig(node_count=30, seed=4), cluster_count=3,
+                                   initial_energy=0.05, max_frames=2000, record_residuals=True),
+                 id="blocks-end-mid-round"),
+    # one 4000-frame block holds all 86 rounds of a run that is all dead at
+    # frame 428
+    pytest.param(12 * 4000, SimConfig(policy="rrch", arena=ArenaConfig(node_count=12, seed=5),
+                                      cluster_count=3, initial_energy=0.05, max_frames=4000,
+                                      scenario=ScenarioConfig(kind="scenario2", frames_per_round=5),
+                                      record_residuals=True),
+                 id="block-spans-many-rounds"),
+    # 40-frame blocks (50 rounded down to whole rounds): the election in
+    # the middle of a block sees the positions of the path row before it
+    pytest.param(13 * 50, SimConfig(mobility_speed=1.5, **MOBILE), id="mobile-1.5"),
+    pytest.param(13 * 50, SimConfig(policy="leach", mobility_speed=800.0, **MOBILE),
+                 id="mobile-800"),
+    # every node is dead by frame 24 of a 300-frame block
+    pytest.param(12 * 300, SimConfig(policy="leach", arena=ArenaConfig(node_count=12, seed=1),
+                                     cluster_count=3, initial_energy=0.02, max_frames=300,
+                                     scenario=ScenarioConfig(frames_per_round=5),
+                                     record_residuals=True),
+                 id="all-dead-mid-block"),
+    # the head killed by its setup charge at frame 4960 (see above), in the
+    # middle of a 300-frame block
+    pytest.param(190 * 300, SimConfig(arena=ArenaConfig(seed=6), record_residuals=True),
+                 id="head-killed-by-setup-mid-block"),
+])
+def test_block_budget_matches_reference(budget, cfg, monkeypatch):
+    monkeypatch.setattr(simulator, "_BLOCK_ENTRIES", budget)
     assert_same_trace(cfg)
 
 
@@ -111,6 +158,12 @@ def test_named_cases_reach_their_pitfalls():
     assert (len(trace), trace.termination, trace.chn_count[-1]) == (361, "all-dead", 0)
     # node 52, elected at the round boundary 4960, died of its setup charge
     assert (4961, 2, 69) in run(SimConfig(arena=ArenaConfig(seed=6))).reelections
+    assert run(SimConfig(arena=ArenaConfig(node_count=1), cluster_count=1, max_frames=400,
+                         scenario=ScenarioConfig(kind="scenario2"))).alive[-1] == 1
+    trace = run(SimConfig(policy="leach", arena=ArenaConfig(node_count=12, seed=1), cluster_count=3,
+                          initial_energy=0.02, max_frames=300,
+                          scenario=ScenarioConfig(frames_per_round=5)))
+    assert (len(trace), trace.termination) == (24, "all-dead")
 
 
 @pytest.mark.parametrize("seed", sorted(DIGESTS["sha256"]))
@@ -127,9 +180,11 @@ RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
 
 @st.composite
 def small_configs(draw):
+    """A config and a block budget: blocks of one frame up to many rounds."""
     nodes = draw(st.integers(1, 40))
     kind = draw(st.sampled_from(["scenario1", "scenario2"]))
-    return SimConfig(
+    budget = draw(st.integers(1, 2000))
+    return budget, SimConfig(
         arena=ArenaConfig(node_count=nodes, seed=draw(st.integers(0, 2**16))),
         scenario=ScenarioConfig(
             kind=kind,
@@ -152,5 +207,100 @@ def small_configs(draw):
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(small_configs())
-def test_small_configs_match_reference(cfg):
-    assert_same_trace(cfg)
+def test_small_configs_match_reference(case):
+    budget, cfg = case
+    with mock.patch.object(simulator, "_BLOCK_ENTRIES", budget):
+        assert_same_trace(cfg)
+
+
+MEMBER_TX = 1e-5
+CHARGE_ARGS = (MEMBER_TX, 4000, 1, EnergyParams())  # member_tx, d_size, c, params
+
+
+def loop_charges(net, awake, events, r_bs):
+    """``_frame_charges`` as a plain loop over frames and live heads."""
+    k, s = awake.shape
+    r_rows = np.broadcast_to(r_bs, (k, s))
+    member_tx, d_size, c, params = CHARGE_ARGS
+    alive = net.alive
+    charges = np.zeros((k, s))
+    delivered = np.zeros(k, dtype=np.int64)
+    for f in range(k):
+        senders = [i for i in range(s) if alive[i] and not net.head[i] and net.cluster[i] >= 0
+                   and awake[f, i] and events[f, i]]
+        charges[f, senders] = member_tx
+        for h in range(s):
+            if not (net.head[h] and alive[h]):
+                continue
+            inbound = sum(1 for i in senders if net.cluster[i] == net.cluster[h])
+            if awake[f, h] and (inbound or events[f, h]):
+                charges[f, h] = frame_consumption_chn(
+                    np.array([inbound]), d_size, r_rows[f, [h]], s, c, params
+                )[0]
+                delivered[f] += inbound + int(events[f, h])
+    return charges, delivered
+
+
+def assert_charges_match_loop(net, awake, events, r_bs):
+    charges, delivered = simulator._frame_charges(net, awake, events, awake & events, r_bs,
+                                                  *CHARGE_ARGS)
+    expected_charges, expected_delivered = loop_charges(net, awake, events, r_bs)
+    np.testing.assert_array_equal(charges, expected_charges)
+    np.testing.assert_array_equal(delivered, expected_delivered)
+    assert delivered.dtype == np.int64
+
+
+def hand_network(clusters, heads, dead):
+    net = Network(np.zeros((len(clusters), 2)), 1.0)
+    net.cluster[:] = clusters
+    net.head[heads] = True
+    net.residual[dead] = 0.0
+    return net
+
+
+def test_frame_charges_dead_head_members_match_no_head():
+    # head 0 of cluster 0 is dead, yet members 1 and 2 still send; head 3
+    # hears member 4 only
+    net = hand_network([0, 0, 0, 1, 1], heads=[0, 3], dead=[0])
+    awake = events = np.ones((2, 5), dtype=bool)
+    r_bs = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+    assert_charges_match_loop(net, awake, events, r_bs)
+    charges, delivered = simulator._frame_charges(net, awake, events, awake, r_bs, *CHARGE_ARGS)
+    assert delivered.tolist() == [2, 2]  # member 4's packet and head 3's own
+    assert charges[:, 0].tolist() == [0.0, 0.0]
+    assert (charges[:, [1, 2, 4]] == MEMBER_TX).all()
+
+
+def test_frame_charges_with_no_live_head():
+    net = hand_network([0, 0, 1, -1], heads=[0, 2], dead=[0, 2])
+    awake = events = np.ones((3, 4), dtype=bool)
+    charges, delivered = simulator._frame_charges(net, awake, events, awake, np.ones(4),
+                                                  *CHARGE_ARGS)
+    assert delivered.tolist() == [0, 0, 0]
+    assert charges.tolist() == [[0.0, MEMBER_TX, 0.0, 0.0]] * 3
+    assert_charges_match_loop(net, awake, events, np.ones(4))
+
+
+@st.composite
+def charge_cases(draw):
+    """A network of up to 12 nodes, in any mix of dead, headless, unclustered
+    and head nodes, with ``k`` frames of draws and static or per-frame
+    base-station distances."""
+    s = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
+    flags = st.lists(st.booleans(), min_size=s, max_size=s)
+    net = hand_network(draw(st.lists(st.integers(-1, 3), min_size=s, max_size=s)),
+                       heads=draw(flags), dead=draw(flags))
+    draws = st.lists(st.booleans(), min_size=k * s, max_size=k * s)
+    awake = np.array(draw(draws)).reshape(k, s)
+    events = np.array(draw(draws)).reshape(k, s)
+    shape = draw(st.sampled_from([(s,), (k, s)]))
+    size = len(awake.flat) if len(shape) == 2 else s
+    r_bs = np.array(draw(st.lists(st.floats(0.0, 500.0), min_size=size, max_size=size)))
+    return net, awake, events, r_bs.reshape(shape)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(charge_cases())
+def test_frame_charges_match_loop(case):
+    assert_charges_match_loop(*case)

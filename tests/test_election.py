@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from chsim.election import (
-    EmptyNetworkError,
     dchne_elect,
     dchne_reelect_cluster,
     geometric_partition,
@@ -66,12 +65,12 @@ class TestDchne:
         assert net.cluster.tolist() == [0]
         assert net.head[0]
 
-    def test_all_dead_raises(self):
+    def test_all_dead_elects_no_head(self):
         net = make_net(4)
         for i in range(4):
             kill(net, i)
-        with pytest.raises(EmptyNetworkError):
-            dchne_elect(net, 2, costs(net, 2), np.random.default_rng(0))
+        assert dchne_elect(net, 2, costs(net, 2), np.random.default_rng(0)) == ()
+        assert not net.head.any()
 
     def test_bad_cluster_count_raises(self):
         net = make_net(4)
@@ -295,6 +294,17 @@ class TestLeach:
         assert leach_elect(net, 3, 1, costs(net, 3), _ConstantDraws(1.0), headed) == (0,)
         assert headed == {0}
 
+    def test_all_dead_elects_no_head_and_still_draws(self):
+        net = make_net(6)
+        for i in range(6):
+            kill(net, i)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        assert leach_elect(net, 3, 1, costs(net, 3), rng, set()) == ()
+        assert not net.head.any()
+        # one draw per configured node, as in every round
+        twin.random(6)
+        assert rng.random() == twin.random()
+
     def test_mean_heads_per_round_tracks_cluster_count(self):
         rng = np.random.default_rng(77)
         headed = set()
@@ -446,8 +456,8 @@ class TestVectorizedElectionsMatchScan:
         net, k = case
         after, rosters = triggered(net, k)
         if not rosters:
-            with pytest.raises(EmptyNetworkError):
-                dchne_elect(net, k, costs(net, k))
+            assert dchne_elect(net, k, costs(net, k)) == ()
+            assert not net.head.any()
             return
         expected = []
         for roster in rosters.values():
@@ -479,8 +489,10 @@ class TestVectorizedElectionsMatchScan:
             later = [i for i in roster if i > prev_head[lab]]
             expected[lab] = later[0] if later else roster[0]
         if not rosters:
-            with pytest.raises(EmptyNetworkError):
-                rrch_elect(net, k, 1, costs(net, k), prev_head)
+            last_heads = dict(prev_head)
+            assert rrch_elect(net, k, 1, costs(net, k), prev_head) == ()
+            assert not net.head.any()
+            assert prev_head == last_heads
             return
         heads = rrch_elect(net, k, 1, costs(net, k), prev_head)
         assert heads == tuple(expected.values())

@@ -1,4 +1,4 @@
-"""Golden digests: three benchmark workloads still export the bytes
+"""Golden digests: the four benchmark workloads still export the bytes
 recorded in ``perfbench/golden.json`` (simulator seed 0)."""
 
 import hashlib
@@ -28,9 +28,9 @@ WORKLOADS = _load_workloads().WORKLOADS
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["digests"]
 
 
-# compare-duty-cycled is left to the benchmark: its 12 000-frame runs take
-# longer than the other three workloads together.
-@pytest.mark.parametrize("name", ["compare-saturated", "sweep-mobile", "trace-export"])
+@pytest.mark.parametrize(
+    "name", ["compare-saturated", "compare-duty-cycled", "sweep-mobile", "trace-export"]
+)
 def test_artifact_matches_golden_digest(name, tmp_path):
     workload = WORKLOADS[name]
     seed_args = ["--seed", "0"] if workload.args[0] == "run" else ["--seeds", "0..0"]

@@ -87,7 +87,6 @@ class TestSummarize:
         assert summary.first_death_frame == 1
         assert summary.all_dead_frame == 2
         assert summary.curve == ((0, 4, 7, 1), (1, 3, 9, 1), (2, 0, 9, 0))
-        assert summary.alive_curve == [(0, 4), (1, 3), (2, 0)]
         assert summary.lifetime() == 2
 
     def test_censored_lifetime_is_frame_count(self):
