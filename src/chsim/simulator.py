@@ -17,10 +17,13 @@ death.  A segment starts with the frame prelude (dead heads are
 dismissed, then an election or dchne's re-election), builds the
 ``(frames, S)`` cost matrix of the frames up to the next round boundary
 or the block's end on the network as it then stands, and commits every
-frame before the first death from the accumulated residuals.  The death
-frame is charged exactly, with :meth:`~chsim.network.Network.debit`, and
-the next segment starts after it.  A run trusts its config, which
-checked its own fields when built (:mod:`chsim.config`).
+frame before the first death.  One ``np.subtract.reduce`` gives the
+residuals after the segment; the residuals after each of its frames are
+accumulated only when the trace logs them or that last row shows a death.
+The death frame is charged exactly, with
+:meth:`~chsim.network.Network.debit`, and the next segment starts after
+it.  A run trusts its config, which checked its own fields when built
+(:mod:`chsim.config`).
 """
 
 from __future__ import annotations
@@ -180,11 +183,11 @@ def run(cfg: SimConfig) -> SimTrace:
     prev_heads: tuple[int, ...] | None = None
     termination = "max-frames"
 
-    def record(frame: int, alive: np.ndarray, packets_cum, residuals: np.ndarray) -> None:
-        """Fill the rows of ``len(residuals)`` frames from ``frame`` on,
-        over which the alive set and the head set stay as they are now."""
+    def record(frame: int, stop: int, alive: np.ndarray, packets_cum, residuals) -> None:
+        """Fill the rows of frames ``frame`` to ``stop - 1``, over which the
+        alive set and the head set stay as they are now; ``residuals`` is
+        read only when the residual log is on."""
         nonlocal prev_heads
-        stop = frame + len(residuals)
         heads_now = tuple(np.nonzero(net.head & alive)[0].tolist())
         if heads_now != prev_heads:
             change_frames.append(frame)
@@ -250,15 +253,20 @@ def run(cfg: SimConfig) -> SimTrace:
                 residual_path = residual_rows[: len(charges) + 1]
                 residual_path[0] = net.residual
                 residual_path[1:] = charges
-                with np.errstate(over="ignore"):  # only rows past the first death overflow
-                    np.subtract.accumulate(residual_path, out=residual_path)
-                # residuals only fall: the frames before the first death are
-                # those after which every alive node is still alive
                 committed = len(charges)
-                if np.count_nonzero(residual_path[-1] > 0.0) < n_alive:
-                    committed = int(np.count_nonzero(
-                        np.count_nonzero(residual_path[1:] > 0.0, axis=1) == n_alive
-                    ))
+                with np.errstate(over="ignore"):  # only rows past the first death overflow
+                    # The residuals after the segment, by one reduce; after
+                    # each of its frames only when logged or a node dies.
+                    last = None if residual_log is not None else np.subtract.reduce(residual_path)
+                    if last is None or np.count_nonzero(last > 0.0) < n_alive:
+                        np.subtract.accumulate(residual_path, out=residual_path)
+                        # residuals only fall: the frames before the first death
+                        # are those after which every alive node is still alive
+                        if np.count_nonzero(residual_path[-1] > 0.0) < n_alive:
+                            committed = int(np.count_nonzero(
+                                np.count_nonzero(residual_path[1:] > 0.0, axis=1) == n_alive
+                            ))
+                        last = residual_path[committed].copy()
             if committed:
                 consumed_path = consumed_rows[: committed + 1]
                 consumed_path[0] = net.consumed
@@ -267,17 +275,17 @@ def run(cfg: SimConfig) -> SimTrace:
                     net.consumed = np.add.reduce(consumed_path, axis=0)  # row after row
                 else:  # numpy sums a lone column pairwise, not row after row
                     net.consumed = np.add.accumulate(consumed_path)[-1]
-                net.residual = residual_path[committed].copy()
+                net.residual = last
                 packets_cum = packets + np.cumsum(delivered[:committed])
                 packets = int(packets_cum[-1])
-                record(frame, alive, packets_cum, residual_path[1 : committed + 1])
+                record(frame, frame + committed, alive, packets_cum, residual_path[1 : committed + 1])
                 frame += committed
             if committed < len(charges):
                 # the frame with the first death, charged exactly
                 net.debit(slice(None), charges[committed])
                 packets += int(delivered[committed])
                 alive = net.alive
-                record(frame, alive, packets, net.residual[None])
+                record(frame, frame + 1, alive, packets, net.residual)
                 frame += 1
                 if not alive.any():
                     termination = "all-dead"

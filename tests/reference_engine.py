@@ -11,6 +11,8 @@ roster, ``_join_nearest`` sums a members x heads x 2 delta array, and
 mobility folds every coordinate every frame, as chsim did before it took
 these loops out.  Only the charges, the trigger and the single-cluster
 re-election, which that change left alone, come from chsim.
+``step_mobility_rows`` keeps the per-row mobility loop that came between,
+the oracle of chsim's accumulated mobility blocks.
 """
 
 from __future__ import annotations
@@ -44,6 +46,24 @@ def _step_mobility(positions: np.ndarray, side_a: float, speed: float, rng) -> n
     theta = rng.uniform(0.0, 2.0 * math.pi, size=len(positions))
     step = speed * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     return _reflect(positions + step, side_a)
+
+
+def step_mobility_rows(positions: np.ndarray, side_a: float, speed: float, rng,
+                       frames: int) -> np.ndarray:
+    """A block of movement one frame row at a time, folding only the
+    coordinates that left the arena: ``chsim.arena.step_mobility`` before
+    it accumulated the block and redid only the coordinates that reach a
+    wall."""
+    positions = np.asarray(positions, dtype=float)
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=(frames, len(positions)))
+    path = speed * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    for row in path:
+        np.add(positions, row, out=row)
+        outside = (row < 0.0) | (row > side_a)
+        if outside.any():
+            row[outside] = _reflect(row[outside], side_a)
+        positions = row
+    return path
 
 
 def _join_nearest(net: Network, alive_idx, head_idx, costs) -> tuple[int, ...]:

@@ -1,16 +1,28 @@
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from chsim import arena
 from chsim.arena import (
     ArenaConfig,
     MOBILITY,
-    _reflect,
     place_nodes,
     step_mobility,
     substream,
 )
+
+from reference_engine import _reflect, step_mobility_rows
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+
+# Hypothesis caches facts about the code under test; keep them out of the checkout.
+set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 
 class TestPlacement:
@@ -119,3 +131,76 @@ class TestMobility:
         pos = np.zeros((1, 2))
         with pytest.raises(ValueError):
             step_mobility(pos, 350.0, -1.0, substream(0, MOBILITY), 1)
+
+
+class StraightFirstNode:
+    """The angles of a seeded generator, except that node 0 always heads
+    along +x, so its x coordinate meets the wall at a frame of our choice."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, low, high, size=None):
+        theta = self.rng.uniform(low, high, size=size)
+        theta[:, 0] = 0.0
+        return theta
+
+
+def _wall_cases(draw_seed, s, side_a, speed, frames, edges):
+    """Positions in the arena, a share of their coordinates exactly on 0 or
+    ``side_a``, and node 0 one step short of the wall ``side_a`` at the
+    block's last frame when the block is short enough to walk it there."""
+    gen = np.random.default_rng(draw_seed)
+    pos = gen.uniform(0.0, side_a, size=(s, 2))
+    if edges:
+        pos[gen.random((s, 2)) < 0.2] = 0.0
+        pos[gen.random((s, 2)) < 0.2] = side_a
+    start = side_a - speed * (frames - 0.5)
+    if start >= 0.0:
+        pos[0, 0] = start  # its last step, and only that one, crosses side_a
+    return pos
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    s=st.integers(1, 200),
+    side_a=st.floats(math.log10(0.3), 3.0).map(lambda e: 10.0**e),
+    speed=st.floats(-3.0, math.log10(800.0)).map(lambda e: 10.0**e),
+    frames=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    edges=st.booleans(),
+)
+def test_mobility_matches_the_row_loop_byte_for_byte(s, side_a, speed, frames, seed, edges):
+    # speeds from 1 mm to 800 m a frame put blocks on both sides of the
+    # walk / row-fold choice
+    pos = _wall_cases(seed, s, side_a, speed, frames, edges)
+    got = step_mobility(pos, side_a, speed, StraightFirstNode(seed), frames)
+    want = step_mobility_rows(pos, side_a, speed, StraightFirstNode(seed), frames)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("speed, redo", [(1.0, "_walk"), (800.0, "_fold_rows")])
+def test_walk_and_row_fold_each_match_the_row_loop(speed, redo):
+    # 190 nodes over 80 frames, as a block of run(): at 1 m a frame few
+    # coordinates reach a wall and are walked, at 800 m all are folded by row
+    frames = 80
+    pos = _wall_cases(1, 190, 350.0, speed, frames, edges=False)
+    with mock.patch.object(arena, redo, wraps=getattr(arena, redo)) as spy:
+        got = step_mobility(pos, 350.0, speed, StraightFirstNode(2), frames)
+    assert spy.call_count == 1
+    want = step_mobility_rows(pos, 350.0, speed, StraightFirstNode(2), frames)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cells_per_row", [0, 10**9])
+def test_fold_in_the_last_row_alone(cells_per_row):
+    # node 0 stays inside until the block's last step takes it past side_a
+    frames = 40
+    pos = _wall_cases(3, 5, 100.0, 2.0, frames, edges=False)
+    with mock.patch.object(arena, "_WALK_CELLS_PER_ROW", cells_per_row):
+        got = step_mobility(pos, 100.0, 2.0, StraightFirstNode(4), frames)
+    want = step_mobility_rows(pos, 100.0, 2.0, StraightFirstNode(4), frames)
+    assert got[-2, 0, 0] < 100.0 < pos[0, 0] + 2.0 * frames
+    assert got[-1, 0, 0] == 200.0 - (pos[0, 0] + 2.0 * frames)
+    assert got.tobytes() == want.tobytes()

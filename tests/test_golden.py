@@ -1,5 +1,6 @@
 """Golden digests: the four benchmark workloads still export the bytes
-recorded in ``perfbench/golden.json`` (simulator seed 0)."""
+recorded in ``perfbench/golden.json`` (simulator seed 0, and held-out
+seed 1000 for the mobile sweep)."""
 
 import hashlib
 import importlib.util
@@ -28,12 +29,14 @@ WORKLOADS = _load_workloads().WORKLOADS
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["digests"]
 
 
-@pytest.mark.parametrize(
-    "name", ["compare-saturated", "compare-duty-cycled", "sweep-mobile", "trace-export"]
-)
-def test_artifact_matches_golden_digest(name, tmp_path):
+@pytest.mark.parametrize("name, sets, seed", [
+    *(pytest.param(name, "default", 0, id=name) for name in
+      ("compare-saturated", "compare-duty-cycled", "sweep-mobile", "trace-export")),
+    pytest.param("sweep-mobile", "held_out", 1000, id="sweep-mobile-held-out-1000"),
+])
+def test_artifact_matches_golden_digest(name, sets, seed, tmp_path):
     workload = WORKLOADS[name]
-    seed_args = ["--seed", "0"] if workload.args[0] == "run" else ["--seeds", "0..0"]
+    seed_args = ["--seed", str(seed)] if workload.args[0] == "run" else ["--seeds", f"{seed}..{seed}"]
     out = tmp_path / f"{name}{workload.suffix}"
     assert main([*workload.args, *seed_args, "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name]["default"]["0"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name][sets][str(seed)]

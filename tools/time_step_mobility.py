@@ -1,0 +1,142 @@
+"""Time ``chsim.arena.step_mobility`` on the blocks that ``run()`` draws.
+
+    python3 tools/time_step_mobility.py [--parent OTHER/src] [--reps N] [--costs]
+
+For each network size S in 10, 50 and 190 and each speed in 1, 5, 20,
+100 and 800 m per frame (350 m arena), it times one call on a block of
+as many frames as ``run()`` puts in one block at that size, with fresh
+uniform positions and a fresh seeded generator per call.  With
+``--parent``, the ``chsim`` package under that ``src`` directory is timed
+in the same process, the two sides alternating which goes first.  Prints
+one JSON object: per case, the median and quartiles in microseconds.
+
+``--costs`` instead times the two ways a block redoes the coordinates
+that reach a wall: ``_walk`` per walked cell and ``_fold_rows`` per row,
+the costs from which ``_WALK_CELLS_PER_ROW`` is set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import sys
+import time
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SIZES = (10, 50, 190)
+SPEEDS = (1.0, 5.0, 20.0, 100.0, 800.0)
+SIDE = 350.0
+FRAMES_PER_ROUND = 20
+
+
+def load(src: Path, name: str):
+    """Import the ``chsim`` package under ``src`` as ``name``."""
+    init = src / "chsim" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(name, init, submodule_search_locations=[str(init.parent)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.arena"), importlib.import_module(f"{name}.simulator")
+
+
+def block_rows(simulator, s: int) -> int:
+    """Frames per block of ``run()`` at ``s`` nodes in 20-frame rounds."""
+    rows = max(1, simulator._BLOCK_ENTRIES // s)
+    return rows - rows % FRAMES_PER_ROUND if rows > FRAMES_PER_ROUND else rows
+
+
+def quartiles(samples: list[float]) -> dict:
+    q1, median, q3 = np.percentile(np.array(samples) * 1e6, [25, 50, 75])
+    return {"median_us": round(median, 1), "q1_us": round(q1, 1), "q3_us": round(q3, 1)}
+
+
+def time_blocks(sides: dict, rows_of, reps: int) -> list[dict]:
+    cases = []
+    for s in SIZES:
+        frames = rows_of(s)
+        for speed in SPEEDS:
+            samples = {name: [] for name in sides}
+            for rep in range(reps):
+                pos = np.random.default_rng(rep).uniform(0.0, SIDE, (s, 2))
+                order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
+                for name in order:
+                    rng = np.random.default_rng(10_000 + rep)
+                    start = time.perf_counter()
+                    sides[name].step_mobility(pos, SIDE, speed, rng, frames)
+                    samples[name].append(time.perf_counter() - start)
+            case = {"nodes": s, "frames": frames, "speed_m_per_frame": speed}
+            case.update({name: quartiles(v) for name, v in samples.items()})
+            cases.append(case)
+            print(json.dumps(case), file=sys.stderr)
+    return cases
+
+
+def hot_block(s: int, frames: int, speed: float, seed: int):
+    """The accumulated block, steps, hot columns and first steps out that
+    ``step_mobility`` hands to ``_walk`` or ``_fold_rows``."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, SIDE, (s, 2))
+    theta = rng.uniform(0.0, 2.0 * np.pi, (frames, s))
+    steps = (speed * np.stack([np.cos(theta), np.sin(theta)], axis=-1)).reshape(frames, -1)
+    coords = np.concatenate([pos.reshape(1, -1), steps])
+    np.add.accumulate(coords, axis=0, out=coords)
+    outside = (coords[1:] < 0.0) | (coords[1:] > SIDE)
+    hot = np.flatnonzero(outside.any(axis=0))
+    return coords, steps, hot, outside[:, hot].argmax(axis=0)
+
+
+def time_costs(arena, rows_of, reps: int) -> list[dict]:
+    cases = []
+    for s in SIZES:
+        frames = rows_of(s)
+        for speed in (1.0, 20.0, 800.0):
+            walk, fold, walked = [], [], []
+            for rep in range(reps):
+                coords, steps, hot, first = hot_block(s, frames, speed, rep)
+                cells = int((frames - first).sum())
+                if not cells:
+                    continue
+                walked.append(cells / frames)
+                work = coords.copy()
+                start = time.perf_counter()
+                arena._walk(work, steps, hot, first, SIDE)
+                walk.append((time.perf_counter() - start) / cells)
+                work = coords.copy()
+                start = time.perf_counter()
+                arena._fold_rows(work, steps, 0, SIDE)
+                fold.append((time.perf_counter() - start) / frames)
+            case = {"nodes": s, "frames": frames, "speed_m_per_frame": speed,
+                    "walked_cells_per_row": round(float(np.median(walked)), 1),
+                    "walk_ns_per_cell": round(float(np.median(walk)) * 1e9, 1),
+                    "fold_rows_us_per_row": round(float(np.median(fold)) * 1e6, 2)}
+            cases.append(case)
+            print(json.dumps(case), file=sys.stderr)
+    return cases
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="src directory of the chsim to compare against")
+    parser.add_argument("--reps", type=int, default=40)
+    parser.add_argument("--costs", action="store_true")
+    args = parser.parse_args(argv)
+    arena, simulator = load(SRC, "chsim")
+    rows_of = partial(block_rows, simulator)
+    if args.costs:
+        result = {"costs": time_costs(arena, rows_of, args.reps)}
+    else:
+        sides = {"change": arena}
+        if args.parent:
+            sides = {"parent": load(args.parent, "chsim_parent")[0], **sides}
+        result = {"cases": time_blocks(sides, rows_of, args.reps)}
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
