@@ -154,6 +154,12 @@ def frame_consumption_chn(n_members, d_size: float, r_bs, s: int, c: int, params
     if np.asarray(r_bs).min(initial=0) < 0:
         raise ValueError(f"distance must be >= 0, got {r_bs!r}")
     _check_bits(d_size)
+    return _frame_consumption_chn(n_members, d_size, r_bs, s, c, params)
+
+
+def _frame_consumption_chn(n_members, d_size: float, r_bs, s: int, c: int, params: EnergyParams):
+    """:func:`frame_consumption_chn` without its argument checks, for a
+    caller whose counts, distances and data size cannot be negative."""
     per_member = d_size * (params.e_radio + params.e_agg)
     # sched_energy + tx_to_bs, summed in the order whose rounding the traces pin
     return n_members * per_member + (

@@ -10,8 +10,10 @@ cumulative deliveries and head set of every frame.
 A run advances a segment at a time (next-event time advance).  Every
 frame draws the same number of uniforms (and of angles, when nodes
 move) whatever the network's state, so a block of frames draws its
-traffic, send mask and movement path at once.  A block spans as many
-whole rounds as its size allows, or part of a round longer than that.
+traffic, send mask and movement path at once.  When every node is
+always awake and always senses an event (scenario1), the traffic needs
+no draw at all.  A block spans as many whole rounds as its size allows,
+or part of a round longer than that.
 Between two elections, frames differ only in those draws until the first
 death.  A segment starts with the frame prelude (dead heads are
 dismissed, then an election or dchne's re-election), builds the
@@ -43,7 +45,12 @@ from .arena import (
 )
 from .config import EnergyParams, SimConfig
 from .election import dchne_elect, dchne_reelect_cluster, leach_elect, rrch_elect
-from .energy import election_costs, frame_consumption_chn, frame_consumption_nchn
+from .energy import (
+    _frame_consumption_chn,
+    election_costs,
+    frame_consumption_chn,
+    frame_consumption_nchn,
+)
 from .network import Network
 
 __all__ = ["SimTrace", "run", "network_lifetime"]
@@ -123,7 +130,7 @@ def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, sends: n
     inbound = (tx @ joins).astype(np.int64)
     sensed = events[:, heads]
     forwarding = awake[:, heads] & ((inbound > 0) | sensed)
-    head_cost = frame_consumption_chn(inbound, d_size, r_bs[..., heads], len(net), c, params)
+    head_cost = _frame_consumption_chn(inbound, d_size, r_bs[..., heads], len(net), c, params)
     charges[:, heads] = np.where(forwarding, head_cost, 0.0)
     return charges, np.where(forwarding, inbound + sensed, 0).sum(axis=1)
 
@@ -208,10 +215,14 @@ def run(cfg: SimConfig) -> SimTrace:
         chn_count_log = _room(chn_count_log, start + k, cfg.max_frames)
         if residual_log is not None:
             residual_log = _room(residual_log, start + k, cfg.max_frames)
-        draws = scenario_rng.random((k, 2, s))
-        awake = draws[:, 0] < scen.duty_cycle
-        events = draws[:, 1] < scen.event_probability
-        sends = awake & events
+        if scen.duty_cycle < 1.0 or scen.event_probability < 1.0:
+            draws = scenario_rng.random((k, 2, s))
+            awake = draws[:, 0] < scen.duty_cycle
+            events = draws[:, 1] < scen.event_probability
+            sends = awake & events
+        else:
+            # random() < 1.0 always holds, and scenario_rng feeds nothing else
+            awake = events = sends = np.ones((k, s), dtype=bool)
         if mobile:
             moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed, mobility_rng, k)
             r_path = np.hypot(moves[..., 0] - bs[0], moves[..., 1] - bs[1])

@@ -108,3 +108,62 @@ def test_any_float_matrix_matches_one_shot_encoding(matrix, block_entries):
     trace = dataclasses.replace(SMALL, residual_log=matrix)
     with mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", block_entries):
         assert exported(trace) == oracle(trace)
+
+
+def differs(value: float) -> float:
+    """A special value whose bits differ from ``value``'s."""
+    bits = np.float64(value).view(np.int64)
+    return next(x for x in SPECIAL if np.float64(x).view(np.int64) != bits)
+
+
+@st.composite
+def column_runs(draw):
+    """A matrix whose rows each copy a random subset of the row above,
+    and the rows per block to write it in.  A block's first row may be
+    forced to change in one column, so that a run starts exactly there."""
+    rows, width, step = draw(st.integers(1, 12)), draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    matrix = [draw(arrays(np.float64, width, elements=FLOATS))]
+    for r in range(1, rows):
+        keep = draw(arrays(bool, width))
+        row = np.where(keep, matrix[-1], draw(arrays(np.float64, width, elements=FLOATS)))
+        if r % step == 0 and draw(st.booleans()):
+            col = draw(st.integers(0, width - 1))
+            row[col] = differs(matrix[-1][col])
+        matrix.append(row)
+    return np.array(matrix), step
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=column_runs())
+def test_column_runs_across_blocks_match_one_shot_encoding(case):
+    matrix, step = case
+    trace = dataclasses.replace(SMALL, residual_log=matrix)
+    with mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", step * matrix.shape[1]):
+        assert exported(trace) == oracle(trace)
+
+
+# Equal as floats, distinct as bits: each must start a run of its own.
+BIT_DISTINCT = np.array([
+    [0.0, -0.0, -0.0, 0.0, 0.0, math.nan, -math.nan, -math.nan, math.nan],
+    [1.5] * 9,
+]).T
+
+
+@pytest.mark.parametrize("step", range(1, len(BIT_DISTINCT) + 1))
+def test_bit_distinct_equal_values_down_a_column(step):
+    assert np.signbit(BIT_DISTINCT[:, 0]).tolist() == [0, 1, 1, 0, 0, 0, 1, 1, 0]
+    trace = dataclasses.replace(SMALL, residual_log=BIT_DISTINCT)
+    with mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", step * 2):
+        assert exported(trace) == oracle(trace)
+
+
+def test_matrix_wider_than_a_block_goes_one_row_per_block():
+    width = metrics._JSON_BLOCK_ENTRIES + 1
+    rng = np.random.default_rng(5)
+    matrix = rng.choice([0.25, -0.0, 0.0, 1e-300, math.inf, 2.0 / 3.0], (4, width))
+    matrix[2] = matrix[1]
+    matrix[3, ::2] = matrix[2, ::2]
+    pieces = list(metrics._matrix_json(matrix))
+    assert len(pieces) == len(matrix) + 2  # "[", one piece per row, "]"
+    trace = dataclasses.replace(SMALL, residual_log=matrix)
+    assert exported(trace) == oracle(trace)
