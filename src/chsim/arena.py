@@ -88,7 +88,10 @@ def step_mobility(
     np.multiply(speed, np.stack([np.cos(theta), np.sin(theta)], axis=-1), out=path[1:])
     coords = path.reshape(frames + 1, -1)  # a row per frame, a column per coordinate
     steps = coords[1:].copy()
-    np.add.accumulate(coords, axis=0, out=coords)
+    # At speeds near the float limit a running sum may overflow, but only
+    # in rows after its coordinate's first step out, which are redone.
+    with np.errstate(over="ignore"):
+        np.add.accumulate(coords, axis=0, out=coords)
     outside = (coords[1:] < 0.0) | (coords[1:] > side_a)
     hot = np.flatnonzero(outside.any(axis=0))
     if len(hot):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -204,3 +207,19 @@ def test_fold_in_the_last_row_alone(cells_per_row):
     assert got[-2, 0, 0] < 100.0 < pos[0, 0] + 2.0 * frames
     assert got[-1, 0, 0] == 200.0 - (pos[0, 0] + 2.0 * frames)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("speed", [1e307, 1.7e308])
+def test_speeds_near_the_float_limit_are_exact_and_quiet(speed, tmp_path):
+    # the accumulated block overflows only in rows after a coordinate's
+    # first step out, which are redone: no warning, and the row loop's bytes
+    frames = 80
+    pos = _wall_cases(1, 190, 350.0, speed, frames, edges=False)
+    got = step_mobility(pos, 350.0, speed, np.random.default_rng(4), frames)
+    want = step_mobility_rows(pos, 350.0, speed, np.random.default_rng(4), frames)
+    assert got.tobytes() == want.tobytes()
+    cli = "import sys; from chsim.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["run", "--mobility", repr(speed), "--frames", str(frames), "--out", str(tmp_path / "trace.json")]
+    env = {**os.environ, "PYTHONPATH": str(Path(arena.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", cli, *argv], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")

@@ -23,7 +23,7 @@ from chsim.metrics import export
 from chsim.simulator import run
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
@@ -142,16 +142,29 @@ def test_column_runs_across_blocks_match_one_shot_encoding(case):
         assert exported(trace) == oracle(trace)
 
 
+@settings(max_examples=2000, deadline=None, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+def test_no_finite_repr_contains_an_n(value):
+    # the writer finds a block's non-finite texts by looking for an "n"
+    assert "n" not in repr(value)
+
+
 # Equal as floats, distinct as bits: each must start a run of its own.
+# The infinities repeat, so at one row per block a block's only
+# non-finite text is one carried from the block before.
 BIT_DISTINCT = np.array([
-    [0.0, -0.0, -0.0, 0.0, 0.0, math.nan, -math.nan, -math.nan, math.nan],
-    [1.5] * 9,
+    [0.0, -0.0, -0.0, 0.0, 0.0, math.nan, -math.nan, -math.nan, math.nan,
+     math.inf, math.inf, -math.inf, -math.inf],
+    [1.5] * 13,
 ]).T
 
 
 @pytest.mark.parametrize("step", range(1, len(BIT_DISTINCT) + 1))
 def test_bit_distinct_equal_values_down_a_column(step):
-    assert np.signbit(BIT_DISTINCT[:, 0]).tolist() == [0, 1, 1, 0, 0, 0, 1, 1, 0]
+    assert np.signbit(BIT_DISTINCT[:, 0]).tolist() == [0, 1, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1]
     trace = dataclasses.replace(SMALL, residual_log=BIT_DISTINCT)
     with mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", step * 2):
         assert exported(trace) == oracle(trace)

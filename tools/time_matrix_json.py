@@ -1,20 +1,23 @@
-"""Time ``chsim.metrics._matrix_json`` on the residual matrix of the
-trace-export workload.
+"""Time ``chsim.metrics._matrix_json`` on three residual matrices.
 
     python3 tools/time_matrix_json.py [--parent OTHER/src] [--reps N] [--seed N]
 
-Runs the benchmark's trace-export run (scenario2, 6000 frames, residuals
-recorded; simulator seed ``--seed``, default 0) once, then times the
-writer alone on its ``(frames, S)`` residual matrix: ``_write`` of every
-piece ``_matrix_json`` yields into a sink that discards them, so a
-writer that yields text is timed with its encoding.  With ``--parent``,
-the ``chsim`` package under that ``src`` directory is timed in the same
-process on the same matrix, the two sides alternating which goes first.
-It also times ``float.__repr__`` over the matrix's run starts (each cell
-whose int64 bits differ from the cell above it, and the whole first
-row): the calls no writer can skip, so the distance from that floor is
-the writer's own overhead.  Prints one JSON object with the median and
-quartiles of each in milliseconds and the bytes each side wrote.
+For each case in ``CASES``, runs one simulation with residuals recorded
+(6000 frames at most, simulator seed ``--seed``, default 0), then times
+the writer alone on its ``(frames, S)`` residual matrix: ``_write`` of
+every piece ``_matrix_json`` yields into a sink that discards them, so a
+writer that yields text is timed with its encoding.  The cases are the
+benchmark's trace-export run (scenario2, 190 nodes), a 10-node scenario2
+run, whose few changed cells leave the writer's per-row work exposed, and
+a 50-node scenario1 run moving 1 m per frame, in which nearly every cell
+changes.  With ``--parent``, the ``chsim`` package under that ``src``
+directory is timed in the same process on the same matrices, the two
+sides alternating which goes first.  It also times ``float.__repr__``
+over each matrix's run starts (each cell whose int64 bits differ from
+the cell above it, and the whole first row): the calls no writer can
+skip, so the distance from that floor is the writer's own overhead.
+Prints one JSON object per case with the median and quartiles of each in
+milliseconds and the bytes each side wrote.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from pathlib import Path
 import numpy as np
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+CASES = (
+    ("trace-export", {"scenario": {"kind": "scenario2"}}),
+    ("10-node scenario2", {"arena": {"node_count": 10}, "scenario": {"kind": "scenario2"}}),
+    ("50-node mobile", {"arena": {"node_count": 50}, "mobility_speed": 1.0}),
+)
 
 
 def load(src: Path, name: str):
@@ -51,13 +59,10 @@ class Sink:
         self.written += len(data)
 
 
-def residual_matrix(chsim, seed: int) -> np.ndarray:
-    cfg = chsim.config.config_from_dict({
-        "arena": {"seed": seed},
-        "scenario": {"kind": "scenario2"},
-        "max_frames": 6000,
-        "record_residuals": True,
-    })
+def residual_matrix(chsim, case: dict, seed: int) -> np.ndarray:
+    arena = {**case.get("arena", {}), "seed": seed}
+    cfg = chsim.config.config_from_dict({**case, "arena": arena, "max_frames": 6000,
+                                         "record_residuals": True})
     return chsim.simulator.run(cfg).residual_log
 
 
@@ -73,21 +78,11 @@ def quartiles(samples: list[float]) -> dict:
     return {"median_ms": round(median, 2), "q1_ms": round(q1, 2), "q3_ms": round(q3, 2)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, help="src directory of the chsim to compare against")
-    parser.add_argument("--reps", type=int, default=15)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-    change = load(SRC, "chsim")
-    sides = {"change": change.metrics}
-    if args.parent:
-        sides = {"parent": load(args.parent, "chsim_parent").metrics, **sides}
-    matrix = residual_matrix(change, args.seed)
+def time_case(sides: dict, matrix: np.ndarray, reps: int) -> dict:
     starts = run_starts(matrix)
     samples = {name: [] for name in [*sides, "repr_floor"]}
     written = {}
-    for rep in range(args.reps):
+    for rep in range(reps):
         for name in list(sides) if rep % 2 == 0 else list(sides)[::-1]:
             sink = Sink()
             start = time.perf_counter()
@@ -99,7 +94,22 @@ def main(argv=None) -> int:
         samples["repr_floor"].append(time.perf_counter() - start)
     result = {"shape": list(matrix.shape), "run_starts": len(starts), "bytes": written}
     result.update({name: quartiles(v) for name, v in samples.items()})
-    print(json.dumps(result))
+    return result
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, help="src directory of the chsim to compare against")
+    parser.add_argument("--reps", type=int, default=15)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    change = load(SRC, "chsim")
+    sides = {"change": change.metrics}
+    if args.parent:
+        sides = {"parent": load(args.parent, "chsim_parent").metrics, **sides}
+    for case, overrides in CASES:
+        matrix = residual_matrix(change, overrides, args.seed)
+        print(json.dumps({"case": case, **time_case(sides, matrix, args.reps)}))
     return 0
 
 
