@@ -84,46 +84,44 @@ def _argmax_residual(net: Network, indices: np.ndarray) -> int:
     return int(indices[np.argmax(net.residual[indices])])
 
 
-def _trigger(net: Network, idx: np.ndarray, cost: float) -> np.ndarray:
-    """Charge the election trigger to nodes ``idx`` and return those of
-    them still alive afterwards."""
-    net.debit(idx, cost)
-    return idx[net.alive[idx]]
+def _trigger(net: Network, candidates: np.ndarray, cost: float) -> np.ndarray:
+    """Charge the election trigger to the nodes flagged in ``candidates``
+    and return the ids of those of them still alive afterwards."""
+    # one full-length charge: a node charged 0.0 keeps the bits of its
+    # residual and consumed energy (tests/test_numeric_contracts.py)
+    net.debit(slice(None), candidates * cost)
+    return np.nonzero(candidates & net.alive)[0]
 
 
 def _new_round(net: Network, costs: ElectionCosts) -> np.ndarray:
     """Dismiss every head and trigger an election at every alive node;
     return the nodes alive afterwards (none, if the trigger killed the last)."""
     net.head[:] = False
-    return _trigger(net, np.nonzero(net.alive)[0], costs.trigger)
+    return _trigger(net, net.alive, costs.trigger)
 
 
-def _install(net: Network, head_idx, member_idx, costs: ElectionCosts) -> tuple[int, ...]:
-    """Charge the setup costs, flag the new heads and return their ids."""
-    net.debit(head_idx, costs.head)
-    if len(member_idx):
-        net.debit(member_idx, costs.member)
+def _install(net: Network, head_idx, alive_idx, costs: ElectionCosts) -> tuple[int, ...]:
+    """Flag the heads ``head_idx``, charge them the head's setup cost and
+    every other node of ``alive_idx`` the member's, and return their ids."""
     net.head[head_idx] = True
+    charge = np.zeros(len(net))
+    charge[alive_idx] = costs.member
+    charge[head_idx] = costs.head
+    net.debit(slice(None), charge)
     return tuple(head_idx.tolist())
-
-
-def _non_heads(net: Network, alive_idx: np.ndarray, head_idx: np.ndarray) -> np.ndarray:
-    """The nodes of ``alive_idx`` not in ``head_idx``, in ``alive_idx`` order."""
-    is_head = np.zeros(len(net), dtype=bool)
-    is_head[head_idx] = True
-    return alive_idx[~is_head[alive_idx]]
 
 
 def _join_nearest(net: Network, alive_idx, head_idx, costs: ElectionCosts) -> tuple[int, ...]:
     """Install ``head_idx`` (ascending) as the heads of clusters 0, 1, ...
     and let every other alive node join the nearest of them."""
-    member_idx = _non_heads(net, alive_idx, head_idx)
+    head_ids = _install(net, head_idx, alive_idx, costs)
+    member_idx = alive_idx[~net.head[alive_idx]]
     x, y = net.positions.T
     dx = x[member_idx, None] - x[head_idx]
     dy = y[member_idx, None] - y[head_idx]
     net.cluster[head_idx] = np.arange(len(head_idx))
     net.cluster[member_idx] = (dx**2 + dy**2).argmin(axis=1)
-    return _install(net, head_idx, member_idx, costs)
+    return head_ids
 
 
 def _group_starts(sorted_labels: np.ndarray) -> np.ndarray:
@@ -171,11 +169,11 @@ def dchne_reelect_cluster(net: Network, cluster: int, costs: ElectionCosts) -> i
     costs; membership does not change.  Returns the new head's array
     index, or ``None`` if the cluster has no alive member left.
     """
-    members = _trigger(net, np.nonzero(net.alive & (net.cluster == cluster))[0], costs.trigger)
+    members = _trigger(net, net.alive & (net.cluster == cluster), costs.trigger)
     if len(members) == 0:
         return None
     winner = _argmax_residual(net, members)
-    _install(net, np.array([winner]), members[members != winner], costs)
+    _install(net, np.array([winner]), members, costs)
     return winner
 
 
@@ -254,4 +252,4 @@ def rrch_elect(
     later = np.searchsorted(keys, clusters * span + last, side="right")
     head_idx = keys[np.where(later < ends, later, starts)] % span
     prev_head.update(zip(clusters.tolist(), head_idx.tolist()))
-    return _install(net, head_idx, _non_heads(net, alive_idx, head_idx), costs)
+    return _install(net, head_idx, alive_idx, costs)

@@ -26,6 +26,7 @@ __all__ = [
     "ElectionCosts",
     "election_costs",
     "frame_consumption_chn",
+    "head_uplink",
     "frame_consumption_nchn",
 ]
 
@@ -154,19 +155,29 @@ def frame_consumption_chn(n_members, d_size: float, r_bs, s: int, c: int, params
     if np.asarray(r_bs).min(initial=0) < 0:
         raise ValueError(f"distance must be >= 0, got {r_bs!r}")
     _check_bits(d_size)
-    return _frame_consumption_chn(n_members, d_size, r_bs, s, c, params)
+    uplink = head_uplink(d_size, r_bs, s, c, params)
+    return _frame_consumption_chn(n_members, d_size, uplink, params)
 
 
-def _frame_consumption_chn(n_members, d_size: float, r_bs, s: int, c: int, params: EnergyParams):
-    """:func:`frame_consumption_chn` without its argument checks, for a
-    caller whose counts, distances and data size cannot be negative."""
-    per_member = d_size * (params.e_radio + params.e_agg)
+def head_uplink(d_size: float, r_bs, s: int, c: int, params: EnergyParams):
+    """A head's frame energy besides its members' packets: scheduling the
+    cluster and forwarding one aggregated ``d_size`` packet over ``r_bs``
+    to the base station.  Unchecked; ``r_bs`` may be an array of any
+    shape, so a run computes it once, or once per block of movement."""
     # sched_energy + tx_to_bs, summed in the order whose rounding the traces pin
-    return n_members * per_member + (
+    return (
         sched_energy(d_size, s, c, params)
         + d_size * params.e_radio
         + d_size * params.e_mh * r_bs**4
     )
+
+
+def _frame_consumption_chn(n_members, d_size: float, uplink, params: EnergyParams):
+    """:func:`frame_consumption_chn` without its argument checks, from the
+    head's :func:`head_uplink`: ``n_members * d_size * (e_radio + e_agg)
+    + uplink``, for a caller whose counts, distances and data size cannot
+    be negative."""
+    return n_members * (d_size * (params.e_radio + params.e_agg)) + uplink
 
 
 def frame_consumption_nchn(d_size: float, area_side: float, c: int, params: EnergyParams) -> float:

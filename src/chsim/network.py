@@ -20,6 +20,8 @@ class Network:
     simulator commits a segment's frames by subtracting the same charges
     from ``residual`` and adding them to ``consumed``, frame after frame,
     only while every charge stays below the residual it is taken from.
+    Elections and death frames debit one full-length vector, and a node
+    charged 0.0 keeps the bits of its books, which are never negative.
     """
 
     def __init__(self, positions, initial_energy=3.5):

@@ -50,6 +50,7 @@ from .energy import (
     election_costs,
     frame_consumption_chn,
     frame_consumption_nchn,
+    head_uplink,
 )
 from .network import Network
 
@@ -105,34 +106,36 @@ def _room(column: np.ndarray, rows: int, limit: int) -> np.ndarray:
 
 
 def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, sends: np.ndarray,
-                   r_bs: np.ndarray, member_tx: float, d_size: int, c: int,
+                   uplink: np.ndarray, member_tx: float, d_size: int,
                    params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
     """The charges and deliveries of ``k`` frames on the network as it stands.
 
     ``awake`` and ``events`` are the frames' ``(k, S)`` draws, ``sends``
-    is ``awake & events``, and ``r_bs`` holds the base-station distances,
-    ``(S,)`` for every frame or ``(k, S)`` one row per frame.  Each alive,
-    clustered member that is awake and senses an event pays ``member_tx``;
-    each alive head that is awake and has a packet, its own or a
-    member's, pays :func:`~chsim.energy.frame_consumption_chn` for its
-    inbound count.  A head counts the members that share its cluster
-    label, so the members of a dead head pay for packets no head counts.
-    Returns the ``(k, S)`` charges and the ``(k,)`` packets delivered.
+    is ``awake & events``, and ``uplink`` holds every node's
+    :func:`~chsim.energy.head_uplink`, ``(S,)`` for every frame or
+    ``(k, S)`` one row per frame.  Each alive, clustered member that is
+    awake and senses an event pays ``member_tx``; each alive head that is
+    awake and has a packet, its own or a member's, pays its uplink plus
+    the per-packet cost of its inbound count: together,
+    :func:`~chsim.energy.frame_consumption_chn` at its distance.  A head
+    counts the members that share its cluster label, so the members of a
+    dead head pay for packets no head counts.  Returns the ``(k, S)``
+    charges and the ``(k,)`` packets delivered.
     """
     alive = net.alive
-    tx = sends & (alive & ~net.head & (net.cluster >= 0))
+    tx = (sends & (alive & ~net.head & (net.cluster >= 0))).astype(float)
     charges = tx * member_tx
     heads = np.nonzero(net.head & alive)[0]
     if len(heads) == 0:
         return charges, np.zeros(len(tx), dtype=np.int64)
-    # sums of 0/1 products are exact in float64
+    # sums of 0/1 products are exact in float64 (tests/test_numeric_contracts.py)
     joins = (net.cluster[:, None] == net.cluster[heads]).astype(float)
     inbound = (tx @ joins).astype(np.int64)
-    sensed = events[:, heads]
-    forwarding = awake[:, heads] & ((inbound > 0) | sensed)
-    head_cost = _frame_consumption_chn(inbound, d_size, r_bs[..., heads], len(net), c, params)
-    charges[:, heads] = np.where(forwarding, head_cost, 0.0)
-    return charges, np.where(forwarding, inbound + sensed, 0).sum(axis=1)
+    # the packets each head forwards: its members' and its own, if it is awake
+    packets = (inbound + events[:, heads]) * awake[:, heads]
+    head_cost = _frame_consumption_chn(inbound, d_size, uplink[..., heads], params)
+    charges[:, heads] = np.where(packets > 0, head_cost, 0.0)
+    return charges, packets.sum(axis=1)
 
 
 def run(cfg: SimConfig) -> SimTrace:
@@ -171,6 +174,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
     mobile = cfg.mobility_speed > 0.0
     r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
+    uplink = head_uplink(scen.d_size, r_bs, s, c, params)  # all run long, unless nodes move
     block_rows = max(1, _BLOCK_ENTRIES // s)
     if block_rows > fpr:
         block_rows -= block_rows % fpr  # whole rounds, so no segment ends short of an election
@@ -207,67 +211,73 @@ def run(cfg: SimConfig) -> SimTrace:
             residual_log[frame:stop] = residuals
 
     frame = 0
-    while frame < cfg.max_frames and termination == "max-frames":
-        start = frame
-        k = min(cfg.max_frames - start, block_rows)
-        alive_log = _room(alive_log, start + k, cfg.max_frames)
-        packets_log = _room(packets_log, start + k, cfg.max_frames)
-        chn_count_log = _room(chn_count_log, start + k, cfg.max_frames)
-        if residual_log is not None:
-            residual_log = _room(residual_log, start + k, cfg.max_frames)
-        if scen.duty_cycle < 1.0 or scen.event_probability < 1.0:
-            draws = scenario_rng.random((k, 2, s))
-            awake = draws[:, 0] < scen.duty_cycle
-            events = draws[:, 1] < scen.event_probability
-            sends = awake & events
-        else:
-            # random() < 1.0 always holds, and scenario_rng feeds nothing else
-            awake = events = sends = np.ones((k, s), dtype=bool)
-        if mobile:
-            moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed, mobility_rng, k)
-            r_path = np.hypot(moves[..., 0] - bs[0], moves[..., 1] - bs[1])
-        while frame < start + k:
-            row = frame - start
-            dead_heads = np.nonzero(net.head & ~net.alive)[0]
-            net.head[dead_heads] = False
-            if frame % fpr == 0:
-                if mobile and row:
-                    net.positions = moves[row - 1]  # where the nodes stand after the last frame
-                round_index = frame // fpr
-                if cfg.policy == "dchne":
-                    dchne_elect(net, c, costs, partition_rng)
-                elif cfg.policy == "leach":
-                    leach_elect(net, c, round_index, costs, leach_rng, headed)
-                else:
-                    rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
-            elif cfg.policy == "dchne":
-                # a cluster whose head died resumes under a fresh head right away
-                for dead in dead_heads:
-                    label = int(net.cluster[dead])
-                    winner = dchne_reelect_cluster(net, label, costs)
-                    reelections.append((frame, label, winner))
+    died = False  # whether the last segment ended with a death, which may have taken a head
+    # Only rows past a segment's first death overflow, and none of them is committed.
+    with np.errstate(over="ignore"):
+        while frame < cfg.max_frames and termination == "max-frames":
+            start = frame
+            k = min(cfg.max_frames - start, block_rows)
+            alive_log = _room(alive_log, start + k, cfg.max_frames)
+            packets_log = _room(packets_log, start + k, cfg.max_frames)
+            chn_count_log = _room(chn_count_log, start + k, cfg.max_frames)
+            if residual_log is not None:
+                residual_log = _room(residual_log, start + k, cfg.max_frames)
+            if scen.duty_cycle < 1.0 or scen.event_probability < 1.0:
+                draws = scenario_rng.random((k, 2, s))
+                awake = draws[:, 0] < scen.duty_cycle
+                events = draws[:, 1] < scen.event_probability
+                sends = awake & events
+            else:
+                # random() < 1.0 always holds, and scenario_rng feeds nothing else
+                awake = events = sends = np.ones((k, s), dtype=bool)
+            if mobile:
+                moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed,
+                                      mobility_rng, k)
+                r_path = np.hypot(moves[..., 0] - bs[0], moves[..., 1] - bs[1])
+                uplink_path = head_uplink(scen.d_size, r_path, s, c, params)
+            while frame < start + k:
+                row = frame - start
+                if died:
+                    dead_heads = np.nonzero(net.head & ~net.alive)[0]
+                    net.head[dead_heads] = False
+                if frame % fpr == 0:
+                    if mobile and row:
+                        net.positions = moves[row - 1]  # where the last frame left them
+                    round_index = frame // fpr
+                    if cfg.policy == "dchne":
+                        dchne_elect(net, c, costs, partition_rng)
+                    elif cfg.policy == "leach":
+                        leach_elect(net, c, round_index, costs, leach_rng, headed)
+                    else:
+                        rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
+                elif died and cfg.policy == "dchne":
+                    # a cluster whose head died resumes under a fresh head right away
+                    for dead in dead_heads:
+                        label = int(net.cluster[dead])
+                        winner = dchne_reelect_cluster(net, label, costs)
+                        reelections.append((frame, label, winner))
 
-            # One segment: the frames up to the next election or the end of
-            # the block, charged as the network stands now, committed up to
-            # the first frame with a death.
-            rows = slice(row, min(k, row + fpr - frame % fpr))
-            charges, delivered = _frame_charges(
-                net, awake[rows], events[rows], sends[rows], r_path[rows] if mobile else r_bs,
-                member_tx, scen.d_size, c, params,
-            )
-            alive = net.alive
-            n_alive = int(alive.sum())
-            committed = 0
-            # With nobody alive, or a head just killed by its setup charge
-            # (the next frame re-elects), the segment is this one frame.
-            if n_alive and not (net.head & ~alive).any():
-                residual_path = residual_rows[: len(charges) + 1]
-                residual_path[0] = net.residual
-                residual_path[1:] = charges
-                committed = len(charges)
-                with np.errstate(over="ignore"):  # only rows past the first death overflow
-                    # The residuals after the segment, by one reduce; after
-                    # each of its frames only when logged or a node dies.
+                # One segment: the frames up to the next election or the end of
+                # the block, charged as the network stands now, committed up to
+                # the first frame with a death.
+                rows = slice(row, min(k, row + fpr - frame % fpr))
+                charges, delivered = _frame_charges(
+                    net, awake[rows], events[rows], sends[rows],
+                    uplink_path[rows] if mobile else uplink, member_tx, scen.d_size, params,
+                )
+                alive = net.alive
+                n_alive = int(np.count_nonzero(alive))
+                committed = 0
+                # With nobody alive, or a head just killed by its setup charge
+                # (the next frame re-elects), the segment is this one frame.
+                if n_alive and not (net.head & ~alive).any():
+                    residual_path = residual_rows[: len(charges) + 1]
+                    residual_path[0] = net.residual
+                    residual_path[1:] = charges
+                    committed = len(charges)
+                    # The residuals after the segment, by one reduce; after each
+                    # of its frames only when logged or a node dies.  Both go row
+                    # after row (tests/test_numeric_contracts.py).
                     last = None if residual_log is not None else np.subtract.reduce(residual_path)
                     if last is None or np.count_nonzero(last > 0.0) < n_alive:
                         np.subtract.accumulate(residual_path, out=residual_path)
@@ -278,31 +288,35 @@ def run(cfg: SimConfig) -> SimTrace:
                                 np.count_nonzero(residual_path[1:] > 0.0, axis=1) == n_alive
                             ))
                         last = residual_path[committed].copy()
-            if committed:
-                consumed_path = consumed_rows[: committed + 1]
-                consumed_path[0] = net.consumed
-                consumed_path[1:] = charges[:committed]
-                if s > 1:
-                    net.consumed = np.add.reduce(consumed_path, axis=0)  # row after row
-                else:  # numpy sums a lone column pairwise, not row after row
-                    net.consumed = np.add.accumulate(consumed_path)[-1]
-                net.residual = last
-                packets_cum = packets + np.cumsum(delivered[:committed])
-                packets = int(packets_cum[-1])
-                record(frame, frame + committed, alive, packets_cum, residual_path[1 : committed + 1])
-                frame += committed
-            if committed < len(charges):
-                # the frame with the first death, charged exactly
-                net.debit(slice(None), charges[committed])
-                packets += int(delivered[committed])
-                alive = net.alive
-                record(frame, frame + 1, alive, packets, net.residual)
-                frame += 1
-                if not alive.any():
-                    termination = "all-dead"
-                    break
-        if mobile:
-            net.positions = moves[-1]
+                        consumed_path = consumed_rows[: committed + 1]
+                        consumed_path[1:] = charges[:committed]
+                    else:
+                        consumed_path = residual_path  # rows 1.. still hold the charges
+                if committed:
+                    consumed_path[0] = net.consumed
+                    if s > 1:
+                        net.consumed = np.add.reduce(consumed_path, axis=0)  # row after row
+                    else:  # numpy sums a lone column pairwise, not row after row
+                        net.consumed = np.add.accumulate(consumed_path)[-1]
+                    net.residual = last
+                    packets_cum = packets + delivered[:committed].cumsum()
+                    packets = int(packets_cum[-1])
+                    record(frame, frame + committed, alive, packets_cum,
+                           residual_path[1 : committed + 1])
+                    frame += committed
+                died = committed < len(charges)
+                if died:
+                    # the frame with the first death, charged exactly
+                    net.debit(slice(None), charges[committed])
+                    packets += int(delivered[committed])
+                    alive = net.alive
+                    record(frame, frame + 1, alive, packets, net.residual)
+                    frame += 1
+                    if not alive.any():
+                        termination = "all-dead"
+                        break
+            if mobile:
+                net.positions = moves[-1]
 
     if residual_log is not None and frame < len(residual_log):
         residual_log = residual_log[:frame].copy()  # give back the room no frame used

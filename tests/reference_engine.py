@@ -9,8 +9,9 @@ bytes.  It does not run chsim's elections or mobility: ``_dchne_elect``
 takes one ``argmax`` per cluster, ``_rrch_elect`` walks each cluster's
 roster, ``_join_nearest`` sums a members x heads x 2 delta array, and
 mobility folds every coordinate every frame, as chsim did before it took
-these loops out.  Only the charges, the trigger and the single-cluster
-re-election, which that change left alone, come from chsim.
+these loops out.  Its elections charge by index, one ``debit`` for the
+trigger's nodes, the heads and the members each, as chsim did before its
+elections charged one full-length vector.
 ``step_mobility_rows`` keeps the per-row mobility loop that came between,
 the oracle of chsim's accumulated mobility blocks.
 """
@@ -23,14 +24,7 @@ import numpy as np
 
 from chsim.arena import LEACH_DRAWS, MOBILITY, PARTITION, SCENARIO, place_nodes, substream
 from chsim.config import SimConfig
-from chsim.election import (
-    _argmax_residual,
-    _install,
-    _new_round,
-    _non_heads,
-    dchne_reelect_cluster,
-    geometric_partition,
-)
+from chsim.election import _argmax_residual, geometric_partition
 from chsim.energy import election_costs, frame_consumption_chn, frame_consumption_nchn
 from chsim.network import NO_CLUSTER, Network
 from chsim.simulator import SimTrace
@@ -64,6 +58,39 @@ def step_mobility_rows(positions: np.ndarray, side_a: float, speed: float, rng,
             row[outside] = _reflect(row[outside], side_a)
         positions = row
     return path
+
+
+def _trigger(net: Network, idx: np.ndarray, cost: float) -> np.ndarray:
+    net.debit(idx, cost)
+    return idx[net.alive[idx]]
+
+
+def _new_round(net: Network, costs) -> np.ndarray:
+    net.head[:] = False
+    return _trigger(net, np.nonzero(net.alive)[0], costs.trigger)
+
+
+def _install(net: Network, head_idx, member_idx, costs) -> tuple[int, ...]:
+    net.debit(head_idx, costs.head)
+    if len(member_idx):
+        net.debit(member_idx, costs.member)
+    net.head[head_idx] = True
+    return tuple(head_idx.tolist())
+
+
+def _non_heads(net: Network, alive_idx: np.ndarray, head_idx: np.ndarray) -> np.ndarray:
+    is_head = np.zeros(len(net), dtype=bool)
+    is_head[head_idx] = True
+    return alive_idx[~is_head[alive_idx]]
+
+
+def dchne_reelect_cluster(net: Network, cluster: int, costs) -> int | None:
+    members = _trigger(net, np.nonzero(net.alive & (net.cluster == cluster))[0], costs.trigger)
+    if len(members) == 0:
+        return None
+    winner = _argmax_residual(net, members)
+    _install(net, np.array([winner]), members[members != winner], costs)
+    return winner
 
 
 def _join_nearest(net: Network, alive_idx, head_idx, costs) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ import pytest
 from chsim import simulator
 from chsim.cli import main
 from chsim.config import ArenaConfig, ControlMessageSizes, EnergyParams, ScenarioConfig, SimConfig
-from chsim.energy import frame_consumption_chn
+from chsim.energy import _frame_consumption_chn, frame_consumption_chn, head_uplink, sched_energy
 from chsim.metrics import export
 from chsim.network import Network
 from chsim.simulator import run
@@ -217,6 +217,15 @@ MEMBER_TX = 1e-5
 CHARGE_ARGS = (MEMBER_TX, 4000, 1, EnergyParams())  # member_tx, d_size, c, params
 
 
+def frame_charges(net, awake, events, r_bs):
+    """``_frame_charges`` at base-station distances ``r_bs``, with the
+    heads' uplink costs computed from them as ``run()`` does."""
+    member_tx, d_size, c, params = CHARGE_ARGS
+    uplink = head_uplink(d_size, r_bs, len(net), c, params)
+    return simulator._frame_charges(net, awake, events, awake & events, uplink, member_tx, d_size,
+                                    params)
+
+
 def loop_charges(net, awake, events, r_bs):
     """``_frame_charges`` as a plain loop over frames and live heads."""
     k, s = awake.shape
@@ -242,8 +251,7 @@ def loop_charges(net, awake, events, r_bs):
 
 
 def assert_charges_match_loop(net, awake, events, r_bs):
-    charges, delivered = simulator._frame_charges(net, awake, events, awake & events, r_bs,
-                                                  *CHARGE_ARGS)
+    charges, delivered = frame_charges(net, awake, events, r_bs)
     expected_charges, expected_delivered = loop_charges(net, awake, events, r_bs)
     np.testing.assert_array_equal(charges, expected_charges)
     np.testing.assert_array_equal(delivered, expected_delivered)
@@ -265,7 +273,7 @@ def test_frame_charges_dead_head_members_match_no_head():
     awake = events = np.ones((2, 5), dtype=bool)
     r_bs = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
     assert_charges_match_loop(net, awake, events, r_bs)
-    charges, delivered = simulator._frame_charges(net, awake, events, awake, r_bs, *CHARGE_ARGS)
+    charges, delivered = frame_charges(net, awake, events, r_bs)
     assert delivered.tolist() == [2, 2]  # member 4's packet and head 3's own
     assert charges[:, 0].tolist() == [0.0, 0.0]
     assert (charges[:, [1, 2, 4]] == MEMBER_TX).all()
@@ -274,8 +282,7 @@ def test_frame_charges_dead_head_members_match_no_head():
 def test_frame_charges_with_no_live_head():
     net = hand_network([0, 0, 1, -1], heads=[0, 2], dead=[0, 2])
     awake = events = np.ones((3, 4), dtype=bool)
-    charges, delivered = simulator._frame_charges(net, awake, events, awake, np.ones(4),
-                                                  *CHARGE_ARGS)
+    charges, delivered = frame_charges(net, awake, events, np.ones(4))
     assert delivered.tolist() == [0, 0, 0]
     assert charges.tolist() == [[0.0, MEMBER_TX, 0.0, 0.0]] * 3
     assert_charges_match_loop(net, awake, events, np.ones(4))
@@ -304,3 +311,43 @@ def charge_cases(draw):
 @given(charge_cases())
 def test_frame_charges_match_loop(case):
     assert_charges_match_loop(*case)
+
+
+def one_expression(n, d, r, s, c, p):
+    """A head's frame energy as one expression, the form ``run()`` charged
+    before the uplink was split out and computed once per run or block."""
+    per_member = d * (p.e_radio + p.e_agg)
+    return n * per_member + (sched_energy(d, s, c, p) + d * p.e_radio + d * p.e_mh * r**4)
+
+
+@st.composite
+def head_frames(draw):
+    """Inbound counts and base-station distances of ``(S,)`` or ``(k, S)``
+    nodes, a subset of them as heads, and the run's constants."""
+    s = draw(st.integers(1, 190))
+    shape = draw(st.sampled_from([(s,), (draw(st.integers(1, 80)), s)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = rng.integers(0, s + 1, size=shape)
+    # distances out to a corner far from the base station, and exactly 0
+    r = np.where(rng.random(shape) < 0.1, 0.0, rng.uniform(0.0, 500.0, size=shape))
+    heads = np.flatnonzero(rng.random(s) < draw(st.floats(0.0, 1.0)))
+    params = EnergyParams(e_mh=draw(st.sampled_from([EnergyParams().e_mh, 1e-3, 0.0])))
+    d = draw(st.sampled_from([0, 1, 200, 4000, 1 << 20]))
+    return n, d, r, s, draw(st.integers(1, s)), params, heads
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(head_frames())
+def test_head_uplink_split_matches_one_expression(case):
+    n, d, r, s, c, p, heads = case
+    expected = one_expression(n, d, r, s, c, p).view(np.int64)
+    uplink = head_uplink(d, r, s, c, p)
+    per_member = d * (p.e_radio + p.e_agg)
+    np.testing.assert_array_equal((n * per_member + uplink).view(np.int64), expected)
+    np.testing.assert_array_equal(_frame_consumption_chn(n, d, uplink, p).view(np.int64), expected)
+    np.testing.assert_array_equal(frame_consumption_chn(n, d, r, s, c, p).view(np.int64), expected)
+    # _frame_charges takes the heads' columns of an uplink computed for every node
+    np.testing.assert_array_equal(
+        _frame_consumption_chn(n[..., heads], d, uplink[..., heads], p).view(np.int64),
+        one_expression(n[..., heads], d, r[..., heads], s, c, p).view(np.int64),
+    )

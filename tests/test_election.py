@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chsim import election
 from chsim.election import (
     dchne_elect,
     dchne_reelect_cluster,
@@ -22,6 +23,8 @@ from chsim.energy import (
     tx_intra,
 )
 from chsim.network import NO_CLUSTER, Network
+
+import reference_engine
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -228,6 +231,93 @@ class TestReelection:
             kill(net, int(i))
             net.head[i] = False
         assert dchne_reelect_cluster(net, label, costs(net, 3)) is None
+
+
+class TestWholeVectorDebit:
+    """Elections charge one full-length vector through ``Network.debit``;
+    every node must end with the bits a debit per index set gives (the
+    frozen per-index elections of ``reference_engine``)."""
+
+    @staticmethod
+    def twins(residuals, clusters=None, heads=()):
+        nets = []
+        for _ in range(2):
+            net = make_net(len(residuals), residuals=3.5, clusters=clusters, seed=2)
+            net.residual[:] = residuals
+            net.consumed[:] = net.initial - net.residual
+            net.head[list(heads)] = True
+            nets.append(net)
+        return nets
+
+    @staticmethod
+    def assert_same_bits(net, ref):
+        for name in ("residual", "consumed"):
+            np.testing.assert_array_equal(getattr(net, name).view(np.int64),
+                                          getattr(ref, name).view(np.int64), err_msg=name)
+        np.testing.assert_array_equal(net.head, ref.head)
+        np.testing.assert_array_equal(net.cluster, ref.cluster)
+        np.testing.assert_allclose(net.residual + net.consumed, net.initial, rtol=0, atol=1e-15)
+
+    def test_trigger_kills_a_node_and_skips_the_dead(self):
+        charges = costs(make_net(6), 2)
+        # node 1 dies of the trigger with exactly its residual; nodes 2 and 4
+        # are dead already; node 5 holds a subnormal residual
+        residuals = [3.5, charges.trigger * 0.5, 0.0, 1.0, 0.0, 5e-324]
+        net, ref = self.twins(residuals)
+        survivors = election._new_round(net, charges)
+        np.testing.assert_array_equal(survivors, reference_engine._new_round(ref, charges))
+        np.testing.assert_array_equal(survivors, [0, 3])
+        self.assert_same_bits(net, ref)
+        assert net.residual[1] == 0.0 and net.consumed[1] == net.initial[1]
+        assert net.consumed[2] == net.consumed[4] == 3.5  # no charge after death
+
+    def test_head_killed_by_its_own_setup_charge(self):
+        charges = costs(make_net(6), 2)
+        residuals = [charges.head * 0.5, 2.0, 0.0, 1.0, 2.5, 1e-300]
+        net, ref = self.twins(residuals, clusters=[0, 0, 0, 1, 1, 1])
+        alive_idx = np.nonzero(net.alive)[0]
+        head_idx = np.array([0, 3])
+        ids = election._install(net, head_idx, alive_idx, charges)
+        ref_ids = reference_engine._install(
+            ref, head_idx, reference_engine._non_heads(ref, alive_idx, head_idx), charges)
+        assert ids == ref_ids == (0, 3)
+        self.assert_same_bits(net, ref)
+        assert net.residual[0] == 0.0 and net.consumed[0] == net.initial[0]
+        assert not net.alive[0] and net.head[0]  # the next frame dismisses it
+        assert net.consumed[2] == 3.5 and net.residual[2] == 0.0
+
+    def test_reelection_charges_one_cluster_only(self):
+        charges = costs(make_net(9), 3)
+        clusters = [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        # cluster 1's head (3) has died; node 5 dies of the trigger, node 8
+        # is dead, and the other clusters hold a subnormal and a tiny residual
+        residuals = [1.0, 5e-324, 2.0, 0.0, 1.5, charges.trigger * 0.25, 1e-300, 0.5, 0.0]
+        net, ref = self.twins(residuals, clusters=clusters, heads=(0, 6))
+        winner = dchne_reelect_cluster(net, 1, charges)
+        assert winner == reference_engine.dchne_reelect_cluster(ref, 1, charges) == 4
+        self.assert_same_bits(net, ref)
+        untouched = np.array(clusters) != 1
+        np.testing.assert_array_equal(net.residual[untouched].view(np.int64),
+                                      np.array(residuals)[untouched].view(np.int64))
+
+    @pytest.mark.parametrize("policy", ["dchne", "leach", "rrch"])
+    def test_whole_rounds_match_per_index_debits(self, policy):
+        c = 3
+        net, ref = self.twins(np.linspace(1e-9, 2.0, 15))
+        charges = costs(net, c)
+        elect = {
+            "dchne": (lambda n, engine: engine(n, c, charges, np.random.default_rng(1)),
+                      dchne_elect, reference_engine._dchne_elect),
+            "leach": (lambda n, engine: engine(n, c, 1, charges, np.random.default_rng(1), set()),
+                      leach_elect, reference_engine._leach_elect),
+            "rrch": (lambda n, engine: engine(n, c, charges, {}, np.random.default_rng(1)),
+                     lambda n, c_, costs_, prev, rng: rrch_elect(n, c_, 0, costs_, prev, rng),
+                     reference_engine._rrch_elect),
+        }[policy]
+        call, ours, theirs = elect
+        for _ in range(3):  # later rounds run on the books the earlier ones left
+            assert call(net, ours) == call(ref, theirs)
+            self.assert_same_bits(net, ref)
 
 
 class _ConstantDraws:

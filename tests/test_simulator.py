@@ -264,10 +264,10 @@ class TestRun:
         calls = []
         original = simulator._frame_charges
 
-        def recording_charges(net, awake, events, *args):
-            charges, delivered = original(net, awake, events, *args)
+        def recording_charges(net, awake, events, sends, uplink, *args):
+            charges, delivered = original(net, awake, events, sends, uplink, *args)
             state = (net.head.copy(), net.alive, net.cluster.copy(), net.consumed.copy())
-            calls.append((net, state, awake, events, charges))
+            calls.append((net, state, awake, events, uplink, charges))
             return charges, delivered
 
         monkeypatch.setattr(simulator, "_frame_charges", recording_charges)
@@ -275,8 +275,9 @@ class TestRun:
         trace = run(cfg)
         # One round and no death: after the election, one segment of 20 frames.
         assert trace.alive[-1] == cfg.arena.node_count
-        [(net, (head, alive, cluster, consumed), awake, events, charges)] = calls
+        [(net, (head, alive, cluster, consumed), awake, events, uplink, charges)] = calls
         assert charges.shape == (20, len(net))
+        assert uplink.shape == (len(net),)  # nodes that stand still: one uplink per run
         d, c, params = cfg.scenario.d_size, cfg.cluster_count, cfg.energy
         bs = np.asarray(cfg.arena.bs_position, dtype=float)
         r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
