@@ -28,7 +28,8 @@ PLACEMENT, MOBILITY, SCENARIO, LEACH_DRAWS, PARTITION = range(5)
 
 
 def substream(seed: int, channel: int) -> np.random.Generator:
-    """Deterministic, independent RNG for one channel of a master seed."""
+    """Deterministic, independent RNG for one channel of a master seed
+    (its first draws are pinned in tests/test_numeric_contracts.py)."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(channel,)))
 
 
@@ -108,7 +109,7 @@ def _walk(coords: np.ndarray, steps: np.ndarray, hot: np.ndarray, first: np.ndar
     """Redo each hot column of ``coords`` from its step ``first`` on, one
     Python float at a time.  Python's float ``%`` follows the same rule as
     ``np.mod`` (``fmod``, then the divisor's sign), so the fold gives the
-    bytes of :func:`_fold_rows`."""
+    bytes of :func:`_fold_rows` (tests/test_numeric_contracts.py)."""
     two = 2.0 * side_a
     walked = np.arange(len(steps)) >= first[:, None]  # hot coordinate x step
     ys = array("d")  # floats stored unboxed: no Python object outlives its step

@@ -190,8 +190,8 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as err:  # argparse --help
         return 0 if (err.code or 0) == 0 else 1
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (OSError, ValueError, MemoryError) as err:  # MemoryError: a network too large
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
 
 

@@ -61,6 +61,7 @@ def geometric_partition(positions, k: int, rng) -> np.ndarray:
         counts = np.bincount(labels, minlength=k)
         if counts.all():
             # bincount sums each group in ascending index order, as mean() does
+            # (tests/test_numeric_contracts.py)
             centers[:, 0] = np.bincount(labels, weights=positions[:, 0], minlength=k) / counts
             centers[:, 1] = np.bincount(labels, weights=positions[:, 1], minlength=k) / counts
             continue
@@ -117,10 +118,11 @@ def _join_nearest(net: Network, alive_idx, head_idx, costs: ElectionCosts) -> tu
     head_ids = _install(net, head_idx, alive_idx, costs)
     member_idx = alive_idx[~net.head[alive_idx]]
     x, y = net.positions.T
-    dx = x[member_idx, None] - x[head_idx]
-    dy = y[member_idx, None] - y[head_idx]
+    dx = x[member_idx][:, None] - x[head_idx]  # gathered first: one member per broadcast row
+    dy = y[member_idx][:, None] - y[head_idx]
+    np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dy)  # dx**2 + dy**2, in place
     net.cluster[head_idx] = np.arange(len(head_idx))
-    net.cluster[member_idx] = (dx**2 + dy**2).argmin(axis=1)
+    net.cluster[member_idx] = dy.argmin(axis=1)
     return head_ids
 
 
@@ -147,7 +149,7 @@ def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) 
     if len(alive_idx) == 0:
         return ()
     labels = net.cluster[alive_idx]
-    if np.all(labels == NO_CLUSTER):
+    if (labels == NO_CLUSTER).all():
         if partition_rng is None:
             raise ValueError("initial cluster formation needs a partition rng")
         labels = geometric_partition(

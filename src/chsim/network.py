@@ -16,12 +16,10 @@ class Network:
     array index is its id: election tie-breaks and round-robin order use
     it directly.  A node is alive exactly while its residual energy is
     positive.  ``initial == residual + consumed`` holds for every node at
-    all times: :meth:`debit` caps each charge at what is left, and the
-    simulator commits a segment's frames by subtracting the same charges
-    from ``residual`` and adding them to ``consumed``, frame after frame,
-    only while every charge stays below the residual it is taken from.
-    Elections and death frames debit one full-length vector, and a node
-    charged 0.0 keeps the bits of its books, which are never negative.
+    all times: :meth:`debit` caps each charge at what is left.  Only the
+    elections call it, each with one full-length vector; a node charged
+    0.0 keeps the bits of its books, which are never negative.  The
+    simulator charges its frames as a debit per frame would, on its own.
     """
 
     def __init__(self, positions, initial_energy=3.5):

@@ -9,23 +9,16 @@ cumulative deliveries and head set of every frame.
 
 A run advances a segment at a time (next-event time advance).  Every
 frame draws the same number of uniforms (and of angles, when nodes
-move) whatever the network's state, so a block of frames draws its
-traffic, send mask and movement path at once.  When every node is
-always awake and always senses an event (scenario1), the traffic needs
-no draw at all.  A block spans as many whole rounds as its size allows,
-or part of a round longer than that.
-Between two elections, frames differ only in those draws until the first
-death.  A segment starts with the frame prelude (dead heads are
-dismissed, then an election or dchne's re-election), builds the
-``(frames, S)`` cost matrix of the frames up to the next round boundary
-or the block's end on the network as it then stands, and commits every
-frame before the first death.  One ``np.subtract.reduce`` gives the
-residuals after the segment; the residuals after each of its frames are
-accumulated only when the trace logs them or that last row shows a death.
-The death frame is charged exactly, with
-:meth:`~chsim.network.Network.debit`, and the next segment starts after
-it.  A run trusts its config, which checked its own fields when built
-(:mod:`chsim.config`).
+move) whatever the network's state, so a block of frames (whole rounds,
+where they fit) draws its traffic, send mask and movement path at once;
+scenario1, where every node is always awake and senses an event, draws
+no traffic.  A segment starts with the frame prelude (dead heads are
+dismissed, then an election or dchne's re-election), charges the frames
+up to the next round boundary or the block's end on the network as it
+then stands, and commits them on one path, :func:`_commit`, up to and
+including the first frame with a death, as one
+:meth:`~chsim.network.Network.debit` per frame would.  A run trusts its
+config, which checked its own fields when built (:mod:`chsim.config`).
 """
 
 from __future__ import annotations
@@ -70,7 +63,9 @@ class SimTrace:
     """Per-frame history and final energy books of one run.
 
     Columns (``alive``, ``packets_cum``, ``chn_count``) are parallel
-    arrays indexed by frame; ``residual_log``, when recorded, is the
+    int64 arrays indexed by frame; :func:`run` fills one ``(frames, 3)``
+    array a segment at a time and gives its three columns as views of
+    it.  ``residual_log``, when recorded, is the
     ``(frames, S)`` array of every node's residual after each frame.
     Head sets are stored as change points (``head_change_frames``
     ascending, with the head ids that took over at each);
@@ -138,6 +133,52 @@ def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, sends: n
     return charges, packets.sum(axis=1)
 
 
+def _commit(net: Network, charges: np.ndarray, n_alive: int, whole: bool, logged: bool,
+            residual_rows: np.ndarray, consumed_rows: np.ndarray):
+    """Charge the rows of ``charges`` to ``net`` as one
+    :meth:`~chsim.network.Network.debit` per row would, up to and
+    including the first row after which fewer than ``n_alive`` nodes are
+    alive; a node that is not alive must be charged 0.0.  Unless
+    ``whole``, only the first row is charged.  The row with the death
+    is capped at the residual left, as ``debit`` caps it:
+    ``r - min(c, r)`` is exactly 0.0 when ``c >= r``
+    (tests/test_numeric_contracts.py).  The scratch buffers hold at least
+    ``len(charges) + 1`` rows.  Returns the rows that kill nobody (none
+    unless ``whole``), the rows charged and, when ``logged``, the
+    residuals after each charged row.
+    """
+    rows = len(charges) if whole else 1
+    path = residual_rows[: rows + 1]
+    path[0] = net.residual
+    path[1:] = charges[:rows]
+    clean = charged = rows if whole else 0
+    consumed = path  # its rows 1.. hold the charges until they are accumulated
+    # The residuals after the segment, by one reduce; after each of its rows
+    # only when logged or a node dies.  Both go row after row
+    # (tests/test_numeric_contracts.py).
+    last = np.subtract.reduce(path) if whole and not logged else None
+    if last is None or np.count_nonzero(last > 0.0) < n_alive:
+        np.subtract.accumulate(path, out=path)
+        # residuals only fall: the rows that kill nobody are those after
+        # which every alive node is still alive
+        if whole and np.count_nonzero(path[-1] > 0.0) < n_alive:
+            clean = int(np.count_nonzero(np.count_nonzero(path[1:] > 0.0, axis=1) == n_alive))
+        charged = min(clean + 1, rows)
+        consumed = consumed_rows[: charged + 1]
+        consumed[1 : clean + 1] = charges[:clean]
+        if charged > clean:
+            consumed[charged] = np.minimum(charges[clean], path[clean])
+            np.subtract(path[clean], consumed[charged], out=path[charged])
+        last = path[charged].copy()
+    consumed[0] = net.consumed
+    if charges.shape[1] > 1:
+        net.consumed = np.add.reduce(consumed, axis=0)  # row after row
+    else:  # numpy sums a lone column pairwise, not row after row
+        net.consumed = np.add.accumulate(consumed)[-1]
+    net.residual = last
+    return clean, charged, path[1 : charged + 1] if logged else None
+
+
 def run(cfg: SimConfig) -> SimTrace:
     """Execute one seeded run to completion and return its trace.
 
@@ -183,33 +224,13 @@ def run(cfg: SimConfig) -> SimTrace:
     consumed_rows = np.empty((block_rows + 1, s))
 
     room = min(cfg.max_frames, _FIRST_ROWS)
-    alive_log = np.empty(room, dtype=int)
-    packets_log = np.empty(room, dtype=np.int64)
-    chn_count_log = np.empty(room, dtype=int)
+    log = np.empty((room, 3), dtype=np.int64)  # per frame: alive, packets_cum, chn_count
     residual_log = np.empty((room, s)) if cfg.record_residuals else None
     change_frames: list[int] = []
     change_ids: list[tuple[int, ...]] = []
     reelections: list[tuple[int, int, int | None]] = []
     packets = 0
-    prev_heads: tuple[int, ...] | None = None
     termination = "max-frames"
-
-    def record(frame: int, stop: int, alive: np.ndarray, packets_cum, residuals) -> None:
-        """Fill the rows of frames ``frame`` to ``stop - 1``, over which the
-        alive set and the head set stay as they are now; ``residuals`` is
-        read only when the residual log is on."""
-        nonlocal prev_heads
-        heads_now = tuple(np.nonzero(net.head & alive)[0].tolist())
-        if heads_now != prev_heads:
-            change_frames.append(frame)
-            change_ids.append(heads_now)
-            prev_heads = heads_now
-        alive_log[frame:stop] = np.count_nonzero(alive)
-        packets_log[frame:stop] = packets_cum
-        chn_count_log[frame:stop] = len(heads_now)
-        if residual_log is not None:
-            residual_log[frame:stop] = residuals
-
     frame = 0
     died = False  # whether the last segment ended with a death, which may have taken a head
     # Only rows past a segment's first death overflow, and none of them is committed.
@@ -217,10 +238,8 @@ def run(cfg: SimConfig) -> SimTrace:
         while frame < cfg.max_frames and termination == "max-frames":
             start = frame
             k = min(cfg.max_frames - start, block_rows)
-            alive_log = _room(alive_log, start + k, cfg.max_frames)
-            packets_log = _room(packets_log, start + k, cfg.max_frames)
-            chn_count_log = _room(chn_count_log, start + k, cfg.max_frames)
-            if residual_log is not None:
+            log = _room(log, start + k, cfg.max_frames)
+            if cfg.record_residuals:
                 residual_log = _room(residual_log, start + k, cfg.max_frames)
             if scen.duty_cycle < 1.0 or scen.event_probability < 1.0:
                 draws = scenario_rng.random((k, 2, s))
@@ -259,7 +278,7 @@ def run(cfg: SimConfig) -> SimTrace:
 
                 # One segment: the frames up to the next election or the end of
                 # the block, charged as the network stands now, committed up to
-                # the first frame with a death.
+                # and including the first frame with a death.
                 rows = slice(row, min(k, row + fpr - frame % fpr))
                 charges, delivered = _frame_charges(
                     net, awake[rows], events[rows], sends[rows],
@@ -267,54 +286,32 @@ def run(cfg: SimConfig) -> SimTrace:
                 )
                 alive = net.alive
                 n_alive = int(np.count_nonzero(alive))
-                committed = 0
                 # With nobody alive, or a head just killed by its setup charge
-                # (the next frame re-elects), the segment is this one frame.
-                if n_alive and not (net.head & ~alive).any():
-                    residual_path = residual_rows[: len(charges) + 1]
-                    residual_path[0] = net.residual
-                    residual_path[1:] = charges
-                    committed = len(charges)
-                    # The residuals after the segment, by one reduce; after each
-                    # of its frames only when logged or a node dies.  Both go row
-                    # after row (tests/test_numeric_contracts.py).
-                    last = None if residual_log is not None else np.subtract.reduce(residual_path)
-                    if last is None or np.count_nonzero(last > 0.0) < n_alive:
-                        np.subtract.accumulate(residual_path, out=residual_path)
-                        # residuals only fall: the frames before the first death
-                        # are those after which every alive node is still alive
-                        if np.count_nonzero(residual_path[-1] > 0.0) < n_alive:
-                            committed = int(np.count_nonzero(
-                                np.count_nonzero(residual_path[1:] > 0.0, axis=1) == n_alive
-                            ))
-                        last = residual_path[committed].copy()
-                        consumed_path = consumed_rows[: committed + 1]
-                        consumed_path[1:] = charges[:committed]
-                    else:
-                        consumed_path = residual_path  # rows 1.. still hold the charges
-                if committed:
-                    consumed_path[0] = net.consumed
-                    if s > 1:
-                        net.consumed = np.add.reduce(consumed_path, axis=0)  # row after row
-                    else:  # numpy sums a lone column pairwise, not row after row
-                        net.consumed = np.add.accumulate(consumed_path)[-1]
-                    net.residual = last
-                    packets_cum = packets + delivered[:committed].cumsum()
-                    packets = int(packets_cum[-1])
-                    record(frame, frame + committed, alive, packets_cum,
-                           residual_path[1 : committed + 1])
-                    frame += committed
-                died = committed < len(charges)
-                if died:
-                    # the frame with the first death, charged exactly
-                    net.debit(slice(None), charges[committed])
-                    packets += int(delivered[committed])
-                    alive = net.alive
-                    record(frame, frame + 1, alive, packets, net.residual)
-                    frame += 1
-                    if not alive.any():
-                        termination = "all-dead"
-                        break
+                # (the next frame re-elects), the segment is its first frame.
+                whole = n_alive > 0 and not (net.head & ~alive).any()
+                clean, charged, residuals = _commit(net, charges, n_alive, whole,
+                                                    cfg.record_residuals, residual_rows,
+                                                    consumed_rows)
+                stop = frame + charged
+                log[frame:stop, 1] = packets + delivered[:charged].cumsum()
+                packets = int(log[stop - 1, 1])
+                if cfg.record_residuals:
+                    residual_log[frame:stop] = residuals
+                died = charged > clean
+                after = net.alive if died else None
+                # the alive and head sets hold over the frames that kill
+                # nobody, and change with the frame of the death
+                for span, alive in ((clean, alive), (charged - clean, after)):
+                    if span:
+                        heads = tuple(np.nonzero(net.head & alive)[0].tolist())
+                        if not change_ids or heads != change_ids[-1]:
+                            change_frames.append(frame)
+                            change_ids.append(heads)
+                        log[frame : frame + span, ::2] = np.count_nonzero(alive), len(heads)
+                        frame += span
+                if died and not after.any():
+                    termination = "all-dead"
+                    break
             if mobile:
                 net.positions = moves[-1]
 
@@ -323,9 +320,9 @@ def run(cfg: SimConfig) -> SimTrace:
     return SimTrace(
         config=cfg,
         termination=termination,
-        alive=alive_log[:frame],
-        packets_cum=packets_log[:frame],
-        chn_count=chn_count_log[:frame],
+        alive=log[:frame, 0],
+        packets_cum=log[:frame, 1],
+        chn_count=log[:frame, 2],
         head_change_frames=tuple(change_frames),
         head_change_ids=tuple(change_ids),
         reelections=tuple(reelections),

@@ -240,6 +240,21 @@ class TestExecution:
         assert code == 2
         assert capsys.readouterr().err
 
+    @pytest.mark.parametrize("err", [
+        MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2) "
+                    "and data type float64"),
+        MemoryError(),
+    ])
+    def test_out_of_memory_is_one_line_error(self, monkeypatch, capsys, err):
+        # whether a huge request fails at once depends on the machine, so
+        # the run is made to fail rather than to allocate
+        def exhausted(cfg):
+            raise err
+
+        monkeypatch.setattr("chsim.cli.run", exhausted)
+        assert main(["run", "--nodes", "1000000000000", "--clusters", "1", "--frames", "1"]) == 2
+        assert capsys.readouterr().err == f"error: {str(err) or 'MemoryError'}\n"
+
     def test_invalid_config_combination_is_runtime_error(self, capsys):
         assert main(["run", "--nodes", "5", "--clusters", "9", "--frames", "1"]) == 2
         assert "SimConfig.cluster_count" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 """Golden digests: the four benchmark workloads still export the bytes
-recorded in ``perfbench/golden.json`` (simulator seed 0, and held-out
-seed 1000 for the mobile sweep)."""
+recorded in ``perfbench/golden.json``: simulator seed 0, and held-out
+seed 1000 for the death-dense scenario1 compare, the mobile sweep and
+the trace with residuals."""
 
 import hashlib
 import importlib.util
@@ -32,7 +33,8 @@ GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())["digests"]
 @pytest.mark.parametrize("name, sets, seed", [
     *(pytest.param(name, "default", 0, id=name) for name in
       ("compare-saturated", "compare-duty-cycled", "sweep-mobile", "trace-export")),
-    pytest.param("sweep-mobile", "held_out", 1000, id="sweep-mobile-held-out-1000"),
+    *(pytest.param(name, "held_out", 1000, id=f"{name}-held-out-1000") for name in
+      ("compare-saturated", "sweep-mobile", "trace-export")),
 ])
 def test_artifact_matches_golden_digest(name, sets, seed, tmp_path):
     workload = WORKLOADS[name]

@@ -13,7 +13,17 @@ index-by-index engine only because numpy keeps these contracts:
 * numpy sums a lone column pairwise instead, which is why ``run()`` takes
   ``np.add.accumulate`` when ``S == 1``;
 * a head's inbound packets are a matrix product of 0/1 floats (or bools)
-  with a 0/1 membership matrix, which must count exactly.
+  with a 0/1 membership matrix, which must count exactly;
+* the row of a segment with a death is capped as ``Network.debit`` caps
+  it: ``r - min(c, r)`` must be exactly ``0.0`` when ``c >= r``, and
+  positive when ``c < r``;
+* ``np.bincount(weights=...)`` must sum each group in ascending index
+  order, as ``mean(axis=0)`` does, so both branches of
+  ``geometric_partition`` give the same centers;
+* Python's float ``%`` must give the bytes of ``np.mod``, so mobility's
+  walked coordinates match its folded rows;
+* the streams of ``substream`` must stay the same, which NEP 19 does not
+  promise across numpy versions.
 """
 
 import tempfile
@@ -21,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from chsim.arena import substream
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -104,3 +116,68 @@ def test_counting_by_matrix_product_is_exact(k, s, h, seed):
 def test_counting_a_full_membership_is_exact():
     sends = np.ones((80, 4096), dtype=bool)
     np.testing.assert_array_equal(sends.astype(float) @ np.ones((4096, 1)), 4096.0)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e300))
+@example(1.0, 1.0)
+@example(SMALLEST_SUBNORMAL, SMALLEST_SUBNORMAL)
+@example(0.1 + 0.2, 0.30000000000000004)
+@example(1.0, 1.0 + 2**-52)
+@example(0.0, 0.0)
+def test_the_capped_death_row_leaves_exactly_zero(r, c):
+    # what Network.debit, and the row with a death in a segment, does
+    take = np.minimum(np.array([c]), np.array([r]))
+    left = np.array([r]) - take
+    if c >= r:
+        assert bits(left)[0] == 0  # +0.0: the node is dead, not -0.0
+    else:
+        assert left[0] > 0.0  # no charge below the residual kills a node
+
+
+def test_bincount_sums_each_group_in_index_order():
+    k = 3
+    values = rows_with_pairwise_bits(200, k).ravel()  # a large entry, then small ones, per group
+    labels = np.arange(len(values)) % k
+    groups = [values[labels == j] for j in range(k)]
+    pairwise = np.array([np.add.reduce(group) for group in groups])
+    in_order = np.array([row_after_row(np.add, group) for group in groups])
+    assert (bits(pairwise) != bits(in_order)).any()
+    sums = np.bincount(labels, weights=values, minlength=k)
+    np.testing.assert_array_equal(bits(sums), bits(in_order))
+    # geometric_partition's two branches: bincount over counts, and mean()
+    positions = np.stack([values, values[::-1]], axis=1)
+    counts = np.bincount(labels, minlength=k)
+    for axis in (0, 1):
+        centers = np.bincount(labels, weights=positions[:, axis], minlength=k) / counts
+        means = [positions[labels == j].mean(axis=0)[axis] for j in range(k)]
+        np.testing.assert_array_equal(bits(centers), bits(means))
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(min_value=SMALLEST_SUBNORMAL, max_value=1e300))
+@example(-1e-20, 100.0)  # rounds up to the divisor itself
+@example(-0.0, 100.0)
+@example(-250.0, 100.0)
+@example(450.0, 100.0)  # past 2 side, for a side of 100
+@example(1e300, 0.3)
+def test_python_float_mod_gives_the_bytes_of_np_mod(y, side):
+    two = 2.0 * side
+    assert bits(y % two) == bits(np.mod(y, two))
+
+
+# substream(0, channel).random(3) for PLACEMENT, MOBILITY, SCENARIO,
+# LEACH_DRAWS and PARTITION, recorded with numpy 2.4
+FIRST_DRAWS = [
+    [0.9429375528828794, 0.3163371523854981, 0.7223425886498254],
+    [0.6771968569751019, 0.2429867485428212, 0.6117637963218119],
+    [0.8382711479571602, 0.08372444856512495, 0.6176152913826177],
+    [0.3644334333698406, 0.5113367953594365, 0.4575760101773514],
+    [0.6529725757834846, 0.32395866639788673, 0.16410961774742827],
+]
+
+
+@pytest.mark.parametrize("channel", range(5))
+def test_substream_first_draws_are_pinned(channel):
+    assert substream(0, channel).random(3).tolist() == FIRST_DRAWS[channel]

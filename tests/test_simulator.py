@@ -246,6 +246,8 @@ class TestRun:
         trace = run(small_cfg(arena=ArenaConfig(node_count=12, seed=1),
                               cluster_count=2, max_frames=50, record_residuals=True))
         assert len(trace.packets_cum) == len(trace) == 50
+        for column in (trace.alive, trace.packets_cum, trace.chn_count):
+            assert column.dtype == np.int64 and len(column) == 50
         assert trace.residual_log.shape == (len(trace), 12)
         assert trace.residual_log.dtype == np.float64
         for i in (0, 17, len(trace) - 1):
