@@ -174,7 +174,7 @@ def execute(inv: argparse.Namespace) -> int:
     if inv.subcommand == "run":
         artifact = run(configs[0])
     elif inv.subcommand == "compare":
-        artifact = compare([summarize(run(cfg)) for cfg in configs])
+        artifact = compare(summarize(run(cfg)) for cfg in configs)
     else:
         artifact = [summarize(run(cfg)) for cfg in configs]
     destination = inv.out if inv.out is not None else sys.stdout.buffer

@@ -6,7 +6,10 @@ can consume it.  JSON mirrors the dataclass structure with snake_case
 keys and round-trips summaries exactly.  A trace's residual matrix is
 streamed to the destination a block of rows at a time, in the bytes
 ``json.dumps`` would give it; each row reuses the texts of the row above
-and calls ``repr`` only for the cells that changed.
+and calls ``repr`` only for the cells that changed.  A matrix with many
+changed cells is cut into one row range per usable CPU: a forked child
+writes each range after the first to an unlinked temporary file while
+this process writes the first, then the files are copied in order.
 """
 
 from __future__ import annotations
@@ -15,7 +18,11 @@ import csv
 import io
 import itertools
 import json
+import os
+import tempfile
+import types
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,6 +50,15 @@ CURVE_COLUMNS = ("frame", "alive", "packets_cum", "chn_count")
 # 1 << 17, 51.5 at 1 << 15, 48.4 at 1 << 13 and 48.0 at 1 << 12; the
 # writer's time moved by no more than its noise between these sizes.
 _JSON_BLOCK_ENTRIES = 1 << 13
+# Fewest changed cells (see _row_bounds) for which the matrix is written
+# on more than one CPU.  Forking a child, spilling one byte and reaping it
+# took 3.3-4.8 ms in a 130 MiB process (2-core Xeon VM); there, writing
+# slices of the 6000-frame matrix on 2 CPUs broke even with one CPU
+# between 8 000 and 16 000 changed cells, and saved 8 of 33 ms at 32 000
+# (minima of 15 alternating reps).
+_FORK_MIN_CHANGED = 1 << 14
+# Most bytes read back from a child's spill file at once.
+_SPILL_READ_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -140,9 +156,10 @@ def compare(summaries) -> ComparisonTable:
 
     Summaries must group by (scenario, seed) into sets of distinct
     policies that include dchne; anything else raises
-    :class:`GroupingError`.
+    :class:`GroupingError`.  ``summaries`` may be any iterable, such as
+    a generator: only each run's total packets and lifetime are kept.
     """
-    groups: dict[tuple[str, int], dict[str, RunSummary]] = {}
+    groups: dict[tuple[str, int], dict[str, tuple[int, int]]] = {}
     for summary in summaries:
         group = groups.setdefault((summary.scenario, summary.seed), {})
         if summary.policy in group:
@@ -150,7 +167,7 @@ def compare(summaries) -> ComparisonTable:
                 f"duplicate policy {summary.policy!r} for scenario={summary.scenario} "
                 f"seed={summary.seed}"
             )
-        group[summary.policy] = summary
+        group[summary.policy] = (summary.total_packets, summary.lifetime())
     rows = []
     for scenario, seed in sorted(groups):
         group = groups[(scenario, seed)]
@@ -161,14 +178,15 @@ def compare(summaries) -> ComparisonTable:
             raise GroupingError(
                 f"group scenario={scenario} seed={seed} has no baseline to compare against"
             )
+        packets, lifetime = group["dchne"]
         for baseline in baselines:
             rows.append(
                 ComparisonRow(
                     scenario=scenario,
                     seed=seed,
                     baseline=baseline,
-                    packets_delta=packets_delta(group["dchne"], group[baseline]),
-                    lifetime_delta=lifetime_delta(group["dchne"], group[baseline]),
+                    packets_delta=packets - group[baseline][0],
+                    lifetime_delta=lifetime - group[baseline][1],
                 )
             )
     aggregates = []
@@ -248,28 +266,62 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _matrix_json(matrix: np.ndarray):
-    """Yield the JSON text of a 2-D float array's rows as bytes, a block
-    of rows at a time.
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_bounds(bits: np.ndarray) -> list[int]:
+    """Bounds of the row ranges the matrix is written in: ``[0, rows]``,
+    or one range per usable CPU with about equal changed cells.
+
+    A cell is changed when its bits differ from the cell above (every
+    cell of the first row is).  The counts come a block of rows at a
+    time, so no temporary is larger than a block.
+    """
+    rows, width = bits.shape
+    parts = min(_usable_cpus(), rows) if hasattr(os, "fork") else 1
+    if parts < 2 or bits.size < _FORK_MIN_CHANGED:
+        return [0, rows]
+    step = max(1, _JSON_BLOCK_ENTRIES // width)
+    changed = np.empty(rows, dtype=np.int64)
+    changed[0] = width
+    for start in range(1, rows, step):
+        block = bits[start - 1 : start + step]
+        changed[start : start + step] = np.count_nonzero(block[1:] != block[:-1], axis=1)
+    total = np.cumsum(changed)
+    if total[-1] < _FORK_MIN_CHANGED:
+        return [0, rows]
+    cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts) + 1
+    # ascending already; np.unique would cost the parent 1.1 MiB on its first call
+    return [0, *dict.fromkeys(np.clip(cuts, 1, rows - 1).tolist()), rows]
+
+
+def _rows_json(bits: np.ndarray, lo: int, hi: int):
+    """Yield the JSON text of rows ``lo`` to ``hi`` of a float matrix
+    given as its int64 bits, as bytes, a block of rows at a time.  Each
+    piece but the matrix's first starts with the comma before it.
 
     ``texts`` holds the text of each column of the last row written.  A
-    cell gets a new text, by ``float.__repr__``, only when its int64 bits
+    cell gets a new text, by ``float.__repr__``, only when its bits
     differ from the cell above it (a block's first row compares with the
-    block before; bits keep ``-0.0`` apart from ``0.0``), and a row with
-    no such cell repeats the line above.  No finite repr contains an
-    ``n``, so only a block with a ``nan`` or an ``inf`` needs them turned
-    into the ``NaN`` and ``Infinity`` of ``json.dumps``.
+    block before, and the range's first row is written in full; bits
+    keep ``-0.0`` apart from ``0.0``), and a row with no such cell
+    repeats the line above.  No finite repr contains an ``n``, so only a
+    block with a ``nan`` or an ``inf`` needs them turned into the
+    ``NaN`` and ``Infinity`` of ``json.dumps``.
     """
-    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
-    rows, width = bits.shape
+    width = bits.shape[1]
     step = max(1, _JSON_BLOCK_ENTRIES // width)
     texts = [""] * width
     line = ""
-    yield b"["
-    for start in range(0, rows, step):
-        block = bits[start : start + step]
+    for start in range(lo, hi, step):
+        block = bits[start : min(start + step, hi)]
         new = np.empty(block.shape, dtype=bool)
-        new[0] = block[0] != bits[start - 1] if start else True
+        new[0] = block[0] != bits[start - 1] if start > lo else True
         np.not_equal(block[1:], block[:-1], out=new[1:])
         changed = np.flatnonzero(new)
         row, column = np.divmod(changed, width)
@@ -285,6 +337,72 @@ def _matrix_json(matrix: np.ndarray):
         if "n" in chunk:
             chunk = chunk.replace("nan", "NaN").replace("inf", "Infinity")
         yield chunk.encode()
+
+
+def _spill(bits: np.ndarray, lo: int, hi: int, spill) -> NoReturn:
+    """A forked child's whole life: write rows ``lo`` to ``hi`` to
+    ``spill`` and exit, 0 once they are flushed and 1 on any error.
+    ``os._exit`` runs no exit handler and flushes no buffer inherited
+    from the parent, such as stdout's; nothing here calls BLAS, whose
+    worker threads do not survive a fork."""
+    code = 1
+    try:
+        for piece in _rows_json(bits, lo, hi):
+            spill.write(piece)
+        spill.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _forked_rows_json(bits: np.ndarray, bounds: list[int]):
+    """Yield the rows in ``bounds[0]:bounds[1]`` as :func:`_rows_json`
+    does, while one forked child per later range writes it to an
+    unlinked temporary file, then each child's file in order, at most
+    ``_SPILL_READ_BYTES`` a piece.  Every child is reaped, also on an
+    early exit; one that fails raises :class:`OSError`."""
+    pids: list[int] = []
+    spills = []
+    try:
+        for lo, hi in zip(bounds[1:], bounds[2:]):
+            spills.append(tempfile.TemporaryFile())
+            pid = os.fork()
+            if pid == 0:
+                _spill(bits, lo, hi, spills[-1])
+            pids.append(pid)
+        yield from _rows_json(bits, bounds[0], bounds[1])
+        for spill in spills:
+            pid = pids.pop(0)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status:
+                raise OSError(f"the residual writer's child {pid} exited with status {status}")
+            spill.seek(0)
+            while piece := spill.read(_SPILL_READ_BYTES):
+                yield piece
+    finally:
+        for pid in pids:
+            os.waitpid(pid, 0)
+        for spill in spills:
+            spill.close()
+
+
+def _matrix_json(matrix: np.ndarray):
+    """Yield the JSON text of a 2-D float array as bytes pieces.
+
+    The rows are written by :func:`_rows_json`, in one range, or in one
+    range per usable CPU (:func:`_row_bounds`) when the matrix has at
+    least ``_FORK_MIN_CHANGED`` changed cells and ``os.fork`` exists:
+    this process writes the first range while a forked child writes each
+    other one (:func:`_forked_rows_json`).  The bytes are the same
+    either way.
+    """
+    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
+    bounds = _row_bounds(bits)
+    yield b"["
+    if len(bounds) > 2:
+        yield from _forked_rows_json(bits, bounds)
+    else:
+        yield from _rows_json(bits, 0, len(bits))
     yield b"]"
 
 
@@ -299,8 +417,13 @@ def _json_chunks(obj):
         return [(_dumps(doc) + "\n").encode()]
     head = _dumps({k: v for k, v in doc.items() if k < "residuals"}).encode()
     tail = _dumps({k: v for k, v in doc.items() if k > "residuals"}).encode()
-    residuals = [b"null"] if obj.residual_log is None else _matrix_json(obj.residual_log)
-    return itertools.chain([head[:-1], b',"residuals":'], residuals, [b",", tail[1:], b"\n"])
+    return _trace_chunks(head, obj.residual_log, tail)
+
+
+def _trace_chunks(head: bytes, residual_log, tail: bytes):
+    yield from (head[:-1], b',"residuals":')
+    yield from [b"null"] if residual_log is None else _matrix_json(residual_log)
+    yield from (b",", tail[1:], b"\n")
 
 
 def _write(chunks, fh) -> int:
@@ -321,10 +444,14 @@ def export(obj, fmt: str, destination) -> int:
         chunks = _json_chunks(obj)
     else:
         raise ValueError(f"unknown export format {fmt!r}: use 'csv' or 'json'")
-    if hasattr(destination, "write"):
-        return _write(chunks, destination)
-    with open(destination, "wb") as fh:
-        return _write(chunks, fh)
+    try:
+        if hasattr(destination, "write"):
+            return _write(chunks, destination)
+        with open(destination, "wb") as fh:
+            return _write(chunks, fh)
+    finally:
+        if isinstance(chunks, types.GeneratorType):
+            chunks.close()  # on an early exit, reaps a forked residual writer's children
 
 
 def _read_bytes(source) -> bytes:

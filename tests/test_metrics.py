@@ -1,6 +1,7 @@
 """Summaries, comparison tables, CSV/JSON export and parse-back."""
 
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -170,6 +171,24 @@ class TestCompare:
         assert sorted((r.scenario, r.seed) for r in table.rows) == [
             ("scenario1", 0), ("scenario1", 1), ("scenario2", 0), ("scenario2", 1)
         ]
+
+    def test_streamed_summaries_are_not_kept(self):
+        refs = []
+
+        def summaries():
+            for seed in range(3):
+                for policy in ("dchne", "leach"):
+                    # compare() may still hold the summary it read last, and no other
+                    assert [r() for r in refs[:-1]] == [None] * len(refs[:-1])
+                    packets = 10 * seed + (7 if policy == "dchne" else 0)
+                    summary = make_summary(policy=policy, seed=seed, packets=packets)
+                    refs.append(weakref.ref(summary))
+                    yield summary
+
+        table = compare(summaries())
+        assert len(refs) == 6
+        assert [r() for r in refs] == [None] * 6
+        assert [row.packets_delta for row in table.rows] == [7, 7, 7]
 
 
 class TestExport:

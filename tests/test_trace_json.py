@@ -6,6 +6,7 @@ The differential tests send both engines' traces through the same
 with the document the writer replaced, encoded in one call.
 """
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -48,6 +49,20 @@ def oracle(trace) -> bytes:
         else [r.tolist() for r in trace.residual_log],
     }
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def one_shot(matrix) -> bytes:
+    """A matrix's text as ``json.dumps`` writes it in one call."""
+    return json.dumps(matrix.tolist(), separators=(",", ":")).encode()
+
+
+@contextlib.contextmanager
+def forking(cpus: int):
+    """Write every residual matrix on ``cpus`` CPUs, however few cells
+    changed."""
+    with mock.patch.object(metrics, "_FORK_MIN_CHANGED", 0), \
+            mock.patch.object(metrics, "_usable_cpus", lambda: cpus):
+        yield
 
 
 def exported(trace) -> bytes:
@@ -176,7 +191,63 @@ def test_matrix_wider_than_a_block_goes_one_row_per_block():
     matrix = rng.choice([0.25, -0.0, 0.0, 1e-300, math.inf, 2.0 / 3.0], (4, width))
     matrix[2] = matrix[1]
     matrix[3, ::2] = matrix[2, ::2]
-    pieces = list(metrics._matrix_json(matrix))
-    assert len(pieces) == len(matrix) + 2  # "[", one piece per row, "]"
+    pieces = list(metrics._rows_json(matrix.view(np.int64), 0, len(matrix)))
+    assert len(pieces) == len(matrix)  # one piece per row
     trace = dataclasses.replace(SMALL, residual_log=matrix)
     assert exported(trace) == oracle(trace)
+    # each half of the taller matrix spills more than one read's worth
+    tall = np.tile(matrix, (4, 1))
+    with forking(2):
+        pieces = list(metrics._matrix_json(tall))
+    assert max(map(len, pieces)) == metrics._SPILL_READ_BYTES == 256 * 1024
+    assert b"".join(pieces) == one_shot(tall)
+
+
+@st.composite
+def split_runs(draw):
+    """A :func:`column_runs` case and the bounds of up to four row
+    ranges to write it in."""
+    matrix, step = draw(column_runs())
+    rows = len(matrix)
+    cuts = draw(st.sets(st.integers(1, rows - 1), max_size=3)) if rows > 1 else set()
+    return matrix, step, [0, *sorted(cuts), rows]
+
+
+# Row 2 repeats row 1; the specials sit in the rows either side of a cut.
+REPEATED_ROW = np.array([[1.0, 2.0], [3.0, 4.0], [3.0, 4.0], [5.0, 4.0]])
+SPECIAL_ROWS = np.array([[0.5, 0.5, 0.5, 0.5], [math.nan, -0.0, math.inf, -math.inf],
+                         [-0.0, math.nan, -math.inf, math.inf], [0.0, 0.0, 0.0, 0.0]])
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(case=split_runs())
+@example(case=(REPEATED_ROW, 2, [0, 2, 4]))  # the cut falls on a block boundary
+@example(case=(REPEATED_ROW, 1, [0, 1, 2, 3, 4]))
+@example(case=(SPECIAL_ROWS, 2, [0, 1, 2, 4]))
+@example(case=(SPECIAL_ROWS, 3, [0, 2, 3, 4]))
+def test_forked_ranges_match_serial_writer_and_one_shot_encoding(case):
+    matrix, step, bounds = case
+    bits = matrix.view(np.int64)
+    with mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", step * matrix.shape[1]):
+        serial = b"".join(metrics._rows_json(bits, 0, len(bits)))
+        forked = b"".join(metrics._forked_rows_json(bits, bounds))
+    assert forked == serial
+    assert b"[" + serial + b"]" == one_shot(matrix)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=column_runs(), cpus=st.integers(1, 4))
+@example(case=(np.empty((0, 3)), 1), cpus=2)
+@example(case=(SPECIAL_ROWS[:1], 1), cpus=4)
+@example(case=(SPECIAL_ROWS[1:3], 1), cpus=4)
+def test_matrix_on_one_to_four_cpus_matches_one_shot_encoding(case, cpus):
+    # 1- and 2-row matrices, and more CPUs than rows, are cut into at most one range a row
+    matrix, step = case
+    rows = len(matrix)
+    trace = dataclasses.replace(SMALL, residual_log=matrix)
+    with forking(cpus), mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", step * matrix.shape[1]):
+        bounds = metrics._row_bounds(matrix.view(np.int64))
+        assert exported(trace) == oracle(trace)
+    assert bounds[0] == 0 and bounds[-1] == rows
+    assert len(bounds) - 1 <= max(1, min(cpus, rows))
+    assert all(a < b for a, b in zip(bounds, bounds[1:])) or rows == 0
