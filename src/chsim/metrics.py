@@ -7,9 +7,11 @@ keys and round-trips summaries exactly.  A trace's residual matrix is
 streamed to the destination a block of rows at a time, in the bytes
 ``json.dumps`` would give it; each row reuses the texts of the row above
 and calls ``repr`` only for the cells that changed.  A matrix with many
-changed cells is cut into one row range per usable CPU: a forked child
-writes each range after the first to an unlinked temporary file while
-this process writes the first, then the files are copied in order.
+changed cells is cut into up to one row range per usable CPU: a forked
+child writes each range after the first to an unlinked temporary file
+while this process writes the first, then the files are copied in
+order, so the temporary directory briefly holds the text of every range
+but the first.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import io
 import itertools
 import json
 import os
+import signal
 import tempfile
 import types
 from dataclasses import dataclass
@@ -36,8 +39,6 @@ __all__ = [
     "ComparisonTable",
     "GroupingError",
     "summarize",
-    "packets_delta",
-    "lifetime_delta",
     "compare",
     "export",
     "read_summary_json",
@@ -50,12 +51,13 @@ CURVE_COLUMNS = ("frame", "alive", "packets_cum", "chn_count")
 # 1 << 17, 51.5 at 1 << 15, 48.4 at 1 << 13 and 48.0 at 1 << 12; the
 # writer's time moved by no more than its noise between these sizes.
 _JSON_BLOCK_ENTRIES = 1 << 13
-# Fewest changed cells (see _row_bounds) for which the matrix is written
-# on more than one CPU.  Forking a child, spilling one byte and reaping it
-# took 3.3-4.8 ms in a 130 MiB process (2-core Xeon VM); there, writing
-# slices of the 6000-frame matrix on 2 CPUs broke even with one CPU
-# between 8 000 and 16 000 changed cells, and saved 8 of 33 ms at 32 000
-# (minima of 15 alternating reps).
+# Fewest changed cells (see _row_bounds) in each row range the matrix is
+# cut into, so no more ranges than the matrix has multiples of this.
+# Forking a child, spilling one byte and reaping it took 3.3-4.8 ms in a
+# 130 MiB process (2-core Xeon VM); there, writing slices of the
+# 6000-frame matrix on 2 CPUs broke even with one CPU between 8 000 and
+# 16 000 changed cells in all, and saved 8 of 33 ms at 32 000 (minima of
+# 15 alternating reps).  Fan-outs beyond 2 CPUs were not measured.
 _FORK_MIN_CHANGED = 1 << 14
 # Most bytes read back from a child's spill file at once.
 _SPILL_READ_BYTES = 1 << 18
@@ -140,14 +142,6 @@ class AggregateRow:
 class ComparisonTable:
     rows: tuple[ComparisonRow, ...]
     aggregates: tuple[AggregateRow, ...]
-
-
-def packets_delta(a: RunSummary, b: RunSummary) -> int:
-    return a.total_packets - b.total_packets
-
-
-def lifetime_delta(a: RunSummary, b: RunSummary) -> int:
-    return a.lifetime() - b.lifetime()
 
 
 def compare(summaries) -> ComparisonTable:
@@ -276,15 +270,16 @@ def _usable_cpus() -> int:
 
 def _row_bounds(bits: np.ndarray) -> list[int]:
     """Bounds of the row ranges the matrix is written in: ``[0, rows]``,
-    or one range per usable CPU with about equal changed cells.
+    or up to one range per usable CPU, with about equal changed cells
+    and at least ``_FORK_MIN_CHANGED`` of them in each.
 
     A cell is changed when its bits differ from the cell above (every
     cell of the first row is).  The counts come a block of rows at a
     time, so no temporary is larger than a block.
     """
     rows, width = bits.shape
-    parts = min(_usable_cpus(), rows) if hasattr(os, "fork") else 1
-    if parts < 2 or bits.size < _FORK_MIN_CHANGED:
+    cpus = min(_usable_cpus(), rows) if hasattr(os, "fork") else 1
+    if cpus < 2:
         return [0, rows]
     step = max(1, _JSON_BLOCK_ENTRIES // width)
     changed = np.empty(rows, dtype=np.int64)
@@ -293,7 +288,8 @@ def _row_bounds(bits: np.ndarray) -> list[int]:
         block = bits[start - 1 : start + step]
         changed[start : start + step] = np.count_nonzero(block[1:] != block[:-1], axis=1)
     total = np.cumsum(changed)
-    if total[-1] < _FORK_MIN_CHANGED:
+    parts = min(cpus, int(total[-1]) // _FORK_MIN_CHANGED)
+    if parts < 2:
         return [0, rows]
     cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts) + 1
     # ascending already; np.unique would cost the parent 1.1 MiB on its first call
@@ -359,28 +355,38 @@ def _forked_rows_json(bits: np.ndarray, bounds: list[int]):
     """Yield the rows in ``bounds[0]:bounds[1]`` as :func:`_rows_json`
     does, while one forked child per later range writes it to an
     unlinked temporary file, then each child's file in order, at most
-    ``_SPILL_READ_BYTES`` a piece.  Every child is reaped, also on an
-    early exit; one that fails raises :class:`OSError`."""
+    ``_SPILL_READ_BYTES`` a piece.  When a temporary file cannot be made
+    or a child cannot be forked, the ranges left get no child and are
+    written here, after the last child's file.  Every child is reaped,
+    and on an early exit killed first, since its rows will not be read;
+    one that fails raises :class:`OSError`."""
     pids: list[int] = []
     spills = []
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            spills.append(tempfile.TemporaryFile())
-            pid = os.fork()
+            try:
+                spills.append(tempfile.TemporaryFile())
+                pid = os.fork()
+            except OSError:  # no temporary space, or no process to spare
+                if len(spills) > len(pids):
+                    spills.pop().close()
+                break
             if pid == 0:
                 _spill(bits, lo, hi, spills[-1])
             pids.append(pid)
         yield from _rows_json(bits, bounds[0], bounds[1])
         for spill in spills:
+            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
             pid = pids.pop(0)
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             if status:
                 raise OSError(f"the residual writer's child {pid} exited with status {status}")
             spill.seek(0)
             while piece := spill.read(_SPILL_READ_BYTES):
                 yield piece
+        yield from _rows_json(bits, bounds[len(spills) + 1], bounds[-1])
     finally:
         for pid in pids:
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for spill in spills:
             spill.close()
@@ -389,10 +395,10 @@ def _forked_rows_json(bits: np.ndarray, bounds: list[int]):
 def _matrix_json(matrix: np.ndarray):
     """Yield the JSON text of a 2-D float array as bytes pieces.
 
-    The rows are written by :func:`_rows_json`, in one range, or in one
-    range per usable CPU (:func:`_row_bounds`) when the matrix has at
-    least ``_FORK_MIN_CHANGED`` changed cells and ``os.fork`` exists:
-    this process writes the first range while a forked child writes each
+    The rows are written by :func:`_rows_json`, in one range, or, where
+    ``os.fork`` exists, in up to one range per usable CPU with at least
+    ``_FORK_MIN_CHANGED`` changed cells each (:func:`_row_bounds`): this
+    process writes the first range while a forked child writes each
     other one (:func:`_forked_rows_json`).  The bytes are the same
     either way.
     """

@@ -13,8 +13,6 @@ from chsim.metrics import (
     RunSummary,
     compare,
     export,
-    lifetime_delta,
-    packets_delta,
     read_curve_csv,
     read_summary_json,
     summarize,
@@ -126,8 +124,11 @@ class TestCompare:
         for _ in range(20):
             a = make_summary(rng)
             b = make_summary(rng, policy="leach")
-            assert packets_delta(a, b) == -packets_delta(b, a)
-            assert lifetime_delta(a, b) == -lifetime_delta(b, a)
+            swapped = [RunSummary(**{**b.__dict__, "policy": "dchne"}),
+                       RunSummary(**{**a.__dict__, "policy": "leach"})]
+            (row,), (back,) = compare([a, b]).rows, compare(swapped).rows
+            assert row.packets_delta == -back.packets_delta == a.total_packets - b.total_packets
+            assert row.lifetime_delta == -back.lifetime_delta == a.lifetime() - b.lifetime()
 
     def test_ten_seed_aggregates_match_independent_arithmetic(self):
         rng = np.random.default_rng(3)

@@ -58,9 +58,9 @@ def one_shot(matrix) -> bytes:
 
 @contextlib.contextmanager
 def forking(cpus: int):
-    """Write every residual matrix on ``cpus`` CPUs, however few cells
-    changed."""
-    with mock.patch.object(metrics, "_FORK_MIN_CHANGED", 0), \
+    """Write every residual matrix on up to ``cpus`` CPUs, one changed
+    cell a range being enough."""
+    with mock.patch.object(metrics, "_FORK_MIN_CHANGED", 1), \
             mock.patch.object(metrics, "_usable_cpus", lambda: cpus):
         yield
 
@@ -201,6 +201,17 @@ def test_matrix_wider_than_a_block_goes_one_row_per_block():
         pieces = list(metrics._matrix_json(tall))
     assert max(map(len, pieces)) == metrics._SPILL_READ_BYTES == 256 * 1024
     assert b"".join(pieces) == one_shot(tall)
+
+
+def test_each_range_gets_at_least_the_threshold_of_changed_cells():
+    bits = np.random.default_rng(2).random((50, 10)).view(np.int64)  # every cell changed
+    with mock.patch.object(metrics, "_FORK_MIN_CHANGED", 100), \
+            mock.patch.object(metrics, "_usable_cpus", lambda: 64):
+        # 500 changed cells: five ranges of 10 rows, however many CPUs
+        assert metrics._row_bounds(bits) == [0, 10, 20, 30, 40, 50]
+        # 190 changed cells, then 200: one range below twice the threshold
+        assert metrics._row_bounds(np.vstack([bits[:19], np.tile(bits[18], (31, 1))])) == [0, 50]
+        assert len(metrics._row_bounds(np.vstack([bits[:20], np.tile(bits[19], (30, 1))]))) == 3
 
 
 @st.composite

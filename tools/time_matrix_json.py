@@ -17,7 +17,8 @@ over each matrix's run starts (each cell whose int64 bits differ from
 the cell above it, and the whole first row): the calls no writer can
 skip, so the distance from that floor is the writer's own overhead.
 The floor is timed on one CPU; a writer that forks one child per CPU
-(above ``_FORK_MIN_CHANGED`` changed cells) can finish below it.
+(with at least ``_FORK_MIN_CHANGED`` changed cells a range) can finish
+below it.
 Prints one JSON object per case with the median and quartiles of each in
 milliseconds and the bytes each side wrote.
 """
