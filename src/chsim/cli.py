@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from .config import POLICIES, SimConfig, config_from_dict
-from .metrics import compare, export, summarize
-from .simulator import run
+from .metrics import compare, export, outcome, summarize
+from .simulator import Traffic, run
 
 __all__ = ["parse_args", "plan_runs", "execute", "main"]
 
@@ -36,15 +36,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_range(text: str) -> tuple[int, ...]:
+def _int_range(text: str) -> range:
     """Parse ``"a"``, ``"a..b"`` or ``"a..b..step"`` into an inclusive
-    tuple of integers."""
+    range of integers, which holds no list of them."""
     parts = text.split("..")
     try:
-        if len(parts) == 1:
-            return (int(parts[0]),)
-        if len(parts) == 2:
-            lo, hi = int(parts[0]), int(parts[1])
+        if len(parts) <= 2:
+            lo, hi = int(parts[0]), int(parts[-1])
             step = 1
         elif len(parts) == 3:
             lo, hi = int(parts[0]), int(parts[1])
@@ -57,7 +55,7 @@ def _int_range(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected N, A..B or A..B..STEP with A <= B and STEP >= 1, got {text!r}"
         ) from None
-    return tuple(range(lo, hi + 1, step))
+    return range(lo, hi + 1, step)
 
 
 def _build_parser() -> _Parser:
@@ -101,15 +99,17 @@ def _build_parser() -> _Parser:
 def parse_args(argv=None) -> argparse.Namespace:
     """Parse ``argv`` into an invocation, raising :class:`UsageError`
     (never exiting) on bad input; ``--help`` still exits 0.  A single
-    ``--seed N`` is also given as ``seeds == (N,)``."""
+    ``--seed N`` is also given as ``seeds == (N,)``.  Ranges are checked
+    by slicing, which never counts them: ``len`` of a range longer than
+    ``sys.maxsize`` raises OverflowError."""
     ns = _build_parser().parse_args(argv)
     if ns.seed is not None and ns.seeds is not None:
         raise UsageError("--seed and --seeds conflict; give one of them")
-    if ns.subcommand == "run" and ns.seeds is not None and len(ns.seeds) != 1:
+    if ns.subcommand == "run" and ns.seeds is not None and ns.seeds[1:]:
         raise UsageError("run simulates a single seed; use compare or sweep for ranges")
     if ns.subcommand == "compare" and ns.policy is not None:
         raise UsageError("compare always runs every policy; --policy conflicts with it")
-    if ns.nodes is not None and ns.subcommand != "sweep" and len(ns.nodes) != 1:
+    if ns.nodes is not None and ns.subcommand != "sweep" and ns.nodes[1:]:
         raise UsageError(f"{ns.subcommand} takes a single --nodes value; ranges are for sweep")
     if ns.seeds is None and ns.seed is not None:
         ns.seeds = (ns.seed,)
@@ -145,7 +145,8 @@ def _config_for(
 
 def plan_runs(inv: argparse.Namespace) -> list[SimConfig]:
     """The full, deterministically ordered list of runs an invocation
-    implies (ordered by policy, then seed, then node count)."""
+    implies: compare's by seed, then policy, so that the runs sharing a
+    seed's traffic come together; sweep's by node count, then seed."""
     base = json.loads(Path(inv.config_path).read_text()) if inv.config_path else {}
     if not isinstance(base, dict):
         raise ValueError(f"config file {inv.config_path} must hold a JSON object")
@@ -155,8 +156,8 @@ def plan_runs(inv: argparse.Namespace) -> list[SimConfig]:
     if inv.subcommand == "compare":
         return [
             _config_for(inv, base, seed=seed, policy=policy)
-            for policy in POLICIES
             for seed in seeds
+            for policy in POLICIES
         ]
     node_counts = inv.nodes if inv.nodes is not None else _int_range(DEFAULT_SWEEP_NODES)
     return [
@@ -164,6 +165,17 @@ def plan_runs(inv: argparse.Namespace) -> list[SimConfig]:
         for n in node_counts
         for seed in seeds
     ]
+
+
+def _outcomes(configs):
+    """Each planned compare run's outcome, in plan order.  The runs of a
+    seed, next to each other in the plan, share one :class:`Traffic`,
+    which is dropped when the next seed's runs begin."""
+    traffic = None
+    for cfg in configs:
+        if traffic is None or not traffic.fits(cfg):
+            traffic = Traffic(cfg)
+        yield outcome(run(cfg, traffic))
 
 
 def execute(inv: argparse.Namespace) -> int:
@@ -174,7 +186,7 @@ def execute(inv: argparse.Namespace) -> int:
     if inv.subcommand == "run":
         artifact = run(configs[0])
     elif inv.subcommand == "compare":
-        artifact = compare(summarize(run(cfg)) for cfg in configs)
+        artifact = compare(_outcomes(configs))
     else:
         artifact = [summarize(run(cfg)) for cfg in configs]
     destination = inv.out if inv.out is not None else sys.stdout.buffer

@@ -25,7 +25,7 @@ import signal
 import tempfile
 import types
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -34,11 +34,13 @@ from .simulator import SimTrace, network_lifetime
 
 __all__ = [
     "RunSummary",
+    "RunOutcome",
     "ComparisonRow",
     "AggregateRow",
     "ComparisonTable",
     "GroupingError",
     "summarize",
+    "outcome",
     "compare",
     "export",
     "read_summary_json",
@@ -63,6 +65,12 @@ _FORK_MIN_CHANGED = 1 << 14
 _SPILL_READ_BYTES = 1 << 18
 
 
+def _lifetime(all_dead_frame: int | None, frames: int) -> int:
+    """Frames until the last death — or until the run was cut off, when
+    nodes were still alive at the end."""
+    return all_dead_frame if all_dead_frame is not None else frames
+
+
 @dataclass(frozen=True)
 class RunSummary:
     """Headline numbers and the alive curve of one finished run.
@@ -84,7 +92,37 @@ class RunSummary:
     def lifetime(self) -> int:
         """Frames until the last death — or until the run was cut off,
         when nodes were still alive at the end."""
-        return self.all_dead_frame if self.all_dead_frame is not None else len(self.curve)
+        return _lifetime(self.all_dead_frame, len(self.curve))
+
+
+class RunOutcome(NamedTuple):
+    """What :func:`compare` reads of one run, without its curve."""
+
+    policy: str
+    scenario: str
+    seed: int
+    total_packets: int
+    all_dead_frame: int | None
+    frames: int
+
+    def lifetime(self) -> int:
+        """As :meth:`RunSummary.lifetime`."""
+        return _lifetime(self.all_dead_frame, self.frames)
+
+
+def outcome(trace: SimTrace) -> RunOutcome:
+    """What :func:`summarize` would give of a trace, without building its
+    curve; an empty trace yields zeros."""
+    cfg = trace.config
+    dead = np.flatnonzero(trace.alive == 0)
+    return RunOutcome(
+        policy=cfg.policy,
+        scenario=cfg.scenario.kind,
+        seed=cfg.arena.seed,
+        total_packets=int(trace.packets_cum[-1]) if len(trace) else 0,
+        all_dead_frame=int(dead[0]) if len(dead) else None,
+        frames=len(trace),
+    )
 
 
 def _curve(trace: SimTrace) -> tuple[tuple[int, int, int, int], ...]:
@@ -95,17 +133,16 @@ def _curve(trace: SimTrace) -> tuple[tuple[int, int, int, int], ...]:
 
 def summarize(trace: SimTrace) -> RunSummary:
     """Reduce a trace to its summary; an empty trace yields zeros."""
-    cfg = trace.config
-    nodes = cfg.arena.node_count
-    dead = np.nonzero(trace.alive == 0)[0]
+    result = outcome(trace)
+    nodes = trace.config.arena.node_count
     return RunSummary(
-        policy=cfg.policy,
-        scenario=cfg.scenario.kind,
-        seed=cfg.arena.seed,
+        policy=result.policy,
+        scenario=result.scenario,
+        seed=result.seed,
         nodes=nodes,
-        total_packets=int(trace.packets_cum[-1]) if len(trace) else 0,
+        total_packets=result.total_packets,
         first_death_frame=network_lifetime(trace, nodes),
-        all_dead_frame=int(dead[0]) if len(dead) else None,
+        all_dead_frame=result.all_dead_frame,
         curve=_curve(trace),
     )
 
@@ -148,10 +185,11 @@ def compare(summaries) -> ComparisonTable:
     """Per-environment deltas of dchne against each baseline, plus
     across-seed aggregates.
 
-    Summaries must group by (scenario, seed) into sets of distinct
-    policies that include dchne; anything else raises
-    :class:`GroupingError`.  ``summaries`` may be any iterable, such as
-    a generator: only each run's total packets and lifetime are kept.
+    ``summaries`` holds a :class:`RunSummary` or a :class:`RunOutcome`
+    per run, in any order, and may be any iterable, such as a generator:
+    only each run's total packets and lifetime are kept.  They must
+    group by (scenario, seed) into sets of distinct policies that
+    include dchne; anything else raises :class:`GroupingError`.
     """
     groups: dict[tuple[str, int], dict[str, tuple[int, int]]] = {}
     for summary in summaries:
@@ -260,12 +298,41 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+def _read_text(path: str) -> str | None:
+    """The text of a file, or None when it cannot be read."""
     try:
-        return len(os.sched_getaffinity(0))
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def _cpu_quota() -> int | None:
+    """CPUs' worth of time per period that the cgroup CPU quota grants
+    this process, rounded up, or None when there is no quota or it
+    cannot be read: cgroup v2's ``cpu.max`` (``QUOTA PERIOD``, with a
+    quota of ``max`` for none), else cgroup v1's ``cpu.cfs_quota_us``
+    (``-1`` for none) over ``cpu.cfs_period_us``."""
+    text = _read_text("/sys/fs/cgroup/cpu.max")
+    if text is None:
+        quota, period = (_read_text(f"/sys/fs/cgroup/cpu/cpu.cfs_{name}_us")
+                         for name in ("quota", "period"))
+        text = f"{quota} {period}"
+    try:
+        quota, period = map(int, text.split())
+    except ValueError:  # "max", a missing file, or text that is not two integers
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, capped by its CPU quota."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cpus if quota is None else min(cpus, quota)
 
 
 def _row_bounds(bits: np.ndarray) -> list[int]:

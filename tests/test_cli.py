@@ -1,6 +1,7 @@
 """Command-line driver: flags, planning, exit codes, reproducible output."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -90,9 +91,30 @@ class TestParsing:
             assert reads == [config]
 
     def test_range_syntax(self):
-        assert parse_args(["compare", "--seeds", "5"]).seeds == (5,)
-        assert parse_args(["compare", "--seeds", "1..4"]).seeds == (1, 2, 3, 4)
-        assert parse_args(["compare", "--seeds", "10..50..20"]).seeds == (10, 30, 50)
+        assert tuple(parse_args(["compare", "--seeds", "5"]).seeds) == (5,)
+        assert tuple(parse_args(["compare", "--seeds", "1..4"]).seeds) == (1, 2, 3, 4)
+        assert tuple(parse_args(["compare", "--seeds", "10..50..20"]).seeds) == (10, 30, 50)
+
+    def test_range_holds_no_list_of_its_values(self):
+        tracemalloc.start()
+        try:
+            seeds = parse_args(["compare", "--seeds", "0..1000000"]).seeds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seeds == range(1000001)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--seeds", "0..1000000000000"],
+        ["run", "--seeds", f"0..{10**30}"],  # longer than sys.maxsize: len() would overflow
+        ["run", "--nodes", f"1..{10**30}"],
+        ["compare", "--nodes", f"1..{10**30}..7"],
+    ])
+    def test_huge_range_where_one_value_is_wanted_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 class TestUsageErrors:

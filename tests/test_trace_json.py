@@ -214,6 +214,51 @@ def test_each_range_gets_at_least_the_threshold_of_changed_cells():
         assert len(metrics._row_bounds(np.vstack([bits[:20], np.tile(bits[19], (30, 1))]))) == 3
 
 
+
+V2 = "/sys/fs/cgroup/cpu.max"
+V1 = ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us")
+
+
+@pytest.mark.parametrize("files, quota", [
+    ({V2: "200000 100000\n"}, 2),
+    ({V2: "150000 100000\n"}, 2),  # a CPU and a half: rounded up
+    ({V2: "50000 100000\n"}, 1),
+    ({V2: "max 100000\n"}, None),
+    ({V2: "max 100000\n", V1[0]: "100000\n", V1[1]: "100000\n"}, None),  # v2 wins
+    ({V1[0]: "300000\n", V1[1]: "100000\n"}, 3),
+    ({V1[0]: "-1\n", V1[1]: "100000\n"}, None),
+    ({V1[0]: "100000\n"}, None),  # no period
+    ({V1[0]: "0\n", V1[1]: "100000\n"}, None),
+    ({V2: "garbage"}, None),
+    ({V2: ""}, None),
+    ({}, None),
+])
+def test_cpu_quota_read_from_cgroup_v2_else_v1(files, quota, monkeypatch):
+    # the files are faked: nothing is read from or written to /sys
+    monkeypatch.setattr(metrics, "_read_text", files.get)
+    assert metrics._cpu_quota() == quota
+
+
+def test_quota_caps_the_cpus_the_writer_forks_for(monkeypatch):
+    bits = np.random.default_rng(2).random((50, 10)).view(np.int64)  # every cell changed
+    monkeypatch.setattr(metrics, "_FORK_MIN_CHANGED", 1)
+    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setattr(metrics, "_read_text", {V2: "100000 100000"}.get)
+    assert metrics._usable_cpus() == 1
+    assert metrics._row_bounds(bits) == [0, 50]
+    monkeypatch.setattr(metrics, "_read_text", {V2: "250000 100000"}.get)
+    assert metrics._usable_cpus() == 3
+    assert len(metrics._row_bounds(bits)) == 4
+    monkeypatch.setattr(metrics, "_read_text", {}.get)
+    assert metrics._usable_cpus() == 16
+
+
+def test_unreadable_file_reads_as_none(tmp_path):
+    assert metrics._read_text(str(tmp_path / "absent")) is None
+    assert metrics._read_text(str(tmp_path)) is None  # a directory
+    (tmp_path / "cpu.max").write_text("max 100000\n")
+    assert metrics._read_text(str(tmp_path / "cpu.max")) == "max 100000\n"
+
 @st.composite
 def split_runs(draw):
     """A :func:`column_runs` case and the bounds of up to four row
