@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .config import POLICIES, SimConfig, config_from_dict
@@ -143,28 +144,30 @@ def _config_for(
     return config_from_dict(data)
 
 
-def plan_runs(inv: argparse.Namespace) -> list[SimConfig]:
-    """The full, deterministically ordered list of runs an invocation
-    implies: compare's by seed, then policy, so that the runs sharing a
-    seed's traffic come together; sweep's by node count, then seed."""
+def plan_runs(inv: argparse.Namespace) -> Iterator[SimConfig]:
+    """Yield the runs an invocation implies, in a deterministic order:
+    compare's by seed, then policy, so that the runs sharing a seed's
+    traffic come together; sweep's by node count, then seed.  Nothing is
+    read or built before the first config is asked for, and each config
+    is built and validated only when the plan reaches it, so a plan over
+    a huge seed range costs nothing up front.  Seeds and node counts
+    ascend and only small values are invalid, so an invalid plan fails
+    on its first config."""
     base = json.loads(Path(inv.config_path).read_text()) if inv.config_path else {}
     if not isinstance(base, dict):
         raise ValueError(f"config file {inv.config_path} must hold a JSON object")
     seeds = inv.seeds if inv.seeds is not None else (None,)
     if inv.subcommand == "run":
-        return [_config_for(inv, base, seed=seeds[0])]
-    if inv.subcommand == "compare":
-        return [
-            _config_for(inv, base, seed=seed, policy=policy)
-            for seed in seeds
-            for policy in POLICIES
-        ]
-    node_counts = inv.nodes if inv.nodes is not None else _int_range(DEFAULT_SWEEP_NODES)
-    return [
-        _config_for(inv, base, seed=seed, nodes=n)
-        for n in node_counts
-        for seed in seeds
-    ]
+        yield _config_for(inv, base, seed=seeds[0])
+    elif inv.subcommand == "compare":
+        for seed in seeds:
+            for policy in POLICIES:
+                yield _config_for(inv, base, seed=seed, policy=policy)
+    else:
+        node_counts = inv.nodes if inv.nodes is not None else _int_range(DEFAULT_SWEEP_NODES)
+        for n in node_counts:
+            for seed in seeds:
+                yield _config_for(inv, base, seed=seed, nodes=n)
 
 
 def _outcomes(configs):
@@ -181,14 +184,19 @@ def _outcomes(configs):
 def execute(inv: argparse.Namespace) -> int:
     """Run the planned simulations and export the artifact for the
     subcommand: a trace (run), a comparison table (compare), or the
-    summary list (sweep)."""
+    summary list (sweep).
+
+    compare and sweep take their runs from generators, one at a time:
+    compare keeps two numbers of each, and sweep's export keeps only
+    each summary's exported bytes.  Nothing is written until every run
+    has succeeded, so a run that fails leaves no output."""
     configs = plan_runs(inv)
     if inv.subcommand == "run":
-        artifact = run(configs[0])
+        artifact = run(next(configs))
     elif inv.subcommand == "compare":
         artifact = compare(_outcomes(configs))
     else:
-        artifact = [summarize(run(cfg)) for cfg in configs]
+        artifact = (summarize(run(cfg)) for cfg in configs)
     destination = inv.out if inv.out is not None else sys.stdout.buffer
     export(artifact, inv.format, destination)
     return 0

@@ -3,15 +3,17 @@
 CSV is the plotting interface: an alive-curve export has exactly the
 columns ``frame,alive,packets_cum,chn_count`` and any external grapher
 can consume it.  JSON mirrors the dataclass structure with snake_case
-keys and round-trips summaries exactly.  A trace's residual matrix is
-streamed to the destination a block of rows at a time, in the bytes
-``json.dumps`` would give it; each row reuses the texts of the row above
-and calls ``repr`` only for the cells that changed.  A matrix with many
-changed cells is cut into up to one row range per usable CPU: a forked
-child writes each range after the first to an unlinked temporary file
-while this process writes the first, then the files are copied in
-order, so the temporary directory briefly holds the text of every range
-but the first.
+keys and round-trips summaries exactly.  A summary list, such as a
+sweep's, is encoded a summary at a time as its runs finish and written
+only once all of them have, so it holds bytes rather than curves.  A
+trace's residual matrix is streamed to the destination a block of rows
+at a time, in the bytes ``json.dumps`` would give it; each row reuses
+the texts of the row above and calls ``repr`` only for the cells that
+changed.  A matrix with many changed cells is cut into up to one row
+range per usable CPU: a forked child writes each range after the first
+to an unlinked temporary file while this process writes the first, then
+the files are copied in order, so the temporary directory briefly holds
+the text of every range but the first.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import os
 import signal
 import tempfile
 import types
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
@@ -48,6 +51,8 @@ __all__ = [
 ]
 
 CURVE_COLUMNS = ("frame", "alive", "packets_cum", "chn_count")
+_SUMMARY_HEADER = (b"policy,scenario,seed,nodes,total_packets,"
+                   b"first_death_frame,all_dead_frame,lifetime\n")
 # Most residuals one block of the streamed JSON matrix holds.  The peak
 # memory of exporting a 6000-frame, 190-node trace was 60.8 MiB at
 # 1 << 17, 51.5 at 1 << 15, 48.4 at 1 << 13 and 48.0 at 1 << 12; the
@@ -249,18 +254,6 @@ def _csv_text(obj) -> str:
         writer.writerow(("scenario", "seed", "baseline", "packets_delta", "lifetime_delta"))
         for r in obj.rows:
             writer.writerow((r.scenario, r.seed, r.baseline, r.packets_delta, r.lifetime_delta))
-    elif isinstance(obj, (list, tuple)) and all(isinstance(x, RunSummary) for x in obj):
-        writer.writerow(
-            ("policy", "scenario", "seed", "nodes", "total_packets",
-             "first_death_frame", "all_dead_frame", "lifetime")
-        )
-        for s in obj:
-            writer.writerow(
-                (s.policy, s.scenario, s.seed, s.nodes, s.total_packets,
-                 "" if s.first_death_frame is None else s.first_death_frame,
-                 "" if s.all_dead_frame is None else s.all_dead_frame,
-                 s.lifetime())
-            )
     else:
         raise ValueError(f"cannot export {type(obj).__name__} as csv")
     return out.getvalue()
@@ -289,13 +282,47 @@ def _jsonable(obj):
             "final_residual": obj.final_residual.tolist(),
             "final_consumed": obj.final_consumed.tolist(),
         }
-    if isinstance(obj, (list, tuple)) and all(isinstance(x, RunSummary) for x in obj):
-        return [vars(s) for s in obj]
     raise ValueError(f"cannot export {type(obj).__name__} as json")
 
 
 def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _summary_piece(s: RunSummary, fmt: str) -> bytes:
+    """One summary's part of a summary-list export: the JSON text of its
+    ``vars``, or its CSV row."""
+    if not isinstance(s, RunSummary):
+        raise ValueError(f"cannot export {type(s).__name__} in a summary list")
+    if fmt == "json":
+        return _dumps(vars(s)).encode()
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow(
+        (s.policy, s.scenario, s.seed, s.nodes, s.total_packets,
+         "" if s.first_death_frame is None else s.first_death_frame,
+         "" if s.all_dead_frame is None else s.all_dead_frame,
+         s.lifetime())
+    )
+    return out.getvalue().encode()
+
+
+def _summary_list_chunks(summaries, fmt: str) -> list[bytes]:
+    """The export of a list, tuple or iterator of summaries, as bytes
+    pieces.  Each summary is encoded when it arrives and then let go
+    (``map`` keeps no reference to it while the next one is made), so
+    only the bytes are held, never a curve.  The pieces join into the
+    bytes of the one-shot encoding: a header and one row per summary, or
+    ``json.dumps([vars(s), ...])`` with sorted keys and no spaces."""
+    pieces = map(_summary_piece, summaries, itertools.repeat(fmt))
+    if fmt == "csv":
+        return [_SUMMARY_HEADER, *pieces]
+    chunks = [b"["]
+    for piece in pieces:
+        if len(chunks) > 1:
+            chunks.append(b",")
+        chunks.append(piece)
+    chunks.append(b"]\n")
+    return chunks
 
 
 def _read_text(path: str) -> str | None:
@@ -307,22 +334,52 @@ def _read_text(path: str) -> str | None:
         return None
 
 
+def _own_cgroups() -> tuple[str, str]:
+    """This process's cgroup in the cgroup v2 hierarchy and in cgroup
+    v1's ``cpu`` hierarchy, from ``/proc/self/cgroup``: the ``0::`` line,
+    and the line whose controllers include ``cpu``.  Either is ``/``
+    when the file does not name it or cannot be read."""
+    v2 = v1 = "/"
+    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
+        hierarchy, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if hierarchy == "0" and not controllers:
+            v2 = path or "/"
+        elif "cpu" in controllers.split(","):
+            v1 = path or "/"
+    return v2, v1
+
+
+def _up_to_root(mount: str, cgroup: str) -> list[str]:
+    """The directories of ``cgroup`` and of each ancestor, up to the
+    hierarchy's root, ``mount``."""
+    parts = [p for p in cgroup.split("/") if p]
+    return ["/".join([mount, *parts[:n]]) for n in range(len(parts), -1, -1)]
+
+
 def _cpu_quota() -> int | None:
     """CPUs' worth of time per period that the cgroup CPU quota grants
     this process, rounded up, or None when there is no quota or it
-    cannot be read: cgroup v2's ``cpu.max`` (``QUOTA PERIOD``, with a
-    quota of ``max`` for none), else cgroup v1's ``cpu.cfs_quota_us``
-    (``-1`` for none) over ``cpu.cfs_period_us``."""
-    text = _read_text("/sys/fs/cgroup/cpu.max")
-    if text is None:
-        quota, period = (_read_text(f"/sys/fs/cgroup/cpu/cpu.cfs_{name}_us")
-                         for name in ("quota", "period"))
-        text = f"{quota} {period}"
-    try:
-        quota, period = map(int, text.split())
-    except ValueError:  # "max", a missing file, or text that is not two integers
-        return None
-    return -(-quota // period) if quota > 0 and period > 0 else None
+    cannot be read.  The quota is the smallest one set on the process's
+    own cgroup or an ancestor: cgroup v2's ``cpu.max`` (``QUOTA PERIOD``,
+    with a quota of ``max`` for none), or, where no ``cpu.max`` can be
+    read, cgroup v1's ``cpu.cfs_quota_us`` (``-1`` for none) over
+    ``cpu.cfs_period_us``."""
+    v2, v1 = _own_cgroups()
+    texts = [t for d in _up_to_root("/sys/fs/cgroup", v2)
+             if (t := _read_text(f"{d}/cpu.max")) is not None]
+    if not texts:
+        texts = [f"{_read_text(f'{d}/cpu.cfs_quota_us')} {_read_text(f'{d}/cpu.cfs_period_us')}"
+                 for d in _up_to_root("/sys/fs/cgroup/cpu", v1)]
+    cpus = []
+    for text in texts:
+        try:
+            quota, period = map(int, text.split())
+        except ValueError:  # "max", a missing file, or text that is not two integers
+            continue
+        if quota > 0 and period > 0:
+            cpus.append(-(-quota // period))
+    return min(cpus, default=None)
 
 
 def _usable_cpus() -> int:
@@ -510,13 +567,20 @@ def _write(chunks, fh) -> int:
 def export(obj, fmt: str, destination) -> int:
     """Serialize a trace, summary, summary list or comparison table to
     ``destination`` (a path or a binary file-like) and return the number
-    of bytes written.  ``fmt`` is ``"csv"`` or ``"json"``."""
-    if fmt == "csv":
-        chunks = [_csv_text(obj).encode()]
-    elif fmt == "json":
-        chunks = _json_chunks(obj)
-    else:
+    of bytes written.  ``fmt`` is ``"csv"`` or ``"json"``.
+
+    A summary list may be any iterator of summaries, such as a generator
+    that runs each simulation as it is asked for.  It is encoded in full
+    before anything is written, as separate pieces that are never joined,
+    so one that raises part way leaves no file and writes nothing."""
+    if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}: use 'csv' or 'json'")
+    if isinstance(obj, (list, tuple, Iterator)):
+        chunks = _summary_list_chunks(obj, fmt)
+    elif fmt == "csv":
+        chunks = [_csv_text(obj).encode()]
+    else:
+        chunks = _json_chunks(obj)
     try:
         if hasattr(destination, "write"):
             return _write(chunks, destination)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chsim import cli
 from chsim.cli import main, parse_args, plan_runs
 from chsim.metrics import read_curve_csv
 from chsim.simulator import SimConfig
@@ -15,7 +16,7 @@ class TestParsing:
     def test_run_defaults_mirror_reference_profile(self):
         inv = parse_args(["run"])
         assert inv.subcommand == "run"
-        cfgs = plan_runs(inv)
+        cfgs = list(plan_runs(inv))
         assert len(cfgs) == 1
         cfg = cfgs[0]
         assert cfg == SimConfig()
@@ -33,7 +34,7 @@ class TestParsing:
             "--duty-cycle", "0.6", "--event-prob", "0.2",
             "--round-frames", "10", "--mobility", "1.5",
         ])
-        cfg = plan_runs(inv)[0]
+        cfg = list(plan_runs(inv))[0]
         assert cfg.policy == "rrch"
         assert cfg.scenario.kind == "scenario2"
         assert cfg.scenario.duty_cycle == 0.6
@@ -47,7 +48,7 @@ class TestParsing:
 
     def test_compare_plans_three_policies_per_seed(self):
         inv = parse_args(["compare", "--seeds", "1..10", "--scenario", "2"])
-        cfgs = plan_runs(inv)
+        cfgs = list(plan_runs(inv))
         assert len(cfgs) == 30
         assert {c.policy for c in cfgs} == {"dchne", "leach", "rrch"}
         assert {c.arena.seed for c in cfgs} == set(range(1, 11))
@@ -59,12 +60,12 @@ class TestParsing:
         assert all(len(arenas) == 1 for arenas in by_seed.values())
 
     def test_sweep_covers_node_range(self):
-        cfgs = plan_runs(parse_args(["sweep", "--nodes", "10..40..10", "--seeds", "0..1"]))
+        cfgs = list(plan_runs(parse_args(["sweep", "--nodes", "10..40..10", "--seeds", "0..1"])))
         assert len(cfgs) == 8
         assert sorted({c.arena.node_count for c in cfgs}) == [10, 20, 30, 40]
 
     def test_sweep_has_default_node_range(self):
-        cfgs = plan_runs(parse_args(["sweep"]))
+        cfgs = list(plan_runs(parse_args(["sweep"])))
         assert len(cfgs) == 20
         assert min(c.arena.node_count for c in cfgs) == 10
         assert max(c.arena.node_count for c in cfgs) == 200
@@ -85,7 +86,7 @@ class TestParsing:
             (["sweep", "--seeds", "0..1", "--nodes", "10..20..5"], 6),
         ):
             reads.clear()
-            cfgs = plan_runs(parse_args(argv + ["--config", str(config)]))
+            cfgs = list(plan_runs(parse_args(argv + ["--config", str(config)])))
             assert len(cfgs) == runs
             assert all(cfg.cluster_count == 2 for cfg in cfgs)
             assert reads == [config]
@@ -103,6 +104,18 @@ class TestParsing:
         finally:
             tracemalloc.stop()
         assert seeds == range(1000001)
+        assert peak < 1 << 20
+
+    def test_plan_builds_each_config_when_it_is_reached(self):
+        tracemalloc.start()
+        try:
+            plan = plan_runs(parse_args(["compare", "--seeds", f"0..{10**30}"]))
+            first = [next(plan) for _ in range(4)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(c.arena.seed, c.policy) for c in first] == [
+            (0, "dchne"), (0, "leach"), (0, "rrch"), (1, "dchne")]
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("argv", [
@@ -205,7 +218,7 @@ class TestExecution:
             "max_frames": 25,
         }))
         inv = parse_args(["run", "--config", str(config), "--clusters", "2"])
-        cfg = plan_runs(inv)[0]
+        cfg = list(plan_runs(inv))[0]
         assert cfg.arena.node_count == 18
         assert cfg.arena.seed == 7  # file seed survives when no flag overrides it
         assert cfg.cluster_count == 2  # flag beats file
@@ -280,3 +293,59 @@ class TestExecution:
     def test_invalid_config_combination_is_runtime_error(self, capsys):
         assert main(["run", "--nodes", "5", "--clusters", "9", "--frames", "1"]) == 2
         assert "SimConfig.cluster_count" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["compare", "sweep"])
+    def test_invalid_plan_fails_before_any_run(self, subcommand, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr("chsim.cli.run", never)
+        nodes = "5..50..5" if subcommand == "sweep" else "5"
+        assert main([subcommand, "--nodes", nodes, "--clusters", "9", "--seeds", "0..2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "SimConfig.cluster_count" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_that_fails_late_writes_nothing(self, fmt, tmp_path, monkeypatch,
+                                                  capsysbinary):
+        real_run = cli.run
+        calls = []
+
+        def fails_on_third(cfg, *args):
+            calls.append(cfg)
+            if len(calls) == 3:
+                raise ValueError("energy overflow")
+            return real_run(cfg, *args)
+
+        monkeypatch.setattr("chsim.cli.run", fails_on_third)
+        argv = ["sweep", "--nodes", "10..50..10", "--clusters", "2", "--frames", "30",
+                "--seed", "1", "--format", fmt]
+        out = tmp_path / f"sweep.{fmt}"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert len(calls) == 3
+        assert not out.exists()
+        assert capsysbinary.readouterr() == (b"", b"error: energy overflow\n")
+        calls.clear()
+        assert main(argv) == 2
+        assert capsysbinary.readouterr() == (b"", b"error: energy overflow\n")
+
+    def test_sweep_memory_follows_its_output(self, tmp_path):
+        # a summary's curve held as tuples takes about 8 times the bytes of
+        # its JSON, so holding the runs' curves would exceed the bound
+        def traced_peak(nodes, out):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--nodes", nodes, "--clusters", "2", "--frames", "1500",
+                             "--seed", "0", "--format", "json", "--out", str(out)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = tmp_path / "one.json", tmp_path / "eight.json"
+        traced_peak("80", one)  # the first call's peak also holds one-time caches
+        peak_one = traced_peak("80", one)
+        peak_eight = traced_peak("10..80..10", eight)
+        extra_bytes = eight.stat().st_size - one.stat().st_size
+        assert extra_bytes > 7 * 1500 * 10  # each run exports its 1500-frame curve
+        assert peak_eight - peak_one < 2 * extra_bytes

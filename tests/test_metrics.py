@@ -1,6 +1,8 @@
 """Summaries, comparison tables, CSV/JSON export and parse-back."""
 
+import csv
 import io
+import json
 import weakref
 
 import numpy as np
@@ -250,14 +252,47 @@ class TestExport:
         assert b'"packets_delta":7' in (tmp_path / "t.json").read_bytes()
 
     def test_summary_list_exports_for_sweeps(self, tmp_path):
+        for count in (1, 3):
+            self.check_summary_list_bytes(tmp_path, count)
+
+    @staticmethod
+    def check_summary_list_bytes(tmp_path, count):
         rng = np.random.default_rng(5)
-        batch = [make_summary(rng, seed=s) for s in range(3)]
+        batch = [make_summary(rng, seed=s) for s in range(count)]
+        batch[0] = RunSummary(**{**vars(batch[0]), "first_death_frame": None,
+                                 "all_dead_frame": None})
+        # the one-shot encodings the summary list was exported as before
+        # each summary was encoded on its own
+        expected_json = (json.dumps([vars(s) for s in batch], sort_keys=True,
+                                    separators=(",", ":")) + "\n").encode()
+        oracle = io.StringIO()
+        writer = csv.writer(oracle, lineterminator="\n")
+        writer.writerow(("policy", "scenario", "seed", "nodes", "total_packets",
+                         "first_death_frame", "all_dead_frame", "lifetime"))
+        for s in batch:
+            writer.writerow((s.policy, s.scenario, s.seed, s.nodes, s.total_packets,
+                             "" if s.first_death_frame is None else s.first_death_frame,
+                             "" if s.all_dead_frame is None else s.all_dead_frame,
+                             s.lifetime()))
+        expected_csv = oracle.getvalue().encode()
+        for fmt, expected in (("json", expected_json), ("csv", expected_csv)):
+            for summaries in (batch, (s for s in batch)):
+                sink = io.BytesIO()
+                assert export(summaries, fmt, sink) == len(expected)
+                assert sink.getvalue() == expected
         path = tmp_path / "sweep.csv"
         export(batch, "csv", path)
         lines = path.read_text().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == count + 1
         assert lines[0].startswith("policy,scenario,seed,nodes,total_packets")
-        export(batch, "json", tmp_path / "sweep.json")
+        assert lines[1].split(",")[5:7] == ["", ""]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_summary_list_with_another_item_writes_nothing(self, tmp_path, fmt):
+        path = tmp_path / f"sweep.{fmt}"
+        with pytest.raises(ValueError, match="cannot export int in a summary list"):
+            export(iter([make_summary(), 7]), fmt, path)
+        assert not path.exists()
 
     def test_malformed_curve_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -266,8 +301,6 @@ class TestExport:
             read_curve_csv(path)
 
     def test_trace_json_includes_config_echo(self, tmp_path):
-        import json
-
         trace = make_trace([5, 4], [3, 6], [1, 1], seed=9)
         path = tmp_path / "trace.json"
         export(trace, "json", path)

@@ -215,8 +215,10 @@ def test_each_range_gets_at_least_the_threshold_of_changed_cells():
 
 
 
-V2 = "/sys/fs/cgroup/cpu.max"
-V1 = ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us")
+ROOT = "/sys/fs/cgroup"
+OWN = "/proc/self/cgroup"
+V2 = f"{ROOT}/cpu.max"
+V1 = (f"{ROOT}/cpu/cpu.cfs_quota_us", f"{ROOT}/cpu/cpu.cfs_period_us")
 
 
 @pytest.mark.parametrize("files, quota", [
@@ -232,9 +234,30 @@ V1 = ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_
     ({V2: "garbage"}, None),
     ({V2: ""}, None),
     ({}, None),
+    # nested cgroups, named by /proc/self/cgroup: the smallest quota from
+    # the process's own cgroup up to the hierarchy's root
+    ({OWN: "0::/a/b\n", f"{ROOT}/a/b/cpu.max": "max 100000\n",
+      f"{ROOT}/a/cpu.max": "150000 100000\n"}, 2),
+    ({OWN: "0::/a/b\n", f"{ROOT}/a/b/cpu.max": "100000 100000\n",
+      f"{ROOT}/a/cpu.max": "400000 100000\n"}, 1),
+    ({OWN: "0::/a/b\n", V2: "300000 100000\n"}, 3),  # only the root has the file
+    ({OWN: "0::/a/b\n", f"{ROOT}/a/cpu.max": "150000 100000\n",
+      f"{ROOT}/c/cpu.max": "100000 100000\n"}, 2),  # not an ancestor
+    ({OWN: "0::/a\n", V2: "max 100000\n", f"{ROOT}/a/cpu.max": "max 100000\n"}, None),
+    ({OWN: "4:memory:/m\n3:cpu,cpuacct:/x/y\n0::/\n",
+      f"{ROOT}/cpu/x/y/cpu.cfs_quota_us": "-1\n", f"{ROOT}/cpu/x/y/cpu.cfs_period_us": "100000\n",
+      f"{ROOT}/cpu/x/cpu.cfs_quota_us": "50000\n", f"{ROOT}/cpu/x/cpu.cfs_period_us": "100000\n"},
+     1),
+    ({OWN: "3:cpuacct:/x\n2:cpu:/y\n", f"{ROOT}/cpu/x/cpu.cfs_quota_us": "100000\n",
+      f"{ROOT}/cpu/x/cpu.cfs_period_us": "100000\n", V1[0]: "200000\n", V1[1]: "100000\n"},
+     2),  # cpuacct is not cpu
+    ({OWN: "0::/a\n2:cpu:/a\n", f"{ROOT}/a/cpu.max": "max 100000\n",
+      f"{ROOT}/cpu/a/cpu.cfs_quota_us": "100000\n",
+      f"{ROOT}/cpu/a/cpu.cfs_period_us": "100000\n"}, None),  # v2 wins
+    ({OWN: "garbage\n", V2: "200000 100000\n"}, 2),
 ])
 def test_cpu_quota_read_from_cgroup_v2_else_v1(files, quota, monkeypatch):
-    # the files are faked: nothing is read from or written to /sys
+    # the files are faked: nothing is read from or written to /proc or /sys
     monkeypatch.setattr(metrics, "_read_text", files.get)
     assert metrics._cpu_quota() == quota
 

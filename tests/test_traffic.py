@@ -93,7 +93,7 @@ def test_policy_mobility_and_energy_do_not_change_the_traffic():
 
 
 def test_compare_plans_each_seeds_policies_together():
-    cfgs = plan_runs(parse_args(["compare", "--seeds", "3..5", "--scenario", "2"]))
+    cfgs = list(plan_runs(parse_args(["compare", "--seeds", "3..5", "--scenario", "2"])))
     assert [(c.arena.seed, c.policy) for c in cfgs] == [
         (seed, policy) for seed in (3, 4, 5) for policy in POLICIES]
 

@@ -8,11 +8,13 @@ as many frames as ``run()`` puts in one block at that size, with fresh
 uniform positions and a fresh seeded generator per call.  With
 ``--parent``, the ``chsim`` package under that ``src`` directory is timed
 in the same process, the two sides alternating which goes first.  Prints
-one JSON object: per case, the median and quartiles in microseconds.
+one JSON object: per case, the minimum, median and quartiles in
+microseconds.
 
 ``--costs`` instead times the two ways a block redoes the coordinates
 that reach a wall: ``_walk`` per walked cell and ``_fold_rows`` per row,
-the costs from which ``_WALK_CELLS_PER_ROW`` is set.
+the costs from which ``_WALK_CELLS_PER_ROW`` is set, each as a median
+and a minimum.
 """
 
 from __future__ import annotations
@@ -50,9 +52,14 @@ def block_rows(simulator, s: int) -> int:
     return rows - rows % FRAMES_PER_ROUND if rows > FRAMES_PER_ROUND else rows
 
 
-def quartiles(samples: list[float]) -> dict:
-    q1, median, q3 = np.percentile(np.array(samples) * 1e6, [25, 50, 75])
-    return {"median_us": round(median, 1), "q1_us": round(q1, 1), "q3_us": round(q3, 1)}
+def spread(samples: list[float]) -> dict:
+    """Minimum, median and quartiles in microseconds.  The sides
+    alternate within one process, so each side's minimum is an
+    interleaved minimum, which moves less than the median between runs
+    on a shared machine."""
+    low, q1, median, q3 = np.percentile(np.array(samples) * 1e6, [0, 25, 50, 75])
+    return {"min_us": round(low, 1), "median_us": round(median, 1), "q1_us": round(q1, 1),
+            "q3_us": round(q3, 1)}
 
 
 def time_blocks(sides: dict, rows_of, reps: int) -> list[dict]:
@@ -70,7 +77,7 @@ def time_blocks(sides: dict, rows_of, reps: int) -> list[dict]:
                     sides[name].step_mobility(pos, SIDE, speed, rng, frames)
                     samples[name].append(time.perf_counter() - start)
             case = {"nodes": s, "frames": frames, "speed_m_per_frame": speed}
-            case.update({name: quartiles(v) for name, v in samples.items()})
+            case.update({name: spread(v) for name, v in samples.items()})
             cases.append(case)
             print(json.dumps(case), file=sys.stderr)
     return cases
@@ -113,7 +120,9 @@ def time_costs(arena, rows_of, reps: int) -> list[dict]:
             case = {"nodes": s, "frames": frames, "speed_m_per_frame": speed,
                     "walked_cells_per_row": round(float(np.median(walked)), 1),
                     "walk_ns_per_cell": round(float(np.median(walk)) * 1e9, 1),
-                    "fold_rows_us_per_row": round(float(np.median(fold)) * 1e6, 2)}
+                    "walk_ns_per_cell_min": round(min(walk, default=float("nan")) * 1e9, 1),
+                    "fold_rows_us_per_row": round(float(np.median(fold)) * 1e6, 2),
+                    "fold_rows_us_per_row_min": round(min(fold, default=float("nan")) * 1e6, 2)}
             cases.append(case)
             print(json.dumps(case), file=sys.stderr)
     return cases
