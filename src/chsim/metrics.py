@@ -1,19 +1,15 @@
-"""Run summaries, policy comparison tables, and CSV/JSON export/parsing.
+"""Run summaries, policy comparison tables, and CSV/JSON export.
 
 CSV is the plotting interface: an alive-curve export has exactly the
 columns ``frame,alive,packets_cum,chn_count`` and any external grapher
 can consume it.  JSON mirrors the dataclass structure with snake_case
-keys and round-trips summaries exactly.  A summary list, such as a
-sweep's, is encoded a summary at a time as its runs finish and written
-only once all of them have, so it holds bytes rather than curves.  A
-trace's residual matrix is streamed to the destination a block of rows
-at a time, in the bytes ``json.dumps`` would give it; each row reuses
-the texts of the row above and calls ``repr`` only for the cells that
-changed.  A matrix with many changed cells is cut into up to one row
-range per usable CPU: a forked child writes each range after the first
-to an unlinked temporary file while this process writes the first, then
-the files are copied in order, so the temporary directory briefly holds
-the text of every range but the first.
+keys, sorted, so ``json.loads`` gives back a summary's fields exactly.
+A summary list, such as a sweep's, is encoded a summary at a time as
+its runs finish and written only once all of them have, so it holds
+bytes rather than curves.  A trace's residual matrix is streamed to the
+destination a block of rows at a time, in the bytes ``json.dumps``
+would give it: orjson formats each block whose values it writes as
+``json.dumps`` does, and ``json.dumps`` the rest.
 """
 
 from __future__ import annotations
@@ -22,13 +18,9 @@ import csv
 import io
 import itertools
 import json
-import os
-import signal
-import tempfile
-import types
 from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,28 +38,17 @@ __all__ = [
     "outcome",
     "compare",
     "export",
-    "read_summary_json",
-    "read_curve_csv",
 ]
 
 CURVE_COLUMNS = ("frame", "alive", "packets_cum", "chn_count")
 _SUMMARY_HEADER = (b"policy,scenario,seed,nodes,total_packets,"
                    b"first_death_frame,all_dead_frame,lifetime\n")
 # Most residuals one block of the streamed JSON matrix holds.  The peak
-# memory of exporting a 6000-frame, 190-node trace was 60.8 MiB at
-# 1 << 17, 51.5 at 1 << 15, 48.4 at 1 << 13 and 48.0 at 1 << 12; the
-# writer's time moved by no more than its noise between these sizes.
-_JSON_BLOCK_ENTRIES = 1 << 13
-# Fewest changed cells (see _row_bounds) in each row range the matrix is
-# cut into, so no more ranges than the matrix has multiples of this.
-# Forking a child, spilling one byte and reaping it took 3.3-4.8 ms in a
-# 130 MiB process (2-core Xeon VM); there, writing slices of the
-# 6000-frame matrix on 2 CPUs broke even with one CPU between 8 000 and
-# 16 000 changed cells in all, and saved 8 of 33 ms at 32 000 (minima of
-# 15 alternating reps).  Fan-outs beyond 2 CPUs were not measured.
-_FORK_MIN_CHANGED = 1 << 14
-# Most bytes read back from a child's spill file at once.
-_SPILL_READ_BYTES = 1 << 18
+# memory of exporting a 6000-frame, 190-node trace (perfbench/probe.py
+# once, one fresh interpreter a reading) was 52.1-52.3 MiB at 1 << 15,
+# 48.7-48.9 at 1 << 13 and 48.2-48.4 at 1 << 12; the writer took
+# 50.5-51.1 ms (minima of 15) at each of these sizes.
+_JSON_BLOCK_ENTRIES = 1 << 12
 
 
 def _lifetime(all_dead_frame: int | None, frames: int) -> int:
@@ -325,214 +306,36 @@ def _summary_list_chunks(summaries, fmt: str) -> list[bytes]:
     return chunks
 
 
-def _read_text(path: str) -> str | None:
-    """The text of a file, or None when it cannot be read."""
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError:
-        return None
-
-
-def _own_cgroups() -> tuple[str, str]:
-    """This process's cgroup in the cgroup v2 hierarchy and in cgroup
-    v1's ``cpu`` hierarchy, from ``/proc/self/cgroup``: the ``0::`` line,
-    and the line whose controllers include ``cpu``.  Either is ``/``
-    when the file does not name it or cannot be read."""
-    v2 = v1 = "/"
-    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
-        hierarchy, _, rest = line.partition(":")
-        controllers, _, path = rest.partition(":")
-        if hierarchy == "0" and not controllers:
-            v2 = path or "/"
-        elif "cpu" in controllers.split(","):
-            v1 = path or "/"
-    return v2, v1
-
-
-def _up_to_root(mount: str, cgroup: str) -> list[str]:
-    """The directories of ``cgroup`` and of each ancestor, up to the
-    hierarchy's root, ``mount``."""
-    parts = [p for p in cgroup.split("/") if p]
-    return ["/".join([mount, *parts[:n]]) for n in range(len(parts), -1, -1)]
-
-
-def _cpu_quota() -> int | None:
-    """CPUs' worth of time per period that the cgroup CPU quota grants
-    this process, rounded up, or None when there is no quota or it
-    cannot be read.  The quota is the smallest one set on the process's
-    own cgroup or an ancestor: cgroup v2's ``cpu.max`` (``QUOTA PERIOD``,
-    with a quota of ``max`` for none), or, where no ``cpu.max`` can be
-    read, cgroup v1's ``cpu.cfs_quota_us`` (``-1`` for none) over
-    ``cpu.cfs_period_us``."""
-    v2, v1 = _own_cgroups()
-    texts = [t for d in _up_to_root("/sys/fs/cgroup", v2)
-             if (t := _read_text(f"{d}/cpu.max")) is not None]
-    if not texts:
-        texts = [f"{_read_text(f'{d}/cpu.cfs_quota_us')} {_read_text(f'{d}/cpu.cfs_period_us')}"
-                 for d in _up_to_root("/sys/fs/cgroup/cpu", v1)]
-    cpus = []
-    for text in texts:
-        try:
-            quota, period = map(int, text.split())
-        except ValueError:  # "max", a missing file, or text that is not two integers
-            continue
-        if quota > 0 and period > 0:
-            cpus.append(-(-quota // period))
-    return min(cpus, default=None)
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, capped by its CPU quota."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    quota = _cpu_quota()
-    return cpus if quota is None else min(cpus, quota)
-
-
-def _row_bounds(bits: np.ndarray) -> list[int]:
-    """Bounds of the row ranges the matrix is written in: ``[0, rows]``,
-    or up to one range per usable CPU, with about equal changed cells
-    and at least ``_FORK_MIN_CHANGED`` of them in each.
-
-    A cell is changed when its bits differ from the cell above (every
-    cell of the first row is).  The counts come a block of rows at a
-    time, so no temporary is larger than a block.
-    """
-    rows, width = bits.shape
-    cpus = min(_usable_cpus(), rows) if hasattr(os, "fork") else 1
-    if cpus < 2:
-        return [0, rows]
-    step = max(1, _JSON_BLOCK_ENTRIES // width)
-    changed = np.empty(rows, dtype=np.int64)
-    changed[0] = width
-    for start in range(1, rows, step):
-        block = bits[start - 1 : start + step]
-        changed[start : start + step] = np.count_nonzero(block[1:] != block[:-1], axis=1)
-    total = np.cumsum(changed)
-    parts = min(cpus, int(total[-1]) // _FORK_MIN_CHANGED)
-    if parts < 2:
-        return [0, rows]
-    cuts = np.searchsorted(total, total[-1] * np.arange(1, parts) / parts) + 1
-    # ascending already; np.unique would cost the parent 1.1 MiB on its first call
-    return [0, *dict.fromkeys(np.clip(cuts, 1, rows - 1).tolist()), rows]
-
-
-def _rows_json(bits: np.ndarray, lo: int, hi: int):
-    """Yield the JSON text of rows ``lo`` to ``hi`` of a float matrix
-    given as its int64 bits, as bytes, a block of rows at a time.  Each
-    piece but the matrix's first starts with the comma before it.
-
-    ``texts`` holds the text of each column of the last row written.  A
-    cell gets a new text, by ``float.__repr__``, only when its bits
-    differ from the cell above it (a block's first row compares with the
-    block before, and the range's first row is written in full; bits
-    keep ``-0.0`` apart from ``0.0``), and a row with no such cell
-    repeats the line above.  No finite repr contains an ``n``, so only a
-    block with a ``nan`` or an ``inf`` needs them turned into the
-    ``NaN`` and ``Infinity`` of ``json.dumps``.
-    """
-    width = bits.shape[1]
-    step = max(1, _JSON_BLOCK_ENTRIES // width)
-    texts = [""] * width
-    line = ""
-    for start in range(lo, hi, step):
-        block = bits[start : min(start + step, hi)]
-        new = np.empty(block.shape, dtype=bool)
-        new[0] = block[0] != bits[start - 1] if start > lo else True
-        np.not_equal(block[1:], block[:-1], out=new[1:])
-        changed = np.flatnonzero(new)
-        row, column = np.divmod(changed, width)
-        runs = zip(column.tolist(), map(float.__repr__, block.take(changed).view(np.float64).tolist()))
-        lines = []
-        for count in np.bincount(row, minlength=len(block)).tolist():
-            if count:  # else the row repeats the one above it
-                for i, text in itertools.islice(runs, count):
-                    texts[i] = text
-                line = ",".join(texts)
-            lines.append(line)
-        chunk = f"{',' if start else ''}[{'],['.join(lines)}]"
-        if "n" in chunk:
-            chunk = chunk.replace("nan", "NaN").replace("inf", "Infinity")
-        yield chunk.encode()
-
-
-def _spill(bits: np.ndarray, lo: int, hi: int, spill) -> NoReturn:
-    """A forked child's whole life: write rows ``lo`` to ``hi`` to
-    ``spill`` and exit, 0 once they are flushed and 1 on any error.
-    ``os._exit`` runs no exit handler and flushes no buffer inherited
-    from the parent, such as stdout's; nothing here calls BLAS, whose
-    worker threads do not survive a fork."""
-    code = 1
-    try:
-        for piece in _rows_json(bits, lo, hi):
-            spill.write(piece)
-        spill.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _forked_rows_json(bits: np.ndarray, bounds: list[int]):
-    """Yield the rows in ``bounds[0]:bounds[1]`` as :func:`_rows_json`
-    does, while one forked child per later range writes it to an
-    unlinked temporary file, then each child's file in order, at most
-    ``_SPILL_READ_BYTES`` a piece.  When a temporary file cannot be made
-    or a child cannot be forked, the ranges left get no child and are
-    written here, after the last child's file.  Every child is reaped,
-    and on an early exit killed first, since its rows will not be read;
-    one that fails raises :class:`OSError`."""
-    pids: list[int] = []
-    spills = []
-    try:
-        for lo, hi in zip(bounds[1:], bounds[2:]):
-            try:
-                spills.append(tempfile.TemporaryFile())
-                pid = os.fork()
-            except OSError:  # no temporary space, or no process to spare
-                if len(spills) > len(pids):
-                    spills.pop().close()
-                break
-            if pid == 0:
-                _spill(bits, lo, hi, spills[-1])
-            pids.append(pid)
-        yield from _rows_json(bits, bounds[0], bounds[1])
-        for spill in spills:
-            status = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            pid = pids.pop(0)
-            if status:
-                raise OSError(f"the residual writer's child {pid} exited with status {status}")
-            spill.seek(0)
-            while piece := spill.read(_SPILL_READ_BYTES):
-                yield piece
-        yield from _rows_json(bits, bounds[len(spills) + 1], bounds[-1])
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for spill in spills:
-            spill.close()
-
-
 def _matrix_json(matrix: np.ndarray):
-    """Yield the JSON text of a 2-D float array as bytes pieces.
+    """Yield the JSON text of a 2-D float array as bytes pieces: ``[``,
+    one piece per block of at most ``_JSON_BLOCK_ENTRIES`` entries (at
+    least one row), then ``]``.  The bytes are those of ``json.dumps``.
 
-    The rows are written by :func:`_rows_json`, in one range, or, where
-    ``os.fork`` exists, in up to one range per usable CPU with at least
-    ``_FORK_MIN_CHANGED`` changed cells each (:func:`_row_bounds`): this
-    process writes the first range while a forked child writes each
-    other one (:func:`_forked_rows_json`).  The bytes are the same
-    either way.
+    orjson writes the same shortest round-trip digits as ``float.__repr__``
+    (by a Ryu-family algorithm, in the same notation) for ±0.0 and
+    magnitudes in ``[1e-4, 1e16)``, so a block that holds only these
+    goes through it.
+    Outside that range orjson has its own notation (``0.00001``,
+    ``1e16``) and writes NaN and infinity as ``null``, so any other block
+    goes through ``json.dumps``.  The range is checked a block at a time,
+    which keeps every temporary as small as a block.
     """
-    bits = np.ascontiguousarray(matrix, dtype=np.float64).view(np.int64)
-    bounds = _row_bounds(bits)
+    # Imported here so that `import chsim`, and every command that writes
+    # no residual matrix, does not pay its load time (9-15 ms by
+    # `python3 -X importtime -c "import orjson"`).
+    import orjson
+
+    values = np.ascontiguousarray(matrix, dtype=np.float64)
+    step = max(1, _JSON_BLOCK_ENTRIES // values.shape[1])
     yield b"["
-    if len(bounds) > 2:
-        yield from _forked_rows_json(bits, bounds)
-    else:
-        yield from _rows_json(bits, 0, len(bits))
+    for start in range(0, len(values), step):
+        block = values[start : start + step]
+        magnitude = np.abs(block)
+        if np.all((magnitude >= 1e-4) & (magnitude < 1e16) | (block == 0.0)):
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+        else:
+            text = _dumps(block.tolist())[1:-1].encode()
+        yield b"," + text if start else text
     yield b"]"
 
 
@@ -581,37 +384,8 @@ def export(obj, fmt: str, destination) -> int:
         chunks = [_csv_text(obj).encode()]
     else:
         chunks = _json_chunks(obj)
-    try:
-        if hasattr(destination, "write"):
-            return _write(chunks, destination)
-        with open(destination, "wb") as fh:
-            return _write(chunks, fh)
-    finally:
-        if isinstance(chunks, types.GeneratorType):
-            chunks.close()  # on an early exit, reaps a forked residual writer's children
+    if hasattr(destination, "write"):
+        return _write(chunks, destination)
+    with open(destination, "wb") as fh:
+        return _write(chunks, fh)
 
-
-def _read_bytes(source) -> bytes:
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.encode() if isinstance(data, str) else data
-    with open(source, "rb") as fh:
-        return fh.read()
-
-
-def read_summary_json(source) -> RunSummary:
-    """Parse a summary written by :func:`export`; exact inverse."""
-    data = json.loads(_read_bytes(source))
-    data["curve"] = tuple(tuple(row) for row in data["curve"])
-    return RunSummary(**data)
-
-
-def read_curve_csv(source) -> tuple[tuple[int, int, int, int], ...]:
-    """Parse an alive-curve CSV back into (frame, alive, packets_cum,
-    chn_count) rows."""
-    text = _read_bytes(source).decode()
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != list(CURVE_COLUMNS):
-        raise ValueError(f"expected header {','.join(CURVE_COLUMNS)!r}, got {header!r}")
-    return tuple(tuple(int(cell) for cell in row) for row in reader if row)

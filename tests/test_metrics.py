@@ -1,4 +1,4 @@
-"""Summaries, comparison tables, CSV/JSON export and parse-back."""
+"""Summaries, comparison tables, and CSV/JSON export."""
 
 import csv
 import io
@@ -15,11 +15,22 @@ from chsim.metrics import (
     RunSummary,
     compare,
     export,
-    read_curve_csv,
-    read_summary_json,
     summarize,
 )
 from chsim.simulator import SimConfig, SimTrace, run
+
+
+def parse_summary_json(data: bytes) -> RunSummary:
+    """A summary from its JSON export, the curve's rows as tuples again."""
+    fields = json.loads(data)
+    return RunSummary(**{**fields, "curve": tuple(map(tuple, fields["curve"]))})
+
+
+def parse_curve_csv(text: str) -> tuple[tuple[int, ...], ...]:
+    """The rows of an alive-curve CSV export, after its header."""
+    header, *rows = csv.reader(io.StringIO(text))
+    assert header == ["frame", "alive", "packets_cum", "chn_count"]
+    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def make_trace(alive, packets, chn, nodes=None, policy="dchne", seed=0):
@@ -213,7 +224,7 @@ class TestExport:
             summary = make_summary(rng, seed=i)
             path = tmp_path / f"s{i}.json"
             export(summary, "json", path)
-            assert read_summary_json(path) == summary
+            assert parse_summary_json(path.read_bytes()) == summary
 
     def test_curve_csv_round_trips_exactly(self, tmp_path):
         rng = np.random.default_rng(15)
@@ -221,15 +232,14 @@ class TestExport:
             summary = make_summary(rng, seed=i)
             path = tmp_path / f"c{i}.csv"
             export(summary, "csv", path)
-            assert read_curve_csv(path) == summary.curve
+            assert parse_curve_csv(path.read_text()) == summary.curve
 
     def test_file_like_destination_and_byte_count(self):
         sink = io.BytesIO()
         summary = make_summary()
         wrote = export(summary, "json", sink)
         assert wrote == len(sink.getvalue())
-        sink.seek(0)
-        assert read_summary_json(sink) == summary
+        assert parse_summary_json(sink.getvalue()) == summary
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -293,12 +303,6 @@ class TestExport:
         with pytest.raises(ValueError, match="cannot export int in a summary list"):
             export(iter([make_summary(), 7]), fmt, path)
         assert not path.exists()
-
-    def test_malformed_curve_csv_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("frame,alive\n0,1\n")
-        with pytest.raises(ValueError):
-            read_curve_csv(path)
 
     def test_trace_json_includes_config_echo(self, tmp_path):
         trace = make_trace([5, 4], [3, 6], [1, 1], seed=9)

@@ -16,6 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 
 from chsim import metrics
@@ -54,15 +55,6 @@ def oracle(trace) -> bytes:
 def one_shot(matrix) -> bytes:
     """A matrix's text as ``json.dumps`` writes it in one call."""
     return json.dumps(matrix.tolist(), separators=(",", ":")).encode()
-
-
-@contextlib.contextmanager
-def forking(cpus: int):
-    """Write every residual matrix on up to ``cpus`` CPUs, one changed
-    cell a range being enough."""
-    with mock.patch.object(metrics, "_FORK_MIN_CHANGED", 1), \
-            mock.patch.object(metrics, "_usable_cpus", lambda: cpus):
-        yield
 
 
 def exported(trace) -> bytes:
@@ -148,8 +140,16 @@ def column_runs(draw):
     return np.array(matrix), step
 
 
+SPECIAL_ROWS = np.array([[0.5, 0.5, 0.5, 0.5], [math.nan, -0.0, math.inf, -math.inf],
+                         [-0.0, math.nan, -math.inf, math.inf], [0.0, 0.0, 0.0, 0.0]])
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(case=column_runs())
+@example(case=(np.empty((0, 3)), 1))
+@example(case=(SPECIAL_ROWS[:1], 1))
+@example(case=(SPECIAL_ROWS[1:3], 1))
+@example(case=(SPECIAL_ROWS, 2))
 def test_column_runs_across_blocks_match_one_shot_encoding(case):
     matrix, step = case
     trace = dataclasses.replace(SMALL, residual_log=matrix)
@@ -157,19 +157,9 @@ def test_column_runs_across_blocks_match_one_shot_encoding(case):
         assert exported(trace) == oracle(trace)
 
 
-@settings(max_examples=2000, deadline=None, database=None)
-@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
-@example(5e-324)
-@example(-2.2250738585072014e-308)
-@example(1.7976931348623157e308)
-def test_no_finite_repr_contains_an_n(value):
-    # the writer finds a block's non-finite texts by looking for an "n"
-    assert "n" not in repr(value)
-
-
-# Equal as floats, distinct as bits: each must start a run of its own.
-# The infinities repeat, so at one row per block a block's only
-# non-finite text is one carried from the block before.
+# Equal as floats, distinct as bits: -0.0 and 0.0, NaN of either sign,
+# and the infinities, which send their blocks to json.dumps while the
+# blocks of 0.0, -0.0 and 1.5 alone go to orjson.
 BIT_DISTINCT = np.array([
     [0.0, -0.0, -0.0, 0.0, 0.0, math.nan, -math.nan, -math.nan, math.nan,
      math.inf, math.inf, -math.inf, -math.inf],
@@ -189,144 +179,55 @@ def test_matrix_wider_than_a_block_goes_one_row_per_block():
     width = metrics._JSON_BLOCK_ENTRIES + 1
     rng = np.random.default_rng(5)
     matrix = rng.choice([0.25, -0.0, 0.0, 1e-300, math.inf, 2.0 / 3.0], (4, width))
+    matrix[1, np.isin(matrix[1], [1e-300, math.inf])] = 0.5  # only rows 1 and 2 suit orjson
     matrix[2] = matrix[1]
     matrix[3, ::2] = matrix[2, ::2]
-    pieces = list(metrics._rows_json(matrix.view(np.int64), 0, len(matrix)))
-    assert len(pieces) == len(matrix)  # one piece per row
+    pieces = list(metrics._matrix_json(matrix))
+    assert len(pieces) == len(matrix) + 2  # "[", one piece per row, "]"
     trace = dataclasses.replace(SMALL, residual_log=matrix)
     assert exported(trace) == oracle(trace)
-    # each half of the taller matrix spills more than one read's worth
-    tall = np.tile(matrix, (4, 1))
-    with forking(2):
-        pieces = list(metrics._matrix_json(tall))
-    assert max(map(len, pieces)) == metrics._SPILL_READ_BYTES == 256 * 1024
-    assert b"".join(pieces) == one_shot(tall)
 
 
-def test_each_range_gets_at_least_the_threshold_of_changed_cells():
-    bits = np.random.default_rng(2).random((50, 10)).view(np.int64)  # every cell changed
-    with mock.patch.object(metrics, "_FORK_MIN_CHANGED", 100), \
-            mock.patch.object(metrics, "_usable_cpus", lambda: 64):
-        # 500 changed cells: five ranges of 10 rows, however many CPUs
-        assert metrics._row_bounds(bits) == [0, 10, 20, 30, 40, 50]
-        # 190 changed cells, then 200: one range below twice the threshold
-        assert metrics._row_bounds(np.vstack([bits[:19], np.tile(bits[18], (31, 1))])) == [0, 50]
-        assert len(metrics._row_bounds(np.vstack([bits[:20], np.tile(bits[19], (30, 1))]))) == 3
+@contextlib.contextmanager
+def orjson_blocks():
+    """Count the blocks the writer hands to orjson."""
+    with mock.patch.object(orjson, "dumps", wraps=orjson.dumps) as dumps:
+        yield dumps
 
 
-
-ROOT = "/sys/fs/cgroup"
-OWN = "/proc/self/cgroup"
-V2 = f"{ROOT}/cpu.max"
-V1 = (f"{ROOT}/cpu/cpu.cfs_quota_us", f"{ROOT}/cpu/cpu.cfs_period_us")
-
-
-@pytest.mark.parametrize("files, quota", [
-    ({V2: "200000 100000\n"}, 2),
-    ({V2: "150000 100000\n"}, 2),  # a CPU and a half: rounded up
-    ({V2: "50000 100000\n"}, 1),
-    ({V2: "max 100000\n"}, None),
-    ({V2: "max 100000\n", V1[0]: "100000\n", V1[1]: "100000\n"}, None),  # v2 wins
-    ({V1[0]: "300000\n", V1[1]: "100000\n"}, 3),
-    ({V1[0]: "-1\n", V1[1]: "100000\n"}, None),
-    ({V1[0]: "100000\n"}, None),  # no period
-    ({V1[0]: "0\n", V1[1]: "100000\n"}, None),
-    ({V2: "garbage"}, None),
-    ({V2: ""}, None),
-    ({}, None),
-    # nested cgroups, named by /proc/self/cgroup: the smallest quota from
-    # the process's own cgroup up to the hierarchy's root
-    ({OWN: "0::/a/b\n", f"{ROOT}/a/b/cpu.max": "max 100000\n",
-      f"{ROOT}/a/cpu.max": "150000 100000\n"}, 2),
-    ({OWN: "0::/a/b\n", f"{ROOT}/a/b/cpu.max": "100000 100000\n",
-      f"{ROOT}/a/cpu.max": "400000 100000\n"}, 1),
-    ({OWN: "0::/a/b\n", V2: "300000 100000\n"}, 3),  # only the root has the file
-    ({OWN: "0::/a/b\n", f"{ROOT}/a/cpu.max": "150000 100000\n",
-      f"{ROOT}/c/cpu.max": "100000 100000\n"}, 2),  # not an ancestor
-    ({OWN: "0::/a\n", V2: "max 100000\n", f"{ROOT}/a/cpu.max": "max 100000\n"}, None),
-    ({OWN: "4:memory:/m\n3:cpu,cpuacct:/x/y\n0::/\n",
-      f"{ROOT}/cpu/x/y/cpu.cfs_quota_us": "-1\n", f"{ROOT}/cpu/x/y/cpu.cfs_period_us": "100000\n",
-      f"{ROOT}/cpu/x/cpu.cfs_quota_us": "50000\n", f"{ROOT}/cpu/x/cpu.cfs_period_us": "100000\n"},
-     1),
-    ({OWN: "3:cpuacct:/x\n2:cpu:/y\n", f"{ROOT}/cpu/x/cpu.cfs_quota_us": "100000\n",
-      f"{ROOT}/cpu/x/cpu.cfs_period_us": "100000\n", V1[0]: "200000\n", V1[1]: "100000\n"},
-     2),  # cpuacct is not cpu
-    ({OWN: "0::/a\n2:cpu:/a\n", f"{ROOT}/a/cpu.max": "max 100000\n",
-      f"{ROOT}/cpu/a/cpu.cfs_quota_us": "100000\n",
-      f"{ROOT}/cpu/a/cpu.cfs_period_us": "100000\n"}, None),  # v2 wins
-    ({OWN: "garbage\n", V2: "200000 100000\n"}, 2),
-])
-def test_cpu_quota_read_from_cgroup_v2_else_v1(files, quota, monkeypatch):
-    # the files are faked: nothing is read from or written to /proc or /sys
-    monkeypatch.setattr(metrics, "_read_text", files.get)
-    assert metrics._cpu_quota() == quota
+# Either side of the range orjson writes as json.dumps does: ±0.0 and
+# magnitudes in [1e-4, 1e16).  True where a block of it goes to orjson.
+BOUNDARY = [
+    (0.0, True), (-0.0, True), (1e-4, True), (np.nextafter(1e-4, 0), False),
+    (np.nextafter(1e16, 0), True), (1e16, False), (5e-324, False),
+    (math.nan, False), (math.inf, False), (-math.inf, False),
+]
 
 
-def test_quota_caps_the_cpus_the_writer_forks_for(monkeypatch):
-    bits = np.random.default_rng(2).random((50, 10)).view(np.int64)  # every cell changed
-    monkeypatch.setattr(metrics, "_FORK_MIN_CHANGED", 1)
-    monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-    monkeypatch.setattr(metrics, "_read_text", {V2: "100000 100000"}.get)
-    assert metrics._usable_cpus() == 1
-    assert metrics._row_bounds(bits) == [0, 50]
-    monkeypatch.setattr(metrics, "_read_text", {V2: "250000 100000"}.get)
-    assert metrics._usable_cpus() == 3
-    assert len(metrics._row_bounds(bits)) == 4
-    monkeypatch.setattr(metrics, "_read_text", {}.get)
-    assert metrics._usable_cpus() == 16
+@pytest.mark.parametrize("value, in_range", BOUNDARY, ids=[repr(float(v)) for v, _ in BOUNDARY])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_range_boundaries_match_one_shot_encoding(value, in_range, sign):
+    value = sign * float(value)
+    plain = np.full((3, 4), 0.5)
+    for matrix in (np.array([[value]]), np.where(np.eye(3, 4, 1, dtype=bool), value, plain)):
+        with orjson_blocks() as dumps:
+            text = b"".join(metrics._matrix_json(matrix))
+        assert text == one_shot(matrix)
+        assert dumps.call_count == in_range
+    with orjson_blocks() as dumps:
+        assert b"".join(metrics._matrix_json(plain)) == one_shot(plain)
+    assert dumps.call_count == 1
 
 
-def test_unreadable_file_reads_as_none(tmp_path):
-    assert metrics._read_text(str(tmp_path / "absent")) is None
-    assert metrics._read_text(str(tmp_path)) is None  # a directory
-    (tmp_path / "cpu.max").write_text("max 100000\n")
-    assert metrics._read_text(str(tmp_path / "cpu.max")) == "max 100000\n"
-
-@st.composite
-def split_runs(draw):
-    """A :func:`column_runs` case and the bounds of up to four row
-    ranges to write it in."""
-    matrix, step = draw(column_runs())
-    rows = len(matrix)
-    cuts = draw(st.sets(st.integers(1, rows - 1), max_size=3)) if rows > 1 else set()
-    return matrix, step, [0, *sorted(cuts), rows]
-
-
-# Row 2 repeats row 1; the specials sit in the rows either side of a cut.
-REPEATED_ROW = np.array([[1.0, 2.0], [3.0, 4.0], [3.0, 4.0], [5.0, 4.0]])
-SPECIAL_ROWS = np.array([[0.5, 0.5, 0.5, 0.5], [math.nan, -0.0, math.inf, -math.inf],
-                         [-0.0, math.nan, -math.inf, math.inf], [0.0, 0.0, 0.0, 0.0]])
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(case=split_runs())
-@example(case=(REPEATED_ROW, 2, [0, 2, 4]))  # the cut falls on a block boundary
-@example(case=(REPEATED_ROW, 1, [0, 1, 2, 3, 4]))
-@example(case=(SPECIAL_ROWS, 2, [0, 1, 2, 4]))
-@example(case=(SPECIAL_ROWS, 3, [0, 2, 3, 4]))
-def test_forked_ranges_match_serial_writer_and_one_shot_encoding(case):
-    matrix, step, bounds = case
-    bits = matrix.view(np.int64)
-    with mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", step * matrix.shape[1]):
-        serial = b"".join(metrics._rows_json(bits, 0, len(bits)))
-        forked = b"".join(metrics._forked_rows_json(bits, bounds))
-    assert forked == serial
-    assert b"[" + serial + b"]" == one_shot(matrix)
-
-
-@settings(max_examples=80, deadline=None, database=None)
-@given(case=column_runs(), cpus=st.integers(1, 4))
-@example(case=(np.empty((0, 3)), 1), cpus=2)
-@example(case=(SPECIAL_ROWS[:1], 1), cpus=4)
-@example(case=(SPECIAL_ROWS[1:3], 1), cpus=4)
-def test_matrix_on_one_to_four_cpus_matches_one_shot_encoding(case, cpus):
-    # 1- and 2-row matrices, and more CPUs than rows, are cut into at most one range a row
-    matrix, step = case
-    rows = len(matrix)
-    trace = dataclasses.replace(SMALL, residual_log=matrix)
-    with forking(cpus), mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", step * matrix.shape[1]):
-        bounds = metrics._row_bounds(matrix.view(np.int64))
-        assert exported(trace) == oracle(trace)
-    assert bounds[0] == 0 and bounds[-1] == rows
-    assert len(bounds) - 1 <= max(1, min(cpus, rows))
-    assert all(a < b for a, b in zip(bounds, bounds[1:])) or rows == 0
+def test_random_bits_in_range_go_through_orjson():
+    # 200 000 float64 bit patterns spread over every magnitude in [1e-4, 1e16), either sign
+    rng = np.random.default_rng(21)
+    lo, hi = np.array([1e-4, np.nextafter(1e16, 0)]).view(np.int64)
+    bits = rng.integers(lo, hi, size=(1000, 200), endpoint=True)
+    bits |= rng.integers(0, 2, size=bits.shape) << 63
+    matrix = bits.view(np.float64)
+    assert ((np.abs(matrix) >= 1e-4) & (np.abs(matrix) < 1e16)).all()
+    with orjson_blocks() as dumps:
+        text = b"".join(metrics._matrix_json(matrix))
+    assert dumps.call_count == -(-len(matrix) // (metrics._JSON_BLOCK_ENTRIES // 200))
+    assert text == one_shot(matrix)
