@@ -1,8 +1,9 @@
-"""Run summaries, policy comparison tables, and CSV/JSON export.
+"""Run summaries, policy comparison tables, CSV/JSON export, and
+alive-curve CSV parsing.
 
 CSV is the plotting interface: an alive-curve export has exactly the
-columns ``frame,alive,packets_cum,chn_count`` and any external grapher
-can consume it.  JSON mirrors the dataclass structure with snake_case
+columns ``frame,alive,packets_cum,chn_count``, :func:`read_curve_csv`
+reads it back, and any external grapher can consume it.  JSON mirrors the dataclass structure with snake_case
 keys, sorted, so ``json.loads`` gives back a summary's fields exactly.
 A summary list, such as a sweep's, is encoded a summary at a time as
 its runs finish and written only once all of them have, so it holds
@@ -38,6 +39,7 @@ __all__ = [
     "outcome",
     "compare",
     "export",
+    "read_curve_csv",
 ]
 
 CURVE_COLUMNS = ("frame", "alive", "packets_cum", "chn_count")
@@ -389,3 +391,76 @@ def export(obj, fmt: str, destination) -> int:
     with open(destination, "wb") as fh:
         return _write(chunks, fh)
 
+
+def read_curve_csv(source) -> tuple[tuple[int, int, int, int], ...]:
+    """Parse an alive-curve CSV, from a path or a file-like, back into
+    (frame, alive, packets_cum, chn_count) rows."""
+    if hasattr(source, "read"):
+        data = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+    reader = csv.reader(io.StringIO(data.decode() if isinstance(data, bytes) else data))
+    header = next(reader, None)
+    if header != list(CURVE_COLUMNS):
+        raise ValueError(f"expected header {','.join(CURVE_COLUMNS)!r}, got {header!r}")
+    return tuple(tuple(int(cell) for cell in row) for row in reader if row)
+
+
+# Nothing calls the cgroup CPU-quota reader below since the residual writer
+# stopped forking; it stays for a worker pool sized by it (ROADMAP item 3).
+def _read_text(path: str) -> str | None:
+    """The text of a file, or None when it cannot be read."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError:
+        return None
+
+
+def _own_cgroups() -> tuple[str, str]:
+    """This process's cgroup in the cgroup v2 hierarchy and in cgroup
+    v1's ``cpu`` hierarchy, from ``/proc/self/cgroup``: the ``0::`` line,
+    and the line whose controllers include ``cpu``.  Either is ``/``
+    when the file does not name it or cannot be read."""
+    v2 = v1 = "/"
+    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
+        hierarchy, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if hierarchy == "0" and not controllers:
+            v2 = path or "/"
+        elif "cpu" in controllers.split(","):
+            v1 = path or "/"
+    return v2, v1
+
+
+def _up_to_root(mount: str, cgroup: str) -> list[str]:
+    """The directories of ``cgroup`` and of each ancestor, up to the
+    hierarchy's root, ``mount``."""
+    parts = [p for p in cgroup.split("/") if p]
+    return ["/".join([mount, *parts[:n]]) for n in range(len(parts), -1, -1)]
+
+
+def _cpu_quota() -> int | None:
+    """CPUs' worth of time per period that the cgroup CPU quota grants
+    this process, rounded up, or None when there is no quota or it
+    cannot be read.  The quota is the smallest one set on the process's
+    own cgroup or an ancestor: cgroup v2's ``cpu.max`` (``QUOTA PERIOD``,
+    with a quota of ``max`` for none), or, where no ``cpu.max`` can be
+    read, cgroup v1's ``cpu.cfs_quota_us`` (``-1`` for none) over
+    ``cpu.cfs_period_us``."""
+    v2, v1 = _own_cgroups()
+    texts = [t for d in _up_to_root("/sys/fs/cgroup", v2)
+             if (t := _read_text(f"{d}/cpu.max")) is not None]
+    if not texts:
+        texts = [f"{_read_text(f'{d}/cpu.cfs_quota_us')} {_read_text(f'{d}/cpu.cfs_period_us')}"
+                 for d in _up_to_root("/sys/fs/cgroup/cpu", v1)]
+    cpus = []
+    for text in texts:
+        try:
+            quota, period = map(int, text.split())
+        except ValueError:  # "max", a missing file, or text that is not two integers
+            continue
+        if quota > 0 and period > 0:
+            cpus.append(-(-quota // period))
+    return min(cpus, default=None)

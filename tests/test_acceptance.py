@@ -11,7 +11,6 @@ endpoint), and spends fewer joules per packet.  The tests record both
 outcomes honestly rather than papering over the endpoint difference.
 """
 
-import csv
 import io
 import json
 import math
@@ -33,7 +32,7 @@ from chsim.energy import (
     tx_intra,
     tx_to_bs,
 )
-from chsim.metrics import RunSummary, export
+from chsim.metrics import RunSummary, export, read_curve_csv
 from chsim.network import Network
 from chsim.simulator import run
 
@@ -370,9 +369,8 @@ def test_c9_serialization_round_trips():
 
         buf = io.BytesIO()
         export(summary, "csv", buf)
-        header, *rows = csv.reader(io.StringIO(buf.getvalue().decode()))
-        assert header == ["frame", "alive", "packets_cum", "chn_count"]
-        assert tuple(tuple(map(int, row)) for row in rows) == summary.curve
+        buf.seek(0)
+        assert read_curve_csv(buf) == summary.curve
     print(
         "ACCEPTANCE 9: PASS — 100 random summaries survive JSON and CSV "
         "round-trips exactly"

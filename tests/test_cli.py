@@ -1,10 +1,6 @@
 """Command-line driver: flags, planning, exit codes, reproducible output."""
 
-import csv
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -13,13 +9,8 @@ import pytest
 
 from chsim import cli
 from chsim.cli import main, parse_args, plan_runs
+from chsim.metrics import read_curve_csv
 from chsim.simulator import SimConfig
-
-
-ROOT = Path(__file__).resolve().parent.parent
-# A small run that records its residual matrix.
-TRACE_PROFILE = {"arena": {"node_count": 12, "seed": 4}, "cluster_count": 2, "max_frames": 30,
-                 "record_residuals": True}
 
 
 class TestParsing:
@@ -184,10 +175,9 @@ class TestExecution:
         code = main(["run", "--nodes", "15", "--clusters", "2", "--frames", "40",
                      "--seed", "4", "--out", str(out)])
         assert code == 0
-        header, *rows = csv.reader(out.read_text().splitlines())
-        assert header == ["frame", "alive", "packets_cum", "chn_count"]
+        rows = read_curve_csv(out)
         assert len(rows) == 40
-        assert rows[0][1] == "15"
+        assert rows[0][1] == 15
 
     def test_repeat_invocations_are_byte_identical(self, tmp_path):
         argv = ["run", "--nodes", "15", "--clusters", "2", "--frames", "60",
@@ -285,35 +275,6 @@ class TestExecution:
         code = main(["run", "--frames", "0", "--out", "/nonexistent-dir/x.csv"])
         assert code == 2
         assert capsys.readouterr().err
-
-    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-    def test_trace_to_a_full_device_is_one_error(self, tmp_path, capfd):
-        # every write to /dev/full fails with ENOSPC
-        config = tmp_path / "profile.json"
-        config.write_text(json.dumps(TRACE_PROFILE))
-        argv = ["run", "--config", str(config), "--format", "json", "--out", "/dev/full"]
-        assert main(argv) == 2
-        captured = capfd.readouterr()
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("error: ")
-
-    def test_stdout_trace_matches_file_trace(self, tmp_path):
-        config = tmp_path / "profile.json"
-        config.write_text(json.dumps(TRACE_PROFILE))
-        argv = [sys.executable, "-m", "chsim.cli", "run", "--config", str(config),
-                "--format", "json"]
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        out = tmp_path / "trace.json"
-        to_file = subprocess.run(argv + ["--out", str(out)], env=env, capture_output=True,
-                                 timeout=120)
-        to_stdout = subprocess.run(argv, env=env, capture_output=True, timeout=120)
-        assert (to_file.returncode, to_file.stderr) == (0, b"")
-        assert (to_stdout.returncode, to_stdout.stderr) == (0, b"")
-        assert to_stdout.stdout == out.read_bytes()
-        residuals = json.loads(to_stdout.stdout)["residuals"]
-        assert len(residuals) == TRACE_PROFILE["max_frames"]
-        assert len(residuals[0]) == TRACE_PROFILE["arena"]["node_count"]
 
     @pytest.mark.parametrize("err", [
         MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000000, 2) "

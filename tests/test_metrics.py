@@ -1,4 +1,4 @@
-"""Summaries, comparison tables, and CSV/JSON export."""
+"""Summaries, comparison tables, CSV/JSON export and curve parse-back."""
 
 import csv
 import io
@@ -15,6 +15,7 @@ from chsim.metrics import (
     RunSummary,
     compare,
     export,
+    read_curve_csv,
     summarize,
 )
 from chsim.simulator import SimConfig, SimTrace, run
@@ -24,13 +25,6 @@ def parse_summary_json(data: bytes) -> RunSummary:
     """A summary from its JSON export, the curve's rows as tuples again."""
     fields = json.loads(data)
     return RunSummary(**{**fields, "curve": tuple(map(tuple, fields["curve"]))})
-
-
-def parse_curve_csv(text: str) -> tuple[tuple[int, ...], ...]:
-    """The rows of an alive-curve CSV export, after its header."""
-    header, *rows = csv.reader(io.StringIO(text))
-    assert header == ["frame", "alive", "packets_cum", "chn_count"]
-    return tuple(tuple(map(int, row)) for row in rows)
 
 
 def make_trace(alive, packets, chn, nodes=None, policy="dchne", seed=0):
@@ -232,7 +226,7 @@ class TestExport:
             summary = make_summary(rng, seed=i)
             path = tmp_path / f"c{i}.csv"
             export(summary, "csv", path)
-            assert parse_curve_csv(path.read_text()) == summary.curve
+            assert read_curve_csv(path) == summary.curve
 
     def test_file_like_destination_and_byte_count(self):
         sink = io.BytesIO()
@@ -303,6 +297,12 @@ class TestExport:
         with pytest.raises(ValueError, match="cannot export int in a summary list"):
             export(iter([make_summary(), 7]), fmt, path)
         assert not path.exists()
+
+    def test_malformed_curve_csv_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("frame,alive\n0,1\n")
+        with pytest.raises(ValueError):
+            read_curve_csv(path)
 
     def test_trace_json_includes_config_echo(self, tmp_path):
         trace = make_trace([5, 4], [3, 6], [1, 1], seed=9)

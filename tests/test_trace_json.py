@@ -4,6 +4,9 @@ call on the whole trace.
 The differential tests send both engines' traces through the same
 ``export``, so a wrong writer would pass them; these tests compare it
 with the document the writer replaced, encoded in one call.
+
+The last tests check the cgroup CPU-quota reader, which the writer used
+while it forked and which nothing calls now.
 """
 
 import contextlib
@@ -157,6 +160,21 @@ def test_column_runs_across_blocks_match_one_shot_encoding(case):
         assert exported(trace) == oracle(trace)
 
 
+
+@settings(max_examples=2000, deadline=None, database=None)
+@given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
+@example(5e-324)
+@example(-2.2250738585072014e-308)
+@example(1.7976931348623157e308)
+@example(float(np.nextafter(1e-4, 0)))
+@example(1e16)
+def test_no_finite_repr_contains_an_n(value):
+    # json.dumps writes the non-finite values as NaN, Infinity and -Infinity,
+    # and orjson would write them as null: a finite value's text never has an
+    # "n", so on either path of the writer an "n" shows a value made non-finite
+    assert "n" not in repr(value)
+    assert b"n" not in b"".join(metrics._matrix_json(np.array([[value]])))
+
 # Equal as floats, distinct as bits: -0.0 and 0.0, NaN of either sign,
 # and the infinities, which send their blocks to json.dumps while the
 # blocks of 0.0, -0.0 and 1.5 alone go to orjson.
@@ -231,3 +249,57 @@ def test_random_bits_in_range_go_through_orjson():
         text = b"".join(metrics._matrix_json(matrix))
     assert dumps.call_count == -(-len(matrix) // (metrics._JSON_BLOCK_ENTRIES // 200))
     assert text == one_shot(matrix)
+
+
+ROOT = "/sys/fs/cgroup"
+OWN = "/proc/self/cgroup"
+V2 = f"{ROOT}/cpu.max"
+V1 = (f"{ROOT}/cpu/cpu.cfs_quota_us", f"{ROOT}/cpu/cpu.cfs_period_us")
+
+
+@pytest.mark.parametrize("files, quota", [
+    ({V2: "200000 100000\n"}, 2),
+    ({V2: "150000 100000\n"}, 2),  # a CPU and a half: rounded up
+    ({V2: "50000 100000\n"}, 1),
+    ({V2: "max 100000\n"}, None),
+    ({V2: "max 100000\n", V1[0]: "100000\n", V1[1]: "100000\n"}, None),  # v2 wins
+    ({V1[0]: "300000\n", V1[1]: "100000\n"}, 3),
+    ({V1[0]: "-1\n", V1[1]: "100000\n"}, None),
+    ({V1[0]: "100000\n"}, None),  # no period
+    ({V1[0]: "0\n", V1[1]: "100000\n"}, None),
+    ({V2: "garbage"}, None),
+    ({V2: ""}, None),
+    ({}, None),
+    # nested cgroups, named by /proc/self/cgroup: the smallest quota from
+    # the process's own cgroup up to the hierarchy's root
+    ({OWN: "0::/a/b\n", f"{ROOT}/a/b/cpu.max": "max 100000\n",
+      f"{ROOT}/a/cpu.max": "150000 100000\n"}, 2),
+    ({OWN: "0::/a/b\n", f"{ROOT}/a/b/cpu.max": "100000 100000\n",
+      f"{ROOT}/a/cpu.max": "400000 100000\n"}, 1),
+    ({OWN: "0::/a/b\n", V2: "300000 100000\n"}, 3),  # only the root has the file
+    ({OWN: "0::/a/b\n", f"{ROOT}/a/cpu.max": "150000 100000\n",
+      f"{ROOT}/c/cpu.max": "100000 100000\n"}, 2),  # not an ancestor
+    ({OWN: "0::/a\n", V2: "max 100000\n", f"{ROOT}/a/cpu.max": "max 100000\n"}, None),
+    ({OWN: "4:memory:/m\n3:cpu,cpuacct:/x/y\n0::/\n",
+      f"{ROOT}/cpu/x/y/cpu.cfs_quota_us": "-1\n", f"{ROOT}/cpu/x/y/cpu.cfs_period_us": "100000\n",
+      f"{ROOT}/cpu/x/cpu.cfs_quota_us": "50000\n", f"{ROOT}/cpu/x/cpu.cfs_period_us": "100000\n"},
+     1),
+    ({OWN: "3:cpuacct:/x\n2:cpu:/y\n", f"{ROOT}/cpu/x/cpu.cfs_quota_us": "100000\n",
+      f"{ROOT}/cpu/x/cpu.cfs_period_us": "100000\n", V1[0]: "200000\n", V1[1]: "100000\n"},
+     2),  # cpuacct is not cpu
+    ({OWN: "0::/a\n2:cpu:/a\n", f"{ROOT}/a/cpu.max": "max 100000\n",
+      f"{ROOT}/cpu/a/cpu.cfs_quota_us": "100000\n",
+      f"{ROOT}/cpu/a/cpu.cfs_period_us": "100000\n"}, None),  # v2 wins
+    ({OWN: "garbage\n", V2: "200000 100000\n"}, 2),
+])
+def test_cpu_quota_read_from_cgroup_v2_else_v1(files, quota, monkeypatch):
+    # the files are faked: nothing is read from or written to /proc or /sys
+    monkeypatch.setattr(metrics, "_read_text", files.get)
+    assert metrics._cpu_quota() == quota
+
+
+def test_unreadable_file_reads_as_none(tmp_path):
+    assert metrics._read_text(str(tmp_path / "absent")) is None
+    assert metrics._read_text(str(tmp_path)) is None  # a directory
+    (tmp_path / "cpu.max").write_text("max 100000\n")
+    assert metrics._read_text(str(tmp_path / "cpu.max")) == "max 100000\n"
