@@ -47,8 +47,9 @@ def place_nodes(cfg: ArenaConfig) -> np.ndarray:
 # costs less than folding whole rows.  On a 2-core Xeon VM (Python 3.11,
 # numpy 2.4) a folded row cost as much as 18 to 65 walked cells, fewest at
 # 10 nodes (20 coordinates a row) and most at 190 (380), in two runs of
-# `python3 tools/time_step_mobility.py --costs` (BENCH_13.json); 32 lies in
-# that range.
+# `python3 tools/time_step_mobility.py --costs` (BENCH_13.json), and 17 to
+# 73 with the steps built in one buffer (BENCH_22.json); 32 lies in that
+# range.
 _WALK_CELLS_PER_ROW = 32
 
 
@@ -66,7 +67,9 @@ def step_mobility(
     Returns the ``(frames, S, 2)`` positions after each frame; the input
     is not modified.  The angles are drawn as one ``(frames, S)`` block,
     which is the same stream as ``frames`` draws of ``S``.  ``speed = 0``
-    is the identity and draws nothing.
+    is the identity and draws nothing.  ``np.cos`` and ``np.sin`` write
+    the steps straight into one ``(frames, S, 2)`` buffer, which is
+    scaled by ``speed`` in place and copied once, under the positions.
 
     Frame by frame, each coordinate adds its step and, when that takes it
     out of ``[0, side_a]``, folds back: ``f = y mod 2 side_a``, mirrored
@@ -84,11 +87,15 @@ def step_mobility(
     if speed == 0:
         return np.repeat(positions[None], frames, axis=0)
     theta = rng.uniform(0.0, 2.0 * math.pi, size=(frames, len(positions)))
+    steps = np.empty((frames, *positions.shape))
+    np.cos(theta, out=steps[..., 0])
+    np.sin(theta, out=steps[..., 1])
+    steps *= speed
     path = np.empty((frames + 1, *positions.shape))
     path[0] = positions
-    np.multiply(speed, np.stack([np.cos(theta), np.sin(theta)], axis=-1), out=path[1:])
+    path[1:] = steps
     coords = path.reshape(frames + 1, -1)  # a row per frame, a column per coordinate
-    steps = coords[1:].copy()
+    steps = steps.reshape(frames, -1)
     # At speeds near the float limit a running sum may overflow, but only
     # in rows after its coordinate's first step out, which are redone.
     with np.errstate(over="ignore"):

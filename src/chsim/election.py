@@ -55,8 +55,9 @@ def geometric_partition(positions, k: int, rng) -> np.ndarray:
         raise ValueError(f"need 1 <= k <= {n} point groups, got {k}")
     centers = positions[rng.choice(n, size=k, replace=False)].copy()
     labels = np.zeros(n, dtype=int)
+    x, y = positions[:, :1], positions[:, 1:]
     for _ in range(20):
-        d2 = ((positions[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        d2 = np.square(x - centers[:, 0]) + np.square(y - centers[:, 1])
         labels = d2.argmin(axis=1)
         counts = np.bincount(labels, minlength=k)
         if counts.all():

@@ -163,7 +163,8 @@ def head_uplink(d_size: float, r_bs, s: int, c: int, params: EnergyParams):
     """A head's frame energy besides its members' packets: scheduling the
     cluster and forwarding one aggregated ``d_size`` packet over ``r_bs``
     to the base station.  Unchecked; ``r_bs`` may be an array of any
-    shape, so a run computes it once, or once per block of movement."""
+    shape, so a run computes it once for every node, or, when nodes move,
+    once per segment for the live heads along their paths."""
     # sched_energy + tx_to_bs, summed in the order whose rounding the traces pin
     return (
         sched_energy(d_size, s, c, params)

@@ -6,19 +6,24 @@ columns ``frame,alive,packets_cum,chn_count``, :func:`read_curve_csv`
 reads it back, and any external grapher can consume it.  JSON mirrors the dataclass structure with snake_case
 keys, sorted, so ``json.loads`` gives back a summary's fields exactly.
 A summary list, such as a sweep's, is encoded a summary at a time as
-its runs finish and written only once all of them have, so it holds
-bytes rather than curves.  A trace's residual matrix is streamed to the
-destination a block of rows at a time, in the bytes ``json.dumps``
+its runs finish, by orjson in the bytes ``json.dumps`` would give, and
+written only once all of them have, so it holds bytes rather than
+curves.  A trace's residual matrix is streamed to the
+destination (a temporary file beside a path, renamed over it once
+complete) a block of rows at a time, in the bytes ``json.dumps``
 would give it: orjson formats each block whose values it writes as
 ``json.dumps`` does, and ``json.dumps`` the rest.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
+import os
+import stat
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -274,11 +279,23 @@ def _dumps(value) -> str:
 
 def _summary_piece(s: RunSummary, fmt: str) -> bytes:
     """One summary's part of a summary-list export: the JSON text of its
-    ``vars``, or its CSV row."""
+    ``vars``, or its CSV row.
+
+    The JSON goes through orjson with sorted keys, which writes the
+    bytes of ``json.dumps`` for a summary's ASCII strings, ints, ``None``
+    and tuples of ints.  orjson's result keeps 64 KiB of capacity
+    whatever its length, so the piece held is a trimmed copy.  An int
+    outside orjson's 64-bit range, such as a seed of ``2**64``, goes
+    through ``json.dumps``."""
     if not isinstance(s, RunSummary):
         raise ValueError(f"cannot export {type(s).__name__} in a summary list")
     if fmt == "json":
-        return _dumps(vars(s)).encode()
+        import orjson  # not loaded by `import chsim`; see _matrix_json
+
+        try:
+            return memoryview(orjson.dumps(vars(s), option=orjson.OPT_SORT_KEYS)).tobytes()
+        except orjson.JSONEncodeError:
+            return _dumps(vars(s)).encode()
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerow(
         (s.policy, s.scenario, s.seed, s.nodes, s.total_packets,
@@ -377,7 +394,9 @@ def export(obj, fmt: str, destination) -> int:
     A summary list may be any iterator of summaries, such as a generator
     that runs each simulation as it is asked for.  It is encoded in full
     before anything is written, as separate pieces that are never joined,
-    so one that raises part way leaves no file and writes nothing."""
+    so one that raises part way leaves no file and writes nothing.  A
+    path is written as :func:`_write_path` writes it, so a trace whose
+    streamed export fails part way leaves no truncated file either."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}: use 'csv' or 'json'")
     if isinstance(obj, (list, tuple, Iterator)):
@@ -388,8 +407,44 @@ def export(obj, fmt: str, destination) -> int:
         chunks = _json_chunks(obj)
     if hasattr(destination, "write"):
         return _write(chunks, destination)
-    with open(destination, "wb") as fh:
-        return _write(chunks, fh)
+    return _write_path(chunks, os.fspath(destination))
+
+
+def _write_path(chunks, path) -> int:
+    """Write ``chunks`` to the file at ``path``.
+
+    A regular file, or a path with nothing at it yet, is written to a
+    temporary file beside it, which replaces it only once every chunk is
+    written; on failure the temporary file is removed and ``path`` keeps
+    what it held.  The file ends with the mode a plain ``open`` would
+    leave: an existing file's own, else ``0o666`` less the umask.
+    Anything else at ``path`` (a device such as ``/dev/null``, a FIFO, a
+    symlink, a directory) is opened and written in place, never replaced
+    or removed, as is a regular file beside which no temporary file can
+    be made."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    fd = None
+    if mode is None or stat.S_ISREG(mode):
+        head, name = os.path.split(path)
+        temp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+        with contextlib.suppress(OSError):
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    if fd is None:
+        with open(path, "wb") as fh:
+            return _write(chunks, fh)
+    try:
+        with open(fd, "wb") as fh:
+            if mode is not None:
+                os.chmod(fd, stat.S_IMODE(mode))
+            written = _write(chunks, fh)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+    return written
 
 
 def read_curve_csv(source) -> tuple[tuple[int, int, int, int], ...]:

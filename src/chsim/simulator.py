@@ -18,7 +18,9 @@ where every node is always awake and senses an event, draws no traffic.
 A segment starts with the frame prelude (dead heads are
 dismissed, then an election or dchne's re-election), charges the frames
 up to the next round boundary or the block's end on the network as it
-then stands, and commits them on one path, :func:`_commit`, up to and
+then stands (pricing the uplinks of its live heads only: once per run
+when nodes stand still, along the segment's path when they move), and
+commits them on one path, :func:`_commit`, up to and
 including the first frame with a death, as one
 :meth:`~chsim.network.Network.debit` per frame would.  A run trusts its
 config, which checked its own fields when built (:mod:`chsim.config`).
@@ -165,15 +167,16 @@ def _room(column: np.ndarray, rows: int, limit: int) -> np.ndarray:
     return grown
 
 
-def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, sends: np.ndarray,
-                   uplink: np.ndarray, member_tx: float, d_size: int,
+def _frame_charges(net: Network, heads: np.ndarray, awake: np.ndarray, events: np.ndarray,
+                   sends: np.ndarray, uplink: np.ndarray, member_tx: float, d_size: int,
                    params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
     """The charges and deliveries of ``k`` frames on the network as it stands.
 
-    ``awake`` and ``events`` are the frames' ``(k, S)`` draws, ``sends``
-    is ``awake & events``, and ``uplink`` holds every node's
-    :func:`~chsim.energy.head_uplink`, ``(S,)`` for every frame or
-    ``(k, S)`` one row per frame.  Each alive, clustered member that is
+    ``heads`` are the ids of the alive heads, ascending; ``awake`` and
+    ``events`` are the frames' ``(k, S)`` draws, ``sends`` is
+    ``awake & events``, and ``uplink`` holds the heads'
+    :func:`~chsim.energy.head_uplink`, ``(H,)`` for every frame or
+    ``(k, H)`` one row per frame.  Each alive, clustered member that is
     awake and senses an event pays ``member_tx``; each alive head that is
     awake and has a packet, its own or a member's, pays its uplink plus
     the per-packet cost of its inbound count: together,
@@ -185,7 +188,6 @@ def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, sends: n
     alive = net.alive
     tx = (sends & (alive & ~net.head & (net.cluster >= 0))).astype(float)
     charges = tx * member_tx
-    heads = np.nonzero(net.head & alive)[0]
     if len(heads) == 0:
         return charges, np.zeros(len(tx), dtype=np.int64)
     # sums of 0/1 products are exact in float64 (tests/test_numeric_contracts.py)
@@ -193,7 +195,7 @@ def _frame_charges(net: Network, awake: np.ndarray, events: np.ndarray, sends: n
     inbound = (tx @ joins).astype(np.int64)
     # the packets each head forwards: its members' and its own, if it is awake
     packets = (inbound + events[:, heads]) * awake[:, heads]
-    head_cost = _frame_consumption_chn(inbound, d_size, uplink[..., heads], params)
+    head_cost = _frame_consumption_chn(inbound, d_size, uplink, params)
     charges[:, heads] = np.where(packets > 0, head_cost, 0.0)
     return charges, packets.sum(axis=1)
 
@@ -289,8 +291,9 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                          f"head frame up to {worst_head!r} J")
 
     mobile = cfg.mobility_speed > 0.0
-    r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
-    uplink = head_uplink(scen.d_size, r_bs, s, c, params)  # all run long, unless nodes move
+    if not mobile:  # one uplink per node, all run long
+        r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
+        uplink = head_uplink(scen.d_size, r_bs, s, c, params)
     block_rows = traffic.rows
     # a segment's residuals (and consumed energy) before and after each frame
     residual_rows = np.empty((block_rows + 1, s))
@@ -319,8 +322,6 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
             if mobile:
                 moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed,
                                       mobility_rng, k)
-                r_path = np.hypot(moves[..., 0] - bs[0], moves[..., 1] - bs[1])
-                uplink_path = head_uplink(scen.d_size, r_path, s, c, params)
             while frame < start + k:
                 row = frame - start
                 if died:
@@ -347,11 +348,18 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                 # the block, charged as the network stands now, committed up to
                 # and including the first frame with a death.
                 rows = slice(row, min(k, row + fpr - frame % fpr))
-                charges, delivered = _frame_charges(
-                    net, awake[rows], events[rows], sends[rows],
-                    uplink_path[rows] if mobile else uplink, member_tx, scen.d_size, params,
-                )
                 alive = net.alive
+                live_heads = np.nonzero(net.head & alive)[0]
+                if not mobile:
+                    head_uplinks = uplink[live_heads]
+                else:  # only the live heads' paths are priced
+                    where = moves[rows, live_heads]
+                    r_bs = np.hypot(where[..., 0] - bs[0], where[..., 1] - bs[1])
+                    head_uplinks = head_uplink(scen.d_size, r_bs, s, c, params)
+                charges, delivered = _frame_charges(
+                    net, live_heads, awake[rows], events[rows], sends[rows], head_uplinks, member_tx,
+                    scen.d_size, params,
+                )
                 n_alive = int(np.count_nonzero(alive))
                 # With nobody alive, or a head just killed by its setup charge
                 # (the next frame re-elects), the segment is its first frame.

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from chsim import simulator
+from chsim.arena import _fold_rows
 from chsim.cli import main
 from chsim.config import ArenaConfig, ControlMessageSizes, EnergyParams, ScenarioConfig, SimConfig
 from chsim.energy import _frame_consumption_chn, frame_consumption_chn, head_uplink, sched_energy
@@ -148,6 +149,25 @@ def test_trace_columns_grown_past_their_first_room_match_reference(cfg, monkeypa
     assert len(run(cfg)) > 5
 
 
+def test_fast_mobile_deaths_match_reference(monkeypatch):
+    # `--mobility 100` in a 350 m arena: all 60 coordinates reach a wall
+    # early in each 540-frame block, so the block is folded row by row;
+    # nodes die inside rounds and dchne re-elects their clusters, so the
+    # segments of a round price different heads' uplinks
+    cfg = SimConfig(arena=ArenaConfig(node_count=30, seed=7), cluster_count=3, initial_energy=0.3,
+                    mobility_speed=100.0, max_frames=1500,
+                    scenario=ScenarioConfig(kind="scenario2"), record_residuals=True)
+    folds = []
+    monkeypatch.setattr("chsim.arena._fold_rows",
+                        lambda *args: folds.append(args) or _fold_rows(*args))
+    trace = run(cfg)
+    assert len(folds) == 2 and trace.termination == "all-dead"
+    deaths = np.flatnonzero(np.diff(trace.alive, prepend=cfg.arena.node_count) < 0)
+    assert np.count_nonzero(deaths % cfg.scenario.frames_per_round) > 10
+    assert len(trace.reelections) > 10
+    assert _json(trace) == _json(reference_run(cfg))
+
+
 def test_named_cases_reach_their_pitfalls():
     trace = run(SimConfig(policy="leach"))
     assert (len(trace), trace.termination) == (6581, "all-dead")
@@ -219,11 +239,13 @@ CHARGE_ARGS = (MEMBER_TX, 4000, 1, EnergyParams())  # member_tx, d_size, c, para
 
 def frame_charges(net, awake, events, r_bs):
     """``_frame_charges`` at base-station distances ``r_bs``, with the
-    heads' uplink costs computed from them as ``run()`` does."""
+    live heads' uplink costs computed from their columns as ``run()``
+    does."""
     member_tx, d_size, c, params = CHARGE_ARGS
-    uplink = head_uplink(d_size, r_bs, len(net), c, params)
-    return simulator._frame_charges(net, awake, events, awake & events, uplink, member_tx, d_size,
-                                    params)
+    heads = np.nonzero(net.head & net.alive)[0]
+    uplink = head_uplink(d_size, r_bs[..., heads], len(net), c, params)
+    return simulator._frame_charges(net, heads, awake, events, awake & events, uplink, member_tx,
+                                    d_size, params)
 
 
 def loop_charges(net, awake, events, r_bs):
@@ -346,8 +368,10 @@ def test_head_uplink_split_matches_one_expression(case):
     np.testing.assert_array_equal((n * per_member + uplink).view(np.int64), expected)
     np.testing.assert_array_equal(_frame_consumption_chn(n, d, uplink, p).view(np.int64), expected)
     np.testing.assert_array_equal(frame_consumption_chn(n, d, r, s, c, p).view(np.int64), expected)
-    # _frame_charges takes the heads' columns of an uplink computed for every node
+    # run() prices only the heads' columns, as their columns of every node's uplink
+    head_only = head_uplink(d, r[..., heads], s, c, p)
+    assert head_only.tobytes() == uplink[..., heads].tobytes()
     np.testing.assert_array_equal(
-        _frame_consumption_chn(n[..., heads], d, uplink[..., heads], p).view(np.int64),
+        _frame_consumption_chn(n[..., heads], d, head_only, p).view(np.int64),
         one_expression(n[..., heads], d, r[..., heads], s, c, p).view(np.int64),
     )

@@ -266,8 +266,8 @@ class TestRun:
         calls = []
         original = simulator._frame_charges
 
-        def recording_charges(net, awake, events, sends, uplink, *args):
-            charges, delivered = original(net, awake, events, sends, uplink, *args)
+        def recording_charges(net, heads, awake, events, sends, uplink, *args):
+            charges, delivered = original(net, heads, awake, events, sends, uplink, *args)
             state = (net.head.copy(), net.alive, net.cluster.copy(), net.consumed.copy())
             calls.append((net, state, awake, events, uplink, charges))
             return charges, delivered
@@ -279,12 +279,12 @@ class TestRun:
         assert trace.alive[-1] == cfg.arena.node_count
         [(net, (head, alive, cluster, consumed), awake, events, uplink, charges)] = calls
         assert charges.shape == (20, len(net))
-        assert uplink.shape == (len(net),)  # nodes that stand still: one uplink per run
+        heads = np.nonzero(head & alive)[0]
+        assert uplink.shape == (len(heads),)  # nodes that stand still: one uplink per head
         d, c, params = cfg.scenario.d_size, cfg.cluster_count, cfg.energy
         bs = np.asarray(cfg.arena.bs_position, dtype=float)
         r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
         member_cost = frame_consumption_nchn(d, cfg.arena.side_a, c, params)
-        heads = np.nonzero(head & alive)[0]
         for frame in range(20):
             members = np.nonzero(alive & ~head & awake[frame] & events[frame])[0]
             assert np.all(charges[frame, members] == member_cost)

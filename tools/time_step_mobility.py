@@ -89,7 +89,11 @@ def hot_block(s: int, frames: int, speed: float, seed: int):
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, SIDE, (s, 2))
     theta = rng.uniform(0.0, 2.0 * np.pi, (frames, s))
-    steps = (speed * np.stack([np.cos(theta), np.sin(theta)], axis=-1)).reshape(frames, -1)
+    steps = np.empty((frames, s, 2))  # built as step_mobility builds its step buffer
+    np.cos(theta, out=steps[..., 0])
+    np.sin(theta, out=steps[..., 1])
+    steps *= speed
+    steps = steps.reshape(frames, -1)
     coords = np.concatenate([pos.reshape(1, -1), steps])
     np.add.accumulate(coords, axis=0, out=coords)
     outside = (coords[1:] < 0.0) | (coords[1:] > SIDE)
