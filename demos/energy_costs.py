@@ -17,6 +17,7 @@ from chsim import (
     tx_intra,
     tx_to_bs,
 )
+from chsim.energy import sched_energy
 
 AREA = 350.0
 NODES = 190
@@ -61,7 +62,7 @@ def main():
     r_typical = 150.0
     rx = members * D_SIZE * p.e_radio
     agg = members * D_SIZE * p.e_agg
-    sched = D_SIZE * p.e_sched * (NODES / CLUSTERS - 1)
+    sched = sched_energy(D_SIZE, NODES, CLUSTERS, p)
     uplink = tx_to_bs(D_SIZE, r_typical, p)
     rows = [
         ("member transmissions", members * member_tx),

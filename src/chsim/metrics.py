@@ -1,18 +1,17 @@
-"""Run summaries, policy comparison tables, CSV/JSON export, and
-alive-curve CSV parsing.
+"""Run summaries, policy comparison tables, and their CSV/JSON export.
 
 CSV is the plotting interface: an alive-curve export has exactly the
-columns ``frame,alive,packets_cum,chn_count``, :func:`read_curve_csv`
-reads it back, and any external grapher can consume it.  JSON mirrors the dataclass structure with snake_case
-keys, sorted, so ``json.loads`` gives back a summary's fields exactly.
-A summary list, such as a sweep's, is encoded a summary at a time as
-its runs finish, by orjson in the bytes ``json.dumps`` would give, and
-written only once all of them have, so it holds bytes rather than
-curves.  A trace's residual matrix is streamed to the
-destination (a temporary file beside a path, renamed over it once
-complete) a block of rows at a time, in the bytes ``json.dumps``
-would give it: orjson formats each block whose values it writes as
-``json.dumps`` does, and ``json.dumps`` the rest.
+columns ``frame,alive,packets_cum,chn_count``, which ``csv.reader`` or
+any external grapher can consume.  JSON mirrors the dataclass structure
+with snake_case keys, sorted, so ``json.loads`` gives back a summary's
+fields exactly.  A summary, alone or in a list, is encoded by orjson in
+the bytes ``json.dumps`` would give.  A list, such as a sweep's, is
+encoded a summary at a time as its runs finish, and written only once
+all of them have, so it holds bytes rather than curves.  A trace's
+residual matrix is streamed to the destination (a temporary file beside
+a path, renamed over it once complete) a block of rows at a time, in
+the bytes ``json.dumps`` would give it: orjson formats each block whose
+values it writes as ``json.dumps`` does, and ``json.dumps`` the rest.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "outcome",
     "compare",
     "export",
-    "read_curve_csv",
 ]
 
 CURVE_COLUMNS = ("frame", "alive", "packets_cum", "chn_count")
@@ -232,78 +230,42 @@ def compare(summaries) -> ComparisonTable:
     return ComparisonTable(rows=tuple(rows), aggregates=tuple(aggregates))
 
 
-def _csv_text(obj) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    if isinstance(obj, (RunSummary, SimTrace)):
-        writer.writerow(CURVE_COLUMNS)
-        writer.writerows(obj.curve if isinstance(obj, RunSummary) else _curve(obj))
-    elif isinstance(obj, ComparisonTable):
-        writer.writerow(("scenario", "seed", "baseline", "packets_delta", "lifetime_delta"))
-        for r in obj.rows:
-            writer.writerow((r.scenario, r.seed, r.baseline, r.packets_delta, r.lifetime_delta))
-    else:
-        raise ValueError(f"cannot export {type(obj).__name__} as csv")
-    return out.getvalue()
-
-
-def _jsonable(obj):
-    # Summaries and table rows hold only scalars and tuples, which json
-    # writes as they are, so a shallow vars() stands in for a deep asdict().
-    if isinstance(obj, RunSummary):
-        return vars(obj)
-    if isinstance(obj, ComparisonTable):
-        return {
-            "rows": [vars(r) for r in obj.rows],
-            "aggregates": [vars(a) for a in obj.aggregates],
-        }
-    if isinstance(obj, SimTrace):
-        return {
-            "config": config_to_dict(obj.config),
-            "termination": obj.termination,
-            "alive": obj.alive.tolist(),
-            "packets_cum": obj.packets_cum.tolist(),
-            "chn_count": obj.chn_count.tolist(),
-            "head_change_frames": list(obj.head_change_frames),
-            "head_change_ids": [list(ids) for ids in obj.head_change_ids],
-            "reelections": [list(r) for r in obj.reelections],
-            "final_residual": obj.final_residual.tolist(),
-            "final_consumed": obj.final_consumed.tolist(),
-        }
-    raise ValueError(f"cannot export {type(obj).__name__} as json")
-
-
 def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _csv_rows(rows) -> bytes:
+    """``rows`` as CSV lines, each ended by ``\\n``."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue().encode()
+
+
 def _summary_piece(s: RunSummary, fmt: str) -> bytes:
-    """One summary's part of a summary-list export: the JSON text of its
-    ``vars``, or its CSV row.
+    """A summary's JSON text of its ``vars``, or its row in a summary
+    list's CSV.
 
     The JSON goes through orjson with sorted keys, which writes the
-    bytes of ``json.dumps`` for a summary's ASCII strings, ints, ``None``
-    and tuples of ints.  orjson's result keeps 64 KiB of capacity
-    whatever its length, so the piece held is a trimmed copy.  An int
-    outside orjson's 64-bit range, such as a seed of ``2**64``, goes
-    through ``json.dumps``."""
+    bytes of ``json.dumps`` for ints, ``None``, tuples of ints and
+    strings of characters below U+007F; it writes U+007F and above raw,
+    where ``json.dumps`` escapes them.  orjson's result keeps 64 KiB of
+    capacity whatever its length, so the piece held is a trimmed copy.
+    A summary whose policy or scenario holds such a character, or with
+    an int outside orjson's 64-bit range, such as a seed of ``2**64``,
+    goes through ``json.dumps``."""
     if not isinstance(s, RunSummary):
         raise ValueError(f"cannot export {type(s).__name__} in a summary list")
-    if fmt == "json":
-        import orjson  # not loaded by `import chsim`; see _matrix_json
+    if fmt == "csv":
+        return _csv_rows([(s.policy, s.scenario, s.seed, s.nodes, s.total_packets,
+                           "" if s.first_death_frame is None else s.first_death_frame,
+                           "" if s.all_dead_frame is None else s.all_dead_frame,
+                           s.lifetime())])
+    import orjson  # not loaded by `import chsim`; see _matrix_json
 
-        try:
+    if max(s.policy + s.scenario, default="") < "\x7f":
+        with contextlib.suppress(orjson.JSONEncodeError):
             return memoryview(orjson.dumps(vars(s), option=orjson.OPT_SORT_KEYS)).tobytes()
-        except orjson.JSONEncodeError:
-            return _dumps(vars(s)).encode()
-    out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerow(
-        (s.policy, s.scenario, s.seed, s.nodes, s.total_packets,
-         "" if s.first_death_frame is None else s.first_death_frame,
-         "" if s.all_dead_frame is None else s.all_dead_frame,
-         s.lifetime())
-    )
-    return out.getvalue().encode()
+    return _dumps(vars(s)).encode()
 
 
 def _summary_list_chunks(summaries, fmt: str) -> list[bytes]:
@@ -358,24 +320,51 @@ def _matrix_json(matrix: np.ndarray):
     yield b"]"
 
 
-def _json_chunks(obj):
-    """The JSON document of ``obj``, newline-terminated, as bytes pieces.
+def _chunks(obj, fmt: str):
+    """The export of ``obj`` in ``fmt``, as bytes pieces.
 
-    A trace's residuals go between the keys that sort before and after
-    ``"residuals"``, each side encoded whole; neither side is empty.
+    A trace's JSON puts its residuals between the keys that sort before
+    and after ``"residuals"``, each side encoded whole; neither side is
+    empty.  Summaries and table rows hold only scalars and tuples, which
+    json writes as they are, so a shallow vars() stands in for a deep
+    asdict().
     """
-    doc = _jsonable(obj)
-    if not isinstance(obj, SimTrace):
+    # a RunOutcome is a tuple too, but one run's, not a list of summaries
+    if type(obj) in (list, tuple) or isinstance(obj, Iterator):
+        return _summary_list_chunks(obj, fmt)
+    if isinstance(obj, RunSummary):
+        if fmt == "csv":
+            return [_csv_rows((CURVE_COLUMNS, *obj.curve))]
+        return [_summary_piece(obj, fmt), b"\n"]
+    if isinstance(obj, SimTrace):
+        if fmt == "csv":
+            return [_csv_rows((CURVE_COLUMNS, *_curve(obj)))]
+        doc = {
+            "config": config_to_dict(obj.config),
+            "termination": obj.termination,
+            "alive": obj.alive.tolist(),
+            "packets_cum": obj.packets_cum.tolist(),
+            "chn_count": obj.chn_count.tolist(),
+            "head_change_frames": list(obj.head_change_frames),
+            "head_change_ids": [list(ids) for ids in obj.head_change_ids],
+            "reelections": [list(r) for r in obj.reelections],
+            "final_residual": obj.final_residual.tolist(),
+            "final_consumed": obj.final_consumed.tolist(),
+        }
+        head = _dumps({k: v for k, v in doc.items() if k < "residuals"}).encode()
+        tail = _dumps({k: v for k, v in doc.items() if k > "residuals"}).encode()
+        residuals = [b"null"] if obj.residual_log is None else _matrix_json(obj.residual_log)
+        return itertools.chain((head[:-1], b',"residuals":'), residuals, (b",", tail[1:], b"\n"))
+    if isinstance(obj, ComparisonTable):
+        if fmt == "csv":
+            return [_csv_rows((
+                ("scenario", "seed", "baseline", "packets_delta", "lifetime_delta"),
+                *((r.scenario, r.seed, r.baseline, r.packets_delta, r.lifetime_delta)
+                  for r in obj.rows),
+            ))]
+        doc = {"rows": [vars(r) for r in obj.rows], "aggregates": [vars(a) for a in obj.aggregates]}
         return [(_dumps(doc) + "\n").encode()]
-    head = _dumps({k: v for k, v in doc.items() if k < "residuals"}).encode()
-    tail = _dumps({k: v for k, v in doc.items() if k > "residuals"}).encode()
-    return _trace_chunks(head, obj.residual_log, tail)
-
-
-def _trace_chunks(head: bytes, residual_log, tail: bytes):
-    yield from (head[:-1], b',"residuals":')
-    yield from [b"null"] if residual_log is None else _matrix_json(residual_log)
-    yield from (b",", tail[1:], b"\n")
+    raise ValueError(f"cannot export {type(obj).__name__} as {fmt}")
 
 
 def _write(chunks, fh) -> int:
@@ -399,12 +388,7 @@ def export(obj, fmt: str, destination) -> int:
     streamed export fails part way leaves no truncated file either."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r}: use 'csv' or 'json'")
-    if isinstance(obj, (list, tuple, Iterator)):
-        chunks = _summary_list_chunks(obj, fmt)
-    elif fmt == "csv":
-        chunks = [_csv_text(obj).encode()]
-    else:
-        chunks = _json_chunks(obj)
+    chunks = _chunks(obj, fmt)
     if hasattr(destination, "write"):
         return _write(chunks, destination)
     return _write_path(chunks, os.fspath(destination))
@@ -445,21 +429,6 @@ def _write_path(chunks, path) -> int:
         os.unlink(temp)
         raise
     return written
-
-
-def read_curve_csv(source) -> tuple[tuple[int, int, int, int], ...]:
-    """Parse an alive-curve CSV, from a path or a file-like, back into
-    (frame, alive, packets_cum, chn_count) rows."""
-    if hasattr(source, "read"):
-        data = source.read()
-    else:
-        with open(source, "rb") as fh:
-            data = fh.read()
-    reader = csv.reader(io.StringIO(data.decode() if isinstance(data, bytes) else data))
-    header = next(reader, None)
-    if header != list(CURVE_COLUMNS):
-        raise ValueError(f"expected header {','.join(CURVE_COLUMNS)!r}, got {header!r}")
-    return tuple(tuple(int(cell) for cell in row) for row in reader if row)
 
 
 # Nothing calls the cgroup CPU-quota reader below since the residual writer

@@ -47,7 +47,6 @@ from .election import dchne_elect, dchne_reelect_cluster, leach_elect, rrch_elec
 from .energy import (
     _frame_consumption_chn,
     election_costs,
-    frame_consumption_chn,
     frame_consumption_nchn,
     head_uplink,
 )
@@ -285,7 +284,9 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
     costs = election_costs(msgs, arena.side_a, s, c, params)
     member_tx = frame_consumption_nchn(scen.d_size, arena.side_a, c, params)
     # no head serves more than S members or sits farther out than a corner
-    worst_head = frame_consumption_chn(s, scen.d_size, arena.bs_reach(), s, c, params)
+    worst_head = _frame_consumption_chn(
+        s, scen.d_size, head_uplink(scen.d_size, arena.bs_reach(), s, c, params), params
+    )
     if not np.isfinite([member_tx, *costs, worst_head]).all():
         raise ValueError(f"energy costs overflow a float: {costs}, member frame {member_tx!r} J, "
                          f"head frame up to {worst_head!r} J")

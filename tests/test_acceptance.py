@@ -11,6 +11,7 @@ endpoint), and spends fewer joules per packet.  The tests record both
 outcomes honestly rather than papering over the endpoint difference.
 """
 
+import csv
 import io
 import json
 import math
@@ -32,7 +33,7 @@ from chsim.energy import (
     tx_intra,
     tx_to_bs,
 )
-from chsim.metrics import RunSummary, export, read_curve_csv
+from chsim.metrics import CURVE_COLUMNS, RunSummary, export
 from chsim.network import Network
 from chsim.simulator import run
 
@@ -369,8 +370,9 @@ def test_c9_serialization_round_trips():
 
         buf = io.BytesIO()
         export(summary, "csv", buf)
-        buf.seek(0)
-        assert read_curve_csv(buf) == summary.curve
+        header, *rows = csv.reader(io.StringIO(buf.getvalue().decode()))
+        assert header == list(CURVE_COLUMNS)
+        assert tuple(tuple(map(int, row)) for row in rows) == summary.curve
     print(
         "ACCEPTANCE 9: PASS — 100 random summaries survive JSON and CSV "
         "round-trips exactly"

@@ -1,5 +1,6 @@
 """Command-line driver: flags, planning, exit codes, reproducible output."""
 
+import csv
 import json
 import tracemalloc
 import weakref
@@ -9,7 +10,7 @@ import pytest
 
 from chsim import cli
 from chsim.cli import main, parse_args, plan_runs
-from chsim.metrics import read_curve_csv
+from chsim.metrics import CURVE_COLUMNS
 from chsim.simulator import SimConfig
 
 
@@ -175,7 +176,9 @@ class TestExecution:
         code = main(["run", "--nodes", "15", "--clusters", "2", "--frames", "40",
                      "--seed", "4", "--out", str(out)])
         assert code == 0
-        rows = read_curve_csv(out)
+        header, *body = csv.reader(out.read_text().splitlines())
+        assert header == list(CURVE_COLUMNS)
+        rows = [tuple(map(int, row)) for row in body]
         assert len(rows) == 40
         assert rows[0][1] == 15
 

@@ -1,4 +1,4 @@
-"""Summaries, comparison tables, CSV/JSON export and curve parse-back."""
+"""Summaries, comparison tables and CSV/JSON export."""
 
 import csv
 import io
@@ -10,12 +10,13 @@ import pytest
 
 from chsim.arena import ArenaConfig
 from chsim.metrics import (
+    CURVE_COLUMNS,
     ComparisonTable,
     GroupingError,
     RunSummary,
     compare,
     export,
-    read_curve_csv,
+    outcome,
     summarize,
 )
 from chsim.simulator import SimConfig, SimTrace, run
@@ -226,7 +227,9 @@ class TestExport:
             summary = make_summary(rng, seed=i)
             path = tmp_path / f"c{i}.csv"
             export(summary, "csv", path)
-            assert read_curve_csv(path) == summary.curve
+            header, *rows = csv.reader(path.read_text().splitlines())
+            assert header == list(CURVE_COLUMNS)
+            assert tuple(tuple(map(int, row)) for row in rows) == summary.curve
 
     def test_file_like_destination_and_byte_count(self):
         sink = io.BytesIO()
@@ -298,11 +301,17 @@ class TestExport:
             export(iter([make_summary(), 7]), fmt, path)
         assert not path.exists()
 
-    def test_malformed_curve_csv_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("frame,alive\n0,1\n")
-        with pytest.raises(ValueError):
-            read_curve_csv(path)
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "obj",
+        [7, None, {"alive": [5, 4]}, outcome(make_trace([5, 4], [3, 6], [1, 1]))],
+        ids=["int", "None", "dict", "RunOutcome"],
+    )
+    def test_another_object_is_one_error_naming_its_type(self, tmp_path, fmt, obj):
+        path = tmp_path / f"out.{fmt}"
+        with pytest.raises(ValueError, match=f"^cannot export {type(obj).__name__} as {fmt}$"):
+            export(obj, fmt, path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_trace_json_includes_config_echo(self, tmp_path):
         trace = make_trace([5, 4], [3, 6], [1, 1], seed=9)

@@ -1,8 +1,10 @@
-"""A summary list's JSON pieces, encoded by orjson, give the bytes of
-``json.dumps`` with sorted keys and no spaces, the encoding they
-replaced; an int beyond orjson's 64-bit range goes through
+"""A summary's JSON, alone or as a piece of a list, encoded by orjson,
+gives the bytes of ``json.dumps`` with sorted keys and no spaces, the
+encoding it replaced; an int beyond orjson's 64-bit range, or a policy
+or scenario with a character that orjson writes raw, goes through
 ``json.dumps`` itself."""
 
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -11,7 +13,7 @@ import orjson
 import pytest
 
 from chsim.cli import main
-from chsim.metrics import RunSummary, _summary_piece
+from chsim.metrics import RunSummary, _summary_piece, export
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -28,8 +30,8 @@ def dumps(summary: RunSummary) -> bytes:
 COUNTS = st.integers(0, 2**63 - 1)
 summaries = st.builds(
     RunSummary,
-    policy=st.sampled_from(["dchne", "leach", "rrch"]),
-    scenario=st.sampled_from(["scenario1", "scenario2"]),
+    policy=st.text(),
+    scenario=st.text(),
     seed=st.integers(0, 2**70),
     nodes=st.integers(1, 10**6),
     total_packets=COUNTS,
@@ -44,8 +46,15 @@ summaries = st.builds(
 # no death, an empty curve, and a seed one past orjson's range
 @example(RunSummary("dchne", "scenario1", 0, 10, 0, None, None, ()))
 @example(RunSummary("rrch", "scenario2", 2**64, 10, 3, 1, 2, ((0, 10, 1, 2), (1, 9, 3, 2))))
+# characters that orjson writes raw and json.dumps escapes
+@example(RunSummary("dchn\u00e9", "scenario1", 0, 10, 0, None, None, ()))
+@example(RunSummary("\x7f", "scenario1", 0, 10, 0, None, None, ()))
+@example(RunSummary("dchne", "\u2028", 0, 10, 0, None, None, ()))
 def test_summary_piece_is_json_dumps(summary):
     assert _summary_piece(summary, "json") == dumps(summary)
+    sink = io.BytesIO()
+    export(summary, "json", sink)
+    assert sink.getvalue() == dumps(summary) + b"\n"
 
 
 def test_seed_past_64_bits_takes_the_fallback():
