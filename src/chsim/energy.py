@@ -63,28 +63,36 @@ def tx_to_bs(d_bits: float, r: float, params: EnergyParams) -> float:
     _check_bits(d_bits)
     if r < 0:
         raise ValueError(f"distance must be >= 0, got {r!r}")
-    return d_bits * params.e_radio + d_bits * params.e_mh * r**4
+    # -0.0 is the additive identity of every float, signed zeros included
+    return _uplink(-0.0, d_bits, r, params)
+
+
+def _uplink(base, d_bits: float, r, params: EnergyParams):
+    """``base + d*e_radio + d*e_mh*r^4``, summed left to right: the order
+    whose rounding the traces pin.  Unchecked; ``r`` may be an array."""
+    return base + d_bits * params.e_radio + d_bits * params.e_mh * r**4
+
+
+def _per_member(d_bits: float, s: int, c: int, coeff: float) -> float:
+    """``d_bits * coeff`` for each of a head's ``S/C - 1`` members
+    (real-valued average cluster size)."""
+    _check_bits(d_bits)
+    if c < 1:
+        raise ValueError(f"cluster count must be >= 1, got {c!r}")
+    if s < c:
+        raise ValueError(f"node count {s!r} must be >= cluster count {c!r}")
+    return d_bits * coeff * (s / c - 1.0)
 
 
 def rx_cluster(d_bits: float, s: int, c: int, params: EnergyParams) -> float:
     """Energy for a head to receive a ``d_bits`` message from each of its
     ``S/C - 1`` members (real-valued average cluster size)."""
-    _check_bits(d_bits)
-    if c < 1:
-        raise ValueError(f"cluster count must be >= 1, got {c!r}")
-    if s < c:
-        raise ValueError(f"node count {s!r} must be >= cluster count {c!r}")
-    return d_bits * params.e_radio * (s / c - 1.0)
+    return _per_member(d_bits, s, c, params.e_radio)
 
 
 def sched_energy(d_bits: float, s: int, c: int, params: EnergyParams) -> float:
     """Energy for a head to schedule its ``S/C - 1`` members' slots."""
-    _check_bits(d_bits)
-    if c < 1:
-        raise ValueError(f"cluster count must be >= 1, got {c!r}")
-    if s < c:
-        raise ValueError(f"node count {s!r} must be >= cluster count {c!r}")
-    return d_bits * params.e_sched * (s / c - 1.0)
+    return _per_member(d_bits, s, c, params.e_sched)
 
 
 def setup_energy_chn(
@@ -165,12 +173,7 @@ def head_uplink(d_size: float, r_bs, s: int, c: int, params: EnergyParams):
     to the base station.  Unchecked; ``r_bs`` may be an array of any
     shape, so a run computes it once for every node, or, when nodes move,
     once per segment for the live heads along their paths."""
-    # sched_energy + tx_to_bs, summed in the order whose rounding the traces pin
-    return (
-        sched_energy(d_size, s, c, params)
-        + d_size * params.e_radio
-        + d_size * params.e_mh * r_bs**4
-    )
+    return _uplink(sched_energy(d_size, s, c, params), d_size, r_bs, params)
 
 
 def _frame_consumption_chn(n_members, d_size: float, uplink, params: EnergyParams):

@@ -442,49 +442,14 @@ def _read_text(path: str) -> str | None:
         return None
 
 
-def _own_cgroups() -> tuple[str, str]:
-    """This process's cgroup in the cgroup v2 hierarchy and in cgroup
-    v1's ``cpu`` hierarchy, from ``/proc/self/cgroup``: the ``0::`` line,
-    and the line whose controllers include ``cpu``.  Either is ``/``
-    when the file does not name it or cannot be read."""
-    v2 = v1 = "/"
-    for line in (_read_text("/proc/self/cgroup") or "").splitlines():
-        hierarchy, _, rest = line.partition(":")
-        controllers, _, path = rest.partition(":")
-        if hierarchy == "0" and not controllers:
-            v2 = path or "/"
-        elif "cpu" in controllers.split(","):
-            v1 = path or "/"
-    return v2, v1
-
-
-def _up_to_root(mount: str, cgroup: str) -> list[str]:
-    """The directories of ``cgroup`` and of each ancestor, up to the
-    hierarchy's root, ``mount``."""
-    parts = [p for p in cgroup.split("/") if p]
-    return ["/".join([mount, *parts[:n]]) for n in range(len(parts), -1, -1)]
-
-
 def _cpu_quota() -> int | None:
-    """CPUs' worth of time per period that the cgroup CPU quota grants
-    this process, rounded up, or None when there is no quota or it
-    cannot be read.  The quota is the smallest one set on the process's
-    own cgroup or an ancestor: cgroup v2's ``cpu.max`` (``QUOTA PERIOD``,
-    with a quota of ``max`` for none), or, where no ``cpu.max`` can be
-    read, cgroup v1's ``cpu.cfs_quota_us`` (``-1`` for none) over
-    ``cpu.cfs_period_us``."""
-    v2, v1 = _own_cgroups()
-    texts = [t for d in _up_to_root("/sys/fs/cgroup", v2)
-             if (t := _read_text(f"{d}/cpu.max")) is not None]
-    if not texts:
-        texts = [f"{_read_text(f'{d}/cpu.cfs_quota_us')} {_read_text(f'{d}/cpu.cfs_period_us')}"
-                 for d in _up_to_root("/sys/fs/cgroup/cpu", v1)]
-    cpus = []
-    for text in texts:
-        try:
-            quota, period = map(int, text.split())
-        except ValueError:  # "max", a missing file, or text that is not two integers
-            continue
-        if quota > 0 and period > 0:
-            cpus.append(-(-quota // period))
-    return min(cpus, default=None)
+    """CPUs' worth of time per period that the cgroup v2 root's
+    ``cpu.max`` (``QUOTA PERIOD``, with a quota of ``max`` for none)
+    grants, rounded up, or None when there is no quota or it cannot be
+    read.  A process's own cgroup, its ancestors and cgroup v1 are not
+    read."""
+    try:
+        quota, period = map(int, (_read_text("/sys/fs/cgroup/cpu.max") or "").split())
+    except ValueError:  # "max", a missing file, or text that is not two integers
+        return None
+    return -(-quota // period) if quota > 0 and period > 0 else None

@@ -43,12 +43,10 @@ class Network:
     def alive(self) -> np.ndarray:
         return self.residual > 0.0
 
-    def debit(self, selector, amount) -> np.ndarray:
+    def debit(self, selector, amount) -> None:
         """Charge energy to the selected nodes, capping each charge at the
         node's remaining residual (a dying node gives up exactly what is
-        left, keeping the energy books balanced).  Returns the amounts
-        actually taken."""
+        left, keeping the energy books balanced)."""
         take = np.minimum(np.asarray(amount, float), self.residual[selector])
         self.residual[selector] -= take
         self.consumed[selector] += take
-        return take

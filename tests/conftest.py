@@ -1,0 +1,13 @@
+"""Set-up shared by every test module."""
+
+import tempfile
+from pathlib import Path
+
+try:
+    from hypothesis.configuration import set_hypothesis_home_dir
+except ImportError:  # each module that needs Hypothesis skips itself
+    pass
+else:
+    # Hypothesis caches facts about the code under test (at collection time,
+    # and even with no example database); keep them out of the checkout.
+    set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))

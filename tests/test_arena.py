@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -22,10 +21,6 @@ from reference_engine import _reflect, step_mobility_rows
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
-
-# Hypothesis caches facts about the code under test; keep them out of the checkout.
-set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 
 class TestPlacement:

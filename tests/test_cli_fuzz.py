@@ -1,16 +1,20 @@
-"""CLI argv, fuzzed: every invocation of ``run``, ``compare`` or ``sweep``
-ends in exactly one of three ways, and never in a traceback:
+"""CLI argv and config files, fuzzed: every invocation of ``run``,
+``compare`` or ``sweep`` ends in exactly one of three ways, and never in
+a traceback:
 
 - exit 0, nothing on stderr, and an export with no non-finite number;
 - exit 1 and one ``usage error:`` line;
 - exit 2 and one ``error:`` line.
 
-``--nodes``, ``--frames`` and ``--clusters`` are always given, and their
-valid values and the seed ranges are small, so that no example allocates
-more than a few MiB or runs for more than a fraction of a second.
+``--nodes``, ``--frames`` and ``--clusters`` are always given, or a
+config file always holds ``node_count``, ``cluster_count`` and
+``max_frames``.  Their valid values and the seed ranges are small, so
+that no example allocates more than a few MiB or runs for more than a
+fraction of a second.
 """
 
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -22,12 +26,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from chsim.cli import main  # noqa: E402
+from chsim.config import POLICIES, SimConfig, config_to_dict  # noqa: E402
 
-# Hypothesis caches facts about the code under test; keep them out of the checkout.
-set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 # Texts that every numeric flag refuses: not a number, not finite, not an
 # integer, not a range, or below every flag's lower bound.
@@ -110,6 +112,30 @@ def assert_finite_export(data: bytes, fmt: str):
             assert math.isfinite(value), row
 
 
+def assert_exits_cleanly(argv, config=None):
+    """Run ``argv``, with ``config`` written as a JSON file for
+    ``--config`` unless it is None, and check that it ends in one of the
+    three ways."""
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp, "out")
+        if config is not None:
+            path = Path(tmp, "config.json")
+            path.write_text(json.dumps(config))  # NaN and Infinity as JSON literals
+            argv = [*argv, "--config", str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(out)])
+        text = err.getvalue()
+        if code == 0:
+            assert text == ""
+            assert_finite_export(out.read_bytes(), fmt)
+        else:
+            assert code in (1, 2)
+            assert text.startswith("usage error: " if code == 1 else "error: ")
+            assert text.count("\n") == 1 and text.endswith("\n")
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(invocations())
 @example(["run", "--nodes", "5", "--clusters", "2", "--frames", "20", "--seed", "1",
@@ -122,17 +148,117 @@ def assert_finite_export(data: bytes, fmt: str):
 @example(["run", "--nodes", "5", "--clusters", "2", "--frames", "20", "--round-frames", "0"])
 @example(["run", "--nodes", "5", "--clusters", "2", "--frames", "20", "--seeds", f"0..{10**30}"])
 def test_any_argv_exits_cleanly(argv):
-    fmt = argv[argv.index("--format") + 1] if "--format" in argv else "csv"
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp, "out")
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = main([*argv, "--out", str(out)])
-        text = err.getvalue()
-        if code == 0:
-            assert text == ""
-            assert_finite_export(out.read_bytes(), fmt)
+    assert_exits_cleanly(argv)
+
+
+DEFAULTS = config_to_dict(SimConfig())
+# The fields whose defaults would make a run large, each always in the file
+SIZES_IN_FILE = {("arena", "node_count"): st.integers(1, 12),
+                 ("cluster_count",): st.integers(1, 4),
+                 ("max_frames",): st.integers(0, 60)}
+# Values of the wrong type, not finite, or past every bound
+WRONG = st.one_of(
+    st.sampled_from([None, True, False, "", "3", [], [1.0, 2.0], {}, {"x": 1},
+                     float("nan"), float("inf"), float("-inf"), 10**401, -10**401, -1, -0.0]),
+    st.floats(),
+    st.text(max_size=4),
+)
+ONE_IN_FIVE = st.sampled_from([False, False, False, False, True])
+
+
+def fitting(default):
+    """Values of a field's own type around its default, mostly valid."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(0, max(2 * default, 9))
+    if isinstance(default, float):
+        return st.floats(0.0, 2 * default if default > 0 else 1.0)
+    if isinstance(default, list):
+        return st.lists(fitting(default[0]), min_size=2, max_size=2)
+    return st.sampled_from(["scenario1", "scenario2", *POLICIES])
+
+
+def _fields(tree, prefix=()):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _fields(value, prefix + (key,))
         else:
-            assert code in (1, 2)
-            assert text.startswith("usage error: " if code == 1 else "error: ")
-            assert text.count("\n") == 1 and text.endswith("\n")
+            yield prefix + (key,), value
+
+
+@st.composite
+def config_files(draw):
+    """A config: the defaults, with the size fields small, up to four
+    fields drawn near their defaults, up to two given a wrong value, a
+    section that may be replaced by a wrong value, and unknown keys; or,
+    now and then, a top level that is not an object."""
+    if draw(ONE_IN_FIVE) and draw(ONE_IN_FIVE):
+        return draw(WRONG.filter(lambda v: not isinstance(v, dict)))
+    config = copy.deepcopy(DEFAULTS)
+    fields = dict(_fields(DEFAULTS))
+    drawn = {path: draw(SIZES_IN_FILE[path]) for path in SIZES_IN_FILE}
+    others = sorted(set(fields) - set(SIZES_IN_FILE))
+    for path in draw(st.lists(st.sampled_from(others), unique=True, max_size=4)):
+        drawn[path] = draw(fitting(fields[path]))
+    for path in draw(st.lists(st.sampled_from(sorted(fields)), unique=True, max_size=2)):
+        if draw(st.booleans()):
+            drawn[path] = draw(WRONG)
+    for path, value in drawn.items():
+        section = config
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+    sections = sorted(k for k, v in DEFAULTS.items() if isinstance(v, dict))
+    if draw(ONE_IN_FIVE):
+        config[draw(st.sampled_from(sections))] = draw(WRONG)
+    if draw(ONE_IN_FIVE):
+        target = draw(st.sampled_from([config, *(config[k] for k in sections)]))
+        if isinstance(target, dict):
+            target[draw(st.sampled_from(["nodes", "Seed", "x", ""]))] = draw(st.integers(0, 3))
+    return config
+
+
+@st.composite
+def config_invocations(draw):
+    """An argv taking its run from a config file, with sweep's node
+    counts small, as a sweep of the default counts would not be."""
+    argv = [draw(st.sampled_from(["run", "compare", "sweep"]))]
+    if argv[0] == "sweep":
+        argv += ["--nodes", draw(FLAGS["--nodes"][0])]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv
+
+
+def with_changes(changes):
+    """The defaults with the sizes small and ``changes`` made, as
+    ``{section: {key: value}}`` or ``{key: value}`` for the top level."""
+    config = copy.deepcopy(DEFAULTS)
+    config["arena"]["node_count"], config["cluster_count"], config["max_frames"] = 6, 2, 20
+    for key, value in changes.items():
+        if isinstance(value, dict) and isinstance(config.get(key), dict):
+            config[key].update(value)
+        else:
+            config[key] = value
+    return config
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(config_invocations(), config_files())
+@example(["run"], with_changes({}))
+@example(["run"], [with_changes({})])  # a top level that is not an object
+@example(["compare"], 7)
+@example(["run", "--format", "json"], with_changes({"arena": {"side_a": float("nan")}}))
+@example(["run"], with_changes({"energy": {"e_mh": float("inf")}}))
+@example(["run"], with_changes({"arena": {"node_count": 10**401}}))
+@example(["run"], with_changes({"arena": {"seed": 10**401}}))
+@example(["run"], with_changes({"max_frames": True}))
+@example(["run"], with_changes({"scenario": {"d_size": None}}))
+@example(["run"], with_changes({"policy": ["dchne"]}))
+@example(["run"], with_changes({"arena": [6, 2]}))  # a list where an object belongs
+@example(["run"], with_changes({"msgs": "200"}))
+@example(["run"], with_changes({"unknown": 1}))
+@example(["sweep", "--nodes", "4..8..2"], with_changes({"energy": {"e_radio_x": 1e-8}}))
+def test_any_config_file_exits_cleanly(argv, config):
+    assert_exits_cleanly(argv, config)

@@ -6,9 +6,6 @@ residual and consumed energy must keep the bits of a loop that debits
 one row at a time and stops after the first row that kills a node.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -17,9 +14,6 @@ from chsim.simulator import _commit
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
-
-set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 
 def bits(values):

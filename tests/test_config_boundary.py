@@ -12,14 +12,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
 from chsim.cli import main  # noqa: E402
 from chsim.config import ArenaConfig, SimConfig, config_to_dict  # noqa: E402
 
-# Hypothesis caches facts about the code under test (at collection time,
-# and even with no example database); keep them out of the checkout.
-set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 BASE = config_to_dict(SimConfig(arena=ArenaConfig(node_count=20), cluster_count=2, max_frames=5))
 

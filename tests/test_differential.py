@@ -10,7 +10,6 @@ the last bit of a residual, fails.  The segment engine's cost matrix,
 import hashlib
 import io
 import json
-import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +20,9 @@ from chsim import simulator
 from chsim.arena import _fold_rows
 from chsim.cli import main
 from chsim.config import ArenaConfig, ControlMessageSizes, EnergyParams, ScenarioConfig, SimConfig
-from chsim.energy import _frame_consumption_chn, frame_consumption_chn, head_uplink, sched_energy
+from chsim.energy import (
+    _frame_consumption_chn, frame_consumption_chn, head_uplink, sched_energy, tx_to_bs,
+)
 from chsim.metrics import export
 from chsim.network import Network
 from chsim.simulator import run
@@ -29,11 +30,8 @@ from chsim.simulator import run
 from reference_engine import reference_run
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-# Hypothesis caches facts about the code under test; keep them out of the checkout.
-set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 DIGESTS = json.loads((Path(__file__).parent / "data" / "scenario1_trace_digests.json").read_text())
 
@@ -375,3 +373,31 @@ def test_head_uplink_split_matches_one_expression(case):
         _frame_consumption_chn(n[..., heads], d, head_only, p).view(np.int64),
         one_expression(n[..., heads], d, r[..., heads], s, c, p).view(np.int64),
     )
+
+
+# Energies, coefficients and data sizes: signed zeros, subnormals and
+# large finite values, whose products and sums may overflow to inf
+NON_NEGATIVE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, allow_infinity=False, allow_subnormal=True),
+)
+# Distances up to 1e75, whose fourth power stays within a float
+DISTANCES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]), st.floats(0.0, 1e75))
+
+
+def float_bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(NON_NEGATIVE, DISTANCES, NON_NEGATIVE, NON_NEGATIVE, NON_NEGATIVE,
+       st.integers(1, 50), st.integers(0, 500))
+@example(-0.0, 0.0, 40e-9, 1.1e-15, 40e-9, 10, 180)  # a -0.0 uplink: not 0.0
+@example(1.7976931348623157e308, 1e75, 1.7976931348623157e308, 1.7976931348623157e308,
+         1.7976931348623157e308, 1, 500)  # every term overflows
+@example(5e-324, 5e-324, 5e-324, 5e-324, 5e-324, 1, 0)
+def test_shared_uplink_body_keeps_the_bits_of_each_expression(d, r, e_radio, e_mh, e_sched, c, extra):
+    p, s = EnergyParams(e_radio=e_radio, e_mh=e_mh, e_sched=e_sched), c + extra
+    assert float_bits(tx_to_bs(d, r, p)) == float_bits(d * e_radio + d * e_mh * r**4)
+    expected = sched_energy(d, s, c, p) + d * e_radio + d * e_mh * r**4
+    assert float_bits(head_uplink(d, r, s, c, p)) == float_bits(expected)

@@ -1,8 +1,5 @@
 """Election policies: winners, tie-breaks, charges, membership, rotation."""
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -28,10 +25,7 @@ import reference_engine
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-# Hypothesis caches facts about the code under test; keep them out of the checkout.
-set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 AREA = 350.0
 PARAMS = EnergyParams()

@@ -1,9 +1,9 @@
 """The trace export as a process sees it: the CLI, run as a child
 process, writes to stdout what it writes to a file and turns a failed
 write into one error, and an export stopped early by its destination
-raises at once and leaves no process behind.  A file destination is
-replaced only by a complete export, keeps the mode a plain ``open``
-gives, and a FIFO is written in place.
+raises at once, writes nothing more and starts no process.  A file
+destination is replaced only by a complete export, keeps the mode a
+plain ``open`` gives, and a FIFO is written in place.
 """
 
 import io
@@ -69,7 +69,7 @@ def assert_one_error(child: subprocess.CompletedProcess):
     assert child.stderr.startswith(b"error: ")
 
 
-def test_export_stopped_early_reaps_its_children():
+def test_export_stopped_early_raises_at_once_and_writes_nothing_more():
     class Full(io.BytesIO):
         def write(self, data):
             if data[:1] == b"[" and len(data) > 1:  # the first rows of the matrix
@@ -86,7 +86,7 @@ def test_export_stopped_early_reaps_its_children():
 
 
 @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
-def test_failed_child_is_one_cli_error(tmp_path):
+def test_write_to_a_full_device_is_one_cli_error(tmp_path):
     # every write to /dev/full fails with ENOSPC
     child = run_cli(tmp_path, "--out", "/dev/full")
     assert child.returncode == 2

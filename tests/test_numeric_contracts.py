@@ -17,6 +17,9 @@ index-by-index engine only because numpy keeps these contracts:
 * the row of a segment with a death is capped as ``Network.debit`` caps
   it: ``r - min(c, r)`` must be exactly ``0.0`` when ``c >= r``, and
   positive when ``c < r``;
+* ``-0.0 + x`` must keep the bits of every float ``x`` but NaN, ``-0.0``
+  among them, so ``energy.tx_to_bs`` can sum its terms onto ``-0.0`` in the
+  body that ``energy.head_uplink`` sums onto ``sched_energy``;
 * ``np.bincount(weights=...)`` must sum each group in ascending index
   order, as ``mean(axis=0)`` does, so both branches of
   ``geometric_partition`` give the same centers;
@@ -26,9 +29,6 @@ index-by-index engine only because numpy keeps these contracts:
   promise across numpy versions.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -36,9 +36,7 @@ from chsim.arena import substream
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 SMALLEST_SUBNORMAL = 5e-324
 LARGEST_SUBNORMAL = 2.225073858507201e-308
@@ -60,6 +58,20 @@ def test_an_uncharged_node_keeps_its_bits(values):
     assert (bits(take) == 0).all()  # +0.0, never -0.0
     np.testing.assert_array_equal(bits(x - take), bits(x))
     np.testing.assert_array_equal(bits(x + take), bits(x))
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(st.floats(allow_nan=False))
+@example(0.0)
+@example(-0.0)
+@example(float("inf"))
+@example(float("-inf"))
+@example(SMALLEST_SUBNORMAL)
+@example(-SMALLEST_SUBNORMAL)
+def test_negative_zero_is_the_additive_identity(x):
+    assert bits([-0.0 + x]) == bits([x])
+    np.testing.assert_array_equal(bits(-0.0 + np.array([x])), bits([x]))
+    assert bits([0.0 + -0.0]) != bits([-0.0])  # +0.0 is not: it loses the sign of -0.0
 
 
 def rows_with_pairwise_bits(rows: int, cols: int) -> np.ndarray:

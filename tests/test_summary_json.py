@@ -6,8 +6,6 @@ or scenario with a character that orjson writes raw, goes through
 
 import io
 import json
-import tempfile
-from pathlib import Path
 
 import orjson
 import pytest
@@ -17,10 +15,6 @@ from chsim.metrics import RunSummary, _summary_piece, export
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
-from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
-
-# Hypothesis caches facts about the code under test; keep them out of the checkout.
-set_hypothesis_home_dir(Path(tempfile.gettempdir(), "chsim-hypothesis"))
 
 
 def dumps(summary: RunSummary) -> bytes:
