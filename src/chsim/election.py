@@ -158,8 +158,9 @@ def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) 
         )
     clustered = labels != NO_CLUSTER
     ids, labels = alive_idx[clustered], labels[clustered]
-    # by cluster, then highest residual, then lowest id: each cluster's winner comes first
-    order = np.lexsort((ids, -net.residual[ids], labels))
+    # by cluster, then highest residual; ids ascend and lexsort is stable, so ties
+    # keep the lowest id first: each cluster's winner comes first
+    order = np.lexsort((-net.residual[ids], labels))
     winners = ids[order][_group_starts(labels[order])]
     return _join_nearest(net, alive_idx, np.sort(winners), costs)
 

@@ -429,27 +429,3 @@ def _write_path(chunks, path) -> int:
         os.unlink(temp)
         raise
     return written
-
-
-# Nothing calls the cgroup CPU-quota reader below since the residual writer
-# stopped forking; it stays for a worker pool sized by it (ROADMAP item 3).
-def _read_text(path: str) -> str | None:
-    """The text of a file, or None when it cannot be read."""
-    try:
-        with open(path) as fh:
-            return fh.read()
-    except OSError:
-        return None
-
-
-def _cpu_quota() -> int | None:
-    """CPUs' worth of time per period that the cgroup v2 root's
-    ``cpu.max`` (``QUOTA PERIOD``, with a quota of ``max`` for none)
-    grants, rounded up, or None when there is no quota or it cannot be
-    read.  A process's own cgroup, its ancestors and cgroup v1 are not
-    read."""
-    try:
-        quota, period = map(int, (_read_text("/sys/fs/cgroup/cpu.max") or "").split())
-    except ValueError:  # "max", a missing file, or text that is not two integers
-        return None
-    return -(-quota // period) if quota > 0 and period > 0 else None

@@ -166,14 +166,14 @@ def _room(column: np.ndarray, rows: int, limit: int) -> np.ndarray:
     return grown
 
 
-def _frame_charges(net: Network, heads: np.ndarray, awake: np.ndarray, events: np.ndarray,
-                   sends: np.ndarray, uplink: np.ndarray, member_tx: float, d_size: int,
-                   params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
+def _frame_charges(net: Network, alive: np.ndarray, heads: np.ndarray, awake: np.ndarray,
+                   events: np.ndarray, sends: np.ndarray, uplink: np.ndarray, member_tx: float,
+                   d_size: int, params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
     """The charges and deliveries of ``k`` frames on the network as it stands.
 
-    ``heads`` are the ids of the alive heads, ascending; ``awake`` and
-    ``events`` are the frames' ``(k, S)`` draws, ``sends`` is
-    ``awake & events``, and ``uplink`` holds the heads'
+    ``alive`` is ``net.alive``; ``heads`` are the ids of the alive heads,
+    ascending; ``awake`` and ``events`` are the frames' ``(k, S)`` draws,
+    ``sends`` is ``awake & events``, and ``uplink`` holds the heads'
     :func:`~chsim.energy.head_uplink`, ``(H,)`` for every frame or
     ``(k, H)`` one row per frame.  Each alive, clustered member that is
     awake and senses an event pays ``member_tx``; each alive head that is
@@ -184,7 +184,6 @@ def _frame_charges(net: Network, heads: np.ndarray, awake: np.ndarray, events: n
     dead head pay for packets no head counts.  Returns the ``(k, S)``
     charges and the ``(k,)`` packets delivered.
     """
-    alive = net.alive
     tx = (sends & (alive & ~net.head & (net.cluster >= 0))).astype(float)
     charges = tx * member_tx
     if len(heads) == 0:
@@ -358,8 +357,8 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                     r_bs = np.hypot(where[..., 0] - bs[0], where[..., 1] - bs[1])
                     head_uplinks = head_uplink(scen.d_size, r_bs, s, c, params)
                 charges, delivered = _frame_charges(
-                    net, live_heads, awake[rows], events[rows], sends[rows], head_uplinks, member_tx,
-                    scen.d_size, params,
+                    net, alive, live_heads, awake[rows], events[rows], sends[rows], head_uplinks,
+                    member_tx, scen.d_size, params,
                 )
                 n_alive = int(np.count_nonzero(alive))
                 # With nobody alive, or a head just killed by its setup charge

@@ -156,11 +156,15 @@ DEFAULTS = config_to_dict(SimConfig())
 SIZES_IN_FILE = {("arena", "node_count"): st.integers(1, 12),
                  ("cluster_count",): st.integers(1, 4),
                  ("max_frames",): st.integers(0, 60)}
-# Values of the wrong type, not finite, or past every bound
+# Values of the wrong type, not finite, past every bound, or small ints and
+# short lists of floats, which a field may or may not take
 WRONG = st.one_of(
     st.sampled_from([None, True, False, "", "3", [], [1.0, 2.0], {}, {"x": 1},
-                     float("nan"), float("inf"), float("-inf"), 10**401, -10**401, -1, -0.0]),
+                     float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 10**401, -10**401,
+                     -0.0]),
+    st.integers(-5, 50),
     st.floats(),
+    st.lists(st.floats(), max_size=3),  # nan and +-inf included
     st.text(max_size=4),
 )
 ONE_IN_FIVE = st.sampled_from([False, False, False, False, True])
@@ -259,6 +263,10 @@ def with_changes(changes):
 @example(["run"], with_changes({"arena": [6, 2]}))  # a list where an object belongs
 @example(["run"], with_changes({"msgs": "200"}))
 @example(["run"], with_changes({"unknown": 1}))
+@example(["run", "--format", "json"], with_changes({"energy": {"e_amp": 1e300}}))
+@example(["run"], with_changes({"mobility_speed": -1e300}))
+@example(["run"], with_changes({"arena": {"bs_position": [float("nan"), float("inf"), 0.0]}}))
+@example(["run"], with_changes({"policy": 50}))
 @example(["sweep", "--nodes", "4..8..2"], with_changes({"energy": {"e_radio_x": 1e-8}}))
 def test_any_config_file_exits_cleanly(argv, config):
     assert_exits_cleanly(argv, config)

@@ -240,10 +240,11 @@ def frame_charges(net, awake, events, r_bs):
     live heads' uplink costs computed from their columns as ``run()``
     does."""
     member_tx, d_size, c, params = CHARGE_ARGS
-    heads = np.nonzero(net.head & net.alive)[0]
+    alive = net.alive
+    heads = np.nonzero(net.head & alive)[0]
     uplink = head_uplink(d_size, r_bs[..., heads], len(net), c, params)
-    return simulator._frame_charges(net, heads, awake, events, awake & events, uplink, member_tx,
-                                    d_size, params)
+    return simulator._frame_charges(net, alive, heads, awake, events, awake & events, uplink,
+                                    member_tx, d_size, params)
 
 
 def loop_charges(net, awake, events, r_bs):

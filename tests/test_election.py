@@ -52,9 +52,15 @@ def kill(net, index):
 
 
 class TestDchne:
-    def test_tie_breaks_to_lowest_id(self):
-        net = make_net(3, residuals=[3.1, 2.0, 3.1], clusters=[0, 0, 0])
-        assert dchne_elect(net, 1, costs(net, 1)) == (0,)
+    @pytest.mark.parametrize("residuals, clusters, heads", [
+        ([3.1, 2.0, 3.1], [0, 0, 0], (0,)),
+        # three ways tied at 4.0 in cluster 1, two ways at 2.5 in cluster 0
+        ([1.0, 4.0, 2.5, 4.0, 2.0, 2.5, 4.0], [0, 1, 0, 1, 1, 0, 1], (1, 2)),
+    ], ids=["two-way", "three-way-and-two-way"])
+    def test_tie_breaks_to_lowest_id(self, residuals, clusters, heads):
+        net = make_net(len(residuals), residuals=residuals, clusters=clusters)
+        c = len(set(clusters))
+        assert dchne_elect(net, c, costs(net, c)) == heads
 
     def test_single_node_heads_sole_cluster(self):
         net = make_net(1)

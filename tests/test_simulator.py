@@ -266,9 +266,10 @@ class TestRun:
         calls = []
         original = simulator._frame_charges
 
-        def recording_charges(net, heads, awake, events, sends, uplink, *args):
-            charges, delivered = original(net, heads, awake, events, sends, uplink, *args)
-            state = (net.head.copy(), net.alive, net.cluster.copy(), net.consumed.copy())
+        def recording_charges(net, alive, heads, awake, events, sends, uplink, *args):
+            assert np.array_equal(alive, net.alive)  # the mask of the network as it stands
+            charges, delivered = original(net, alive, heads, awake, events, sends, uplink, *args)
+            state = (net.head.copy(), alive, net.cluster.copy(), net.consumed.copy())
             calls.append((net, state, awake, events, uplink, charges))
             return charges, delivered
 

@@ -4,9 +4,6 @@ call on the whole trace.
 The differential tests send both engines' traces through the same
 ``export``, so a wrong writer would pass them; these tests compare it
 with the document the writer replaced, encoded in one call.
-
-The last tests check the cgroup CPU-quota reader, which nothing calls
-now; it reads only the cgroup v2 root's ``cpu.max``.
 """
 
 import contextlib
@@ -245,39 +242,3 @@ def test_random_bits_in_range_go_through_orjson():
         text = b"".join(metrics._matrix_json(matrix))
     assert dumps.call_count == -(-len(matrix) // (metrics._JSON_BLOCK_ENTRIES // 200))
     assert text == one_shot(matrix)
-
-
-ROOT = "/sys/fs/cgroup"
-OWN = "/proc/self/cgroup"
-V2 = f"{ROOT}/cpu.max"
-
-
-@pytest.mark.parametrize("files, quota", [
-    ({V2: "200000 100000\n"}, 2),
-    ({V2: "150000 100000\n"}, 2),  # a CPU and a half: rounded up
-    ({V2: "50000 100000\n"}, 1),
-    ({V2: "max 100000\n"}, None),
-    ({V2: "garbage"}, None),
-    ({V2: ""}, None),
-    ({}, None),
-    # /proc/self/cgroup names a nested cgroup, but only the root's cpu.max is read
-    ({OWN: "0::/a/b\n", V2: "300000 100000\n"}, 3),  # only the root has the file
-    ({OWN: "0::/a\n", V2: "max 100000\n", f"{ROOT}/a/cpu.max": "max 100000\n"}, None),
-    ({OWN: "0::/a\n2:cpu:/a\n", f"{ROOT}/a/cpu.max": "max 100000\n",
-      f"{ROOT}/cpu/a/cpu.cfs_quota_us": "100000\n",
-      f"{ROOT}/cpu/a/cpu.cfs_period_us": "100000\n"}, None),  # v2 wins
-    ({OWN: "garbage\n", V2: "200000 100000\n"}, 2),
-], ids=[  # the ids these rows had beside the retired cgroup v1 and nested rows
-    "files0-2", "files1-2", "files2-1", "files3-None", "files9-None", "files10-None",
-    "files11-None", "files14-3", "files16-None", "files19-None", "files20-2"])
-def test_cpu_quota_read_from_cgroup_v2_else_v1(files, quota, monkeypatch):
-    # the files are faked: nothing is read from or written to /proc or /sys
-    monkeypatch.setattr(metrics, "_read_text", files.get)
-    assert metrics._cpu_quota() == quota
-
-
-def test_unreadable_file_reads_as_none(tmp_path):
-    assert metrics._read_text(str(tmp_path / "absent")) is None
-    assert metrics._read_text(str(tmp_path)) is None  # a directory
-    (tmp_path / "cpu.max").write_text("max 100000\n")
-    assert metrics._read_text(str(tmp_path / "cpu.max")) == "max 100000\n"
