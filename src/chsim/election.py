@@ -54,7 +54,6 @@ def geometric_partition(positions, k: int, rng) -> np.ndarray:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= {n} point groups, got {k}")
     centers = positions[rng.choice(n, size=k, replace=False)].copy()
-    labels = np.zeros(n, dtype=int)
     x, y = positions[:, :1], positions[:, 1:]
     for _ in range(20):
         d2 = np.square(x - centers[:, 0]) + np.square(y - centers[:, 1])

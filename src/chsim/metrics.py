@@ -105,13 +105,12 @@ def outcome(trace: SimTrace) -> RunOutcome:
     """What :func:`summarize` would give of a trace, without building its
     curve; an empty trace yields zeros."""
     cfg = trace.config
-    dead = np.flatnonzero(trace.alive == 0)
     return RunOutcome(
         policy=cfg.policy,
         scenario=cfg.scenario.kind,
         seed=cfg.arena.seed,
         total_packets=int(trace.packets_cum[-1]) if len(trace) else 0,
-        all_dead_frame=int(dead[0]) if len(dead) else None,
+        all_dead_frame=network_lifetime(trace, 1),
         frames=len(trace),
     )
 
