@@ -15,15 +15,18 @@ The traffic depends on the seed and the scenario but not on the policy,
 so one :class:`Traffic` can serve every policy's run of a seed: it
 draws each block once and keeps it, packed, for the next run; scenario1,
 where every node is always awake and senses an event, draws no traffic.
-A segment starts with the frame prelude (dead heads are
-dismissed, then an election or dchne's re-election), charges the frames
-up to the next round boundary or the block's end on the network as it
-then stands (pricing the uplinks of its live heads only: once per run
-when nodes stand still, along the segment's path when they move), and
-commits them on one path, :func:`_commit`, up to and
+A segment starts with the frame prelude: an election on a round
+boundary, else, after a death, the dismissal of dead heads and dchne's
+re-election of their clusters.  It reads the alive and head sets once,
+charges the frames up to the next round boundary or the block's end on
+the network as it then stands (pricing the uplinks of its live heads
+only: once per run when nodes stand still, along the segment's path
+when they move), and commits them in :func:`_commit` up to and
 including the first frame with a death, as one
-:meth:`~chsim.network.Network.debit` per frame would.  A run trusts its
-config, which checked its own fields when built (:mod:`chsim.config`).
+:meth:`~chsim.network.Network.debit` per frame would.  With nobody
+alive, or a head killed by its setup charge, it is one frame.  A run
+trusts its config, which checked its own fields when built
+(:mod:`chsim.config`).
 """
 
 from __future__ import annotations
@@ -167,66 +170,63 @@ def _room(column: np.ndarray, rows: int, limit: int) -> np.ndarray:
 
 
 def _frame_charges(net: Network, alive: np.ndarray, heads: np.ndarray, awake: np.ndarray,
-                   events: np.ndarray, sends: np.ndarray, uplink: np.ndarray, member_tx: float,
+                   sends: np.ndarray, uplink: np.ndarray, member_tx: float,
                    d_size: int, params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
     """The charges and deliveries of ``k`` frames on the network as it stands.
 
     ``alive`` is ``net.alive``; ``heads`` are the ids of the alive heads,
-    ascending; ``awake`` and ``events`` are the frames' ``(k, S)`` draws,
-    ``sends`` is ``awake & events``, and ``uplink`` holds the heads'
-    :func:`~chsim.energy.head_uplink`, ``(H,)`` for every frame or
-    ``(k, H)`` one row per frame.  Each alive, clustered member that is
-    awake and senses an event pays ``member_tx``; each alive head that is
-    awake and has a packet, its own or a member's, pays its uplink plus
-    the per-packet cost of its inbound count: together,
+    ascending, if any; ``awake`` and ``sends`` are the frames' ``(k, S)``
+    flags of who is awake and who is awake and senses an event, and
+    ``uplink`` holds the heads' :func:`~chsim.energy.head_uplink`,
+    ``(H,)`` for every frame or ``(k, H)`` one row per frame.  Each
+    alive, clustered member that sends pays ``member_tx``; each alive
+    head that is awake and has a packet, its own or a member's, pays its
+    uplink plus the per-packet cost of its inbound count: together,
     :func:`~chsim.energy.frame_consumption_chn` at its distance.  A head
     counts the members that share its cluster label, so the members of a
     dead head pay for packets no head counts.  Returns the ``(k, S)``
-    charges and the ``(k,)`` packets delivered.
+    charges and the ``(k,)`` int64 packets delivered.
     """
     tx = (sends & (alive & ~net.head & (net.cluster >= 0))).astype(float)
     charges = tx * member_tx
-    if len(heads) == 0:
-        return charges, np.zeros(len(tx), dtype=np.int64)
     # sums of 0/1 products are exact in float64 (tests/test_numeric_contracts.py)
     joins = (net.cluster[:, None] == net.cluster[heads]).astype(float)
     inbound = (tx @ joins).astype(np.int64)
-    # the packets each head forwards: its members' and its own, if it is awake
-    packets = (inbound + events[:, heads]) * awake[:, heads]
+    # the packets each head forwards: its members' if it is awake, and its own if it sends
+    packets = inbound * awake[:, heads] + sends[:, heads]
     head_cost = _frame_consumption_chn(inbound, d_size, uplink, params)
     charges[:, heads] = np.where(packets > 0, head_cost, 0.0)
     return charges, packets.sum(axis=1)
 
 
-def _commit(net: Network, charges: np.ndarray, n_alive: int, whole: bool, logged: bool,
+def _commit(net: Network, charges: np.ndarray, n_alive: int, logged: bool,
             residual_rows: np.ndarray, consumed_rows: np.ndarray):
     """Charge the rows of ``charges`` to ``net`` as one
     :meth:`~chsim.network.Network.debit` per row would, up to and
     including the first row after which fewer than ``n_alive`` nodes are
-    alive; a node that is not alive must be charged 0.0.  Unless
-    ``whole``, only the first row is charged.  The row with the death
-    is capped at the residual left, as ``debit`` caps it:
+    alive; a node that is not alive must be charged 0.0.  The row with
+    the death is capped at the residual left, as ``debit`` caps it:
     ``r - min(c, r)`` is exactly 0.0 when ``c >= r``
     (tests/test_numeric_contracts.py).  The scratch buffers hold at least
-    ``len(charges) + 1`` rows.  Returns the rows that kill nobody (none
-    unless ``whole``), the rows charged and, when ``logged``, the
-    residuals after each charged row.
+    ``len(charges) + 1`` rows.  Returns the rows that kill nobody, the
+    rows charged (one more than those, when a row kills) and, when
+    ``logged``, the residuals after each charged row.
     """
-    rows = len(charges) if whole else 1
+    rows = len(charges)
     path = residual_rows[: rows + 1]
     path[0] = net.residual
-    path[1:] = charges[:rows]
-    clean = charged = rows if whole else 0
+    path[1:] = charges
+    clean = charged = rows
     consumed = path  # its rows 1.. hold the charges until they are accumulated
     # The residuals after the segment, by one reduce; after each of its rows
     # only when logged or a node dies.  Both go row after row
     # (tests/test_numeric_contracts.py).
-    last = np.subtract.reduce(path) if whole and not logged else None
+    last = None if logged else np.subtract.reduce(path)
     if last is None or np.count_nonzero(last > 0.0) < n_alive:
         np.subtract.accumulate(path, out=path)
         # residuals only fall: the rows that kill nobody are those after
         # which every alive node is still alive
-        if whole and np.count_nonzero(path[-1] > 0.0) < n_alive:
+        if np.count_nonzero(path[-1] > 0.0) < n_alive:
             clean = int(np.count_nonzero(np.count_nonzero(path[1:] > 0.0, axis=1) == n_alive))
         charged = min(clean + 1, rows)
         consumed = consumed_rows[: charged + 1]
@@ -308,7 +308,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
     packets = 0
     termination = "max-frames"
     frame = 0
-    died = False  # whether the last segment ended with a death, which may have taken a head
+    died = False  # whether the last segment ended with a death or held a dead head
     # Only rows past a segment's first death overflow, and none of them is committed.
     with np.errstate(over="ignore"):
         while frame < cfg.max_frames and termination == "max-frames":
@@ -324,10 +324,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                                       mobility_rng, k)
             while frame < start + k:
                 row = frame - start
-                if died:
-                    dead_heads = np.nonzero(net.head & ~net.alive)[0]
-                    net.head[dead_heads] = False
-                if frame % fpr == 0:
+                if frame % fpr == 0:  # an election dismisses every head, dead or alive
                     if mobile and row:
                         net.positions = moves[row - 1]  # where the last frame left them
                     round_index = frame // fpr
@@ -337,19 +334,24 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                         leach_elect(net, c, round_index, costs, leach_rng, headed)
                     else:
                         rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
-                elif died and cfg.policy == "dchne":
-                    # a cluster whose head died resumes under a fresh head right away
-                    for dead in dead_heads:
+                elif died:
+                    dead_heads = np.nonzero(net.head & ~net.alive)[0]
+                    net.head[dead_heads] = False
+                    # under dchne a cluster whose head died resumes under a fresh head right away
+                    for dead in dead_heads if cfg.policy == "dchne" else ():
                         label = int(net.cluster[dead])
                         winner = dchne_reelect_cluster(net, label, costs)
                         reelections.append((frame, label, winner))
 
                 # One segment: the frames up to the next election or the end of
                 # the block, charged as the network stands now, committed up to
-                # and including the first frame with a death.
-                rows = slice(row, min(k, row + fpr - frame % fpr))
+                # and including the first frame with a death; one frame with
+                # nobody alive or a head just killed by its setup charge.
                 alive = net.alive
+                n_alive = int(np.count_nonzero(alive))
                 live_heads = np.nonzero(net.head & alive)[0]
+                cut = not n_alive or (net.head & ~alive).any()
+                rows = slice(row, row + 1 if cut else min(k, row + fpr - frame % fpr))
                 if not mobile:
                     head_uplinks = uplink[live_heads]
                 else:  # only the live heads' paths are priced
@@ -357,34 +359,32 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                     r_bs = np.hypot(where[..., 0] - bs[0], where[..., 1] - bs[1])
                     head_uplinks = head_uplink(scen.d_size, r_bs, s, c, params)
                 charges, delivered = _frame_charges(
-                    net, alive, live_heads, awake[rows], events[rows], sends[rows], head_uplinks,
+                    net, alive, live_heads, awake[rows], sends[rows], head_uplinks,
                     member_tx, scen.d_size, params,
                 )
-                n_alive = int(np.count_nonzero(alive))
-                # With nobody alive, or a head just killed by its setup charge
-                # (the next frame re-elects), the segment is its first frame.
-                whole = n_alive > 0 and not (net.head & ~alive).any()
-                clean, charged, residuals = _commit(net, charges, n_alive, whole,
-                                                    cfg.record_residuals, residual_rows,
-                                                    consumed_rows)
+                clean, charged, residuals = _commit(net, charges, n_alive, cfg.record_residuals,
+                                                    residual_rows, consumed_rows)
                 stop = frame + charged
                 log[frame:stop, 1] = packets + delivered[:charged].cumsum()
                 packets = int(log[stop - 1, 1])
                 if cfg.record_residuals:
                     residual_log[frame:stop] = residuals
-                died = charged > clean
-                after = net.alive if died else None
+                died = cut or charged > clean
                 # the alive and head sets hold over the frames that kill
-                # nobody, and change with the frame of the death
-                for span, alive in ((clean, alive), (charged - clean, after)):
+                # nobody, and are read again for the frame of a death
+                for span in (clean, charged - clean):
                     if span:
-                        heads = tuple(np.nonzero(net.head & alive)[0].tolist())
+                        heads = tuple(live_heads.tolist())
                         if not change_ids or heads != change_ids[-1]:
                             change_frames.append(frame)
                             change_ids.append(heads)
-                        log[frame : frame + span, ::2] = np.count_nonzero(alive), len(heads)
+                        log[frame : frame + span, ::2] = n_alive, len(heads)
                         frame += span
-                if died and not after.any():
+                    if frame < stop:
+                        alive = net.alive
+                        n_alive = int(np.count_nonzero(alive))
+                        live_heads = np.nonzero(net.head & alive)[0]
+                if not n_alive:
                     termination = "all-dead"
                     break
             if mobile:

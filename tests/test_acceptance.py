@@ -1,14 +1,19 @@
 """Acceptance gate: nine end-to-end checks, one test per criterion.
 
 Each test prints a single ``ACCEPTANCE n: PASS/FAIL`` line (visible with
-``pytest -s``).  Criteria 5 and 6 pair a delivered-packet clause with a
-last-node-death clause; the packet clause is asserted strictly, while the
-last-death clause is an expected failure — residual-balanced election
-drains the whole fleet uniformly, so its final node dies earlier than
-under policies whose broken clusters sit idle, even though it delivers
-more data, keeps the full population alive far longer (first-death
-endpoint), and spends fewer joules per packet.  The tests record both
-outcomes honestly rather than papering over the endpoint difference.
+``pytest -s``).  Criteria 5 and 6 pair a delivered-packet clause and a
+first-node-death clause with a last-node-death clause.  Each death
+endpoint counts the seeds dchne wins against both baselines, those it
+ties because runs outlive the horizon (censored) and those it loses.
+Packets and first death are asserted on 9 of 10 seeds; the last-death
+clause is an expected failure.  In scenario1 (criterion 5) it is a real
+loss: residual-balanced election drains the whole fleet uniformly, so
+its final node dies earlier than under policies whose broken clusters
+sit idle, even though it delivers more data, keeps the full population
+alive far longer and spends fewer joules per packet.  In scenario2
+(criterion 6) no policy's last node dies within the horizon, so the
+clause is censored on every seed.  The tests record these outcomes
+rather than paper over the endpoint difference.
 """
 
 import csv
@@ -40,6 +45,7 @@ from chsim.simulator import run
 AREA = 350.0
 MSGS = ControlMessageSizes()
 POLICIES = ("dchne", "leach", "rrch")
+BASELINES = ("leach", "rrch")
 
 
 # ---------------------------------------------------------------------------
@@ -67,24 +73,42 @@ class MatrixResult:
                     "alive": trace.alive,
                     "nodes": cfg.arena.node_count,
                 }
+        self.horizon = cfg.max_frames  # the same for every run
         self.elapsed = time.perf_counter() - t0
 
-    @staticmethod
-    def _beats(a, b):
-        # Strictly-later death; a never-reached death beats any reached one.
-        return b is not None and (a is None or a > b)
+    def packet_wins(self):
+        """Seeds on which dchne delivers more packets than both baselines."""
+        return sum(
+            self.cells[seed, "dchne"]["packets"]
+            > max(self.cells[seed, b]["packets"] for b in BASELINES)
+            for seed in range(10)
+        )
 
-    def wins(self, field):
-        count = 0
+    @staticmethod
+    def _versus(a, b):
+        """dchne's death frame ``a`` against a baseline's ``b``, where None
+        means alive at the horizon: 1 for a strictly later death or a
+        survival past a reached one, 0 when both survive (a censored tie),
+        -1 otherwise."""
+        if a is None or b is None:
+            return (a is None) - (b is None)
+        return 1 if a > b else -1
+
+    def endpoint(self, field):
+        """Seeds that dchne's ``field`` death wins against both baselines,
+        ties at the horizon with one and wins or ties with the other, or
+        loses to one: ``(wins, censored, losses)``."""
+        counts = [0, 0, 0]
         for seed in range(10):
             d = self.cells[seed, "dchne"][field]
-            l = self.cells[seed, "leach"][field]
-            r = self.cells[seed, "rrch"][field]
-            if field == "packets":
-                count += d > l and d > r
-            else:
-                count += self._beats(d, l) and self._beats(d, r)
-        return count
+            worst = min(self._versus(d, self.cells[seed, b][field]) for b in BASELINES)
+            counts[1 - worst] += 1
+        return tuple(counts)
+
+    def survivors(self, policy):
+        """The fewest and most nodes of ``policy`` alive at its last frame."""
+        left = [int(self.cells[seed, policy]["alive"][-1]) for seed in range(10)]
+        return min(left), max(left)
 
 
 @pytest.fixture(scope="module")
@@ -247,23 +271,35 @@ def test_c4_rotation_and_probabilistic_head_rates():
 # Criteria 5 and 6: policy superiority on matched 10-seed environments.
 
 
+def _counts(endpoint):
+    return "{}/{}/{} (win/censored/loss)".format(*endpoint)
+
+
 def _superiority(matrix, label, criterion):
-    packet_wins = matrix.wins("packets")
-    last_wins = matrix.wins("last_death")
-    first_wins = matrix.wins("first_death")
+    packet_wins = matrix.packet_wins()
+    first = matrix.endpoint("first_death")
+    last = matrix.endpoint("last_death")
     assert matrix.elapsed < 120.0, f"matrix took {matrix.elapsed:.0f}s"
     assert packet_wins >= 9, f"packets won only {packet_wins}/10 seeds"
-    if last_wins >= 9:
+    assert first[0] >= 9, f"first death won only {_counts(first)}"
+    if last[0] >= 9:
         print(
             f"ACCEPTANCE {criterion}: PASS — {label}: packets {packet_wins}/10, "
-            f"last-death {last_wins}/10 ({matrix.elapsed:.0f}s)"
+            f"first death {_counts(first)}, last death {_counts(last)} "
+            f"({matrix.elapsed:.0f}s)"
         )
         return
+    if last[2]:
+        why = "balanced depletion retires the fleet together"
+    else:
+        alive = ", ".join("{} {}-{}".format(p, *matrix.survivors(p)) for p in POLICIES)
+        why = (f"censored at {matrix.horizon} frames: every run's last node survives, "
+               f"nodes alive {alive}")
     print(
         f"ACCEPTANCE {criterion}: FAIL — {label}: delivered packets "
-        f"{packet_wins}/10 seeds (clause PASS); last-node-death {last_wins}/10 "
-        f"(clause FAIL — balanced depletion retires the fleet together; "
-        f"first-death superiority {first_wins}/10) in {matrix.elapsed:.0f}s"
+        f"{packet_wins}/10 seeds and first death {_counts(first)} (clauses PASS); "
+        f"last-node-death {_counts(last)} (clause FAIL — {why}) "
+        f"in {matrix.elapsed:.0f}s"
     )
     pytest.xfail(
         "last-node-death clause: residual-balanced election equalizes "

@@ -159,7 +159,7 @@ def _wall_cases(draw_seed, s, side_a, speed, frames, edges):
     return pos
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(
     s=st.integers(1, 200),
     side_a=st.floats(math.log10(0.3), 3.0).map(lambda e: 10.0**e),

@@ -138,7 +138,7 @@ def assert_exits_cleanly(argv, config=None):
             assert text.count("\n") == 1 and text.endswith("\n")
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(invocations())
 @example(["run", "--nodes", "5", "--clusters", "2", "--frames", "20", "--seed", "1",
           "--seeds", "1..2"])
@@ -250,7 +250,7 @@ def with_changes(changes):
     return config
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(config_invocations(), config_files())
 @example(["run"], with_changes({}))
 @example(["run"], [with_changes({})])  # a top level that is not an object

@@ -540,7 +540,7 @@ def triggered(net, k):
 
 
 class TestVectorizedElectionsMatchScan:
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(clustered_networks())
     def test_dchne_heads_are_each_clusters_first_best(self, case):
         net, k = case
@@ -564,7 +564,7 @@ class TestVectorizedElectionsMatchScan:
                     for h in heads]
             assert net.cluster[i] == gaps.index(min(gaps))
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200)
     @given(clustered_networks(), st.data())
     def test_rrch_heads_are_each_clusters_next_in_id_order(self, case, data):
         net, k = case

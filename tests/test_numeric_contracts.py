@@ -46,7 +46,7 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@settings(max_examples=500)
 @given(st.lists(st.floats(min_value=0.0, allow_subnormal=True), min_size=1, max_size=50))
 @example([0.0, SMALLEST_SUBNORMAL, LARGEST_SUBNORMAL, 2.2250738585072014e-308,
           1.7976931348623157e308, float("inf")])
@@ -60,7 +60,7 @@ def test_an_uncharged_node_keeps_its_bits(values):
     np.testing.assert_array_equal(bits(x + take), bits(x))
 
 
-@settings(max_examples=1000, deadline=None, database=None)
+@settings(max_examples=1000)
 @given(st.floats(allow_nan=False))
 @example(0.0)
 @example(-0.0)
@@ -111,7 +111,7 @@ def test_a_lone_column_is_summed_pairwise():
     np.testing.assert_array_equal(bits(np.add.accumulate(lone)[-1]), bits(expected))
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(st.integers(1, 40), st.integers(1, 400), st.integers(1, 20), st.integers(0, 2**32 - 1))
 def test_counting_by_matrix_product_is_exact(k, s, h, seed):
     rng = np.random.default_rng(seed)
@@ -130,7 +130,7 @@ def test_counting_a_full_membership_is_exact():
     np.testing.assert_array_equal(sends.astype(float) @ np.ones((4096, 1)), 4096.0)
 
 
-@settings(max_examples=500, deadline=None, database=None)
+@settings(max_examples=500)
 @given(st.floats(min_value=0.0, max_value=1e300), st.floats(min_value=0.0, max_value=1e300))
 @example(1.0, 1.0)
 @example(SMALLEST_SUBNORMAL, SMALLEST_SUBNORMAL)
@@ -166,7 +166,7 @@ def test_bincount_sums_each_group_in_index_order():
         np.testing.assert_array_equal(bits(centers), bits(means))
 
 
-@settings(max_examples=1000, deadline=None, database=None)
+@settings(max_examples=1000)
 @given(st.floats(allow_nan=False, allow_infinity=False),
        st.floats(min_value=SMALLEST_SUBNORMAL, max_value=1e300))
 @example(-1e-20, 100.0)  # rounds up to the divisor itself

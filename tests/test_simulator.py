@@ -266,11 +266,11 @@ class TestRun:
         calls = []
         original = simulator._frame_charges
 
-        def recording_charges(net, alive, heads, awake, events, sends, uplink, *args):
+        def recording_charges(net, alive, heads, awake, sends, uplink, *args):
             assert np.array_equal(alive, net.alive)  # the mask of the network as it stands
-            charges, delivered = original(net, alive, heads, awake, events, sends, uplink, *args)
+            charges, delivered = original(net, alive, heads, awake, sends, uplink, *args)
             state = (net.head.copy(), alive, net.cluster.copy(), net.consumed.copy())
-            calls.append((net, state, awake, events, uplink, charges))
+            calls.append((net, state, awake, sends, uplink, charges))
             return charges, delivered
 
         monkeypatch.setattr(simulator, "_frame_charges", recording_charges)
@@ -278,7 +278,7 @@ class TestRun:
         trace = run(cfg)
         # One round and no death: after the election, one segment of 20 frames.
         assert trace.alive[-1] == cfg.arena.node_count
-        [(net, (head, alive, cluster, consumed), awake, events, uplink, charges)] = calls
+        [(net, (head, alive, cluster, consumed), awake, sends, uplink, charges)] = calls
         assert charges.shape == (20, len(net))
         heads = np.nonzero(head & alive)[0]
         assert uplink.shape == (len(heads),)  # nodes that stand still: one uplink per head
@@ -287,10 +287,10 @@ class TestRun:
         r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
         member_cost = frame_consumption_nchn(d, cfg.arena.side_a, c, params)
         for frame in range(20):
-            members = np.nonzero(alive & ~head & awake[frame] & events[frame])[0]
+            members = np.nonzero(alive & ~head & sends[frame])[0]
             assert np.all(charges[frame, members] == member_cost)
             inbound = np.array([np.count_nonzero(cluster[members] == cluster[h]) for h in heads])
-            fwd = awake[frame, heads] & ((inbound > 0) | events[frame, heads])
+            fwd = awake[frame, heads] & ((inbound > 0) | sends[frame, heads])
             expected = frame_consumption_chn(inbound[fwd], d, r_bs[heads[fwd]], len(net), c, params)
             assert np.all(charges[frame, heads[fwd]] == expected)
             idle = np.ones(len(net), dtype=bool)

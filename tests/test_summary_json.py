@@ -35,7 +35,7 @@ summaries = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(summaries)
 # no death, an empty curve, and a seed one past orjson's range
 @example(RunSummary("dchne", "scenario1", 0, 10, 0, None, None, ()))

@@ -100,7 +100,7 @@ SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.8e308, -1.8e30
 FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_subnormal=True))
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@settings(max_examples=200)
 @given(
     matrix=st.tuples(st.integers(0, 9), st.integers(1, 6)).flatmap(
         lambda shape: arrays(np.float64, shape, elements=FLOATS)),
@@ -140,7 +140,7 @@ SPECIAL_ROWS = np.array([[0.5, 0.5, 0.5, 0.5], [math.nan, -0.0, math.inf, -math.
                          [-0.0, math.nan, -math.inf, math.inf], [0.0, 0.0, 0.0, 0.0]])
 
 
-@settings(max_examples=300, deadline=None, database=None)
+@settings(max_examples=300)
 @given(case=column_runs())
 @example(case=(np.empty((0, 3)), 1))
 @example(case=(SPECIAL_ROWS[:1], 1))
@@ -154,7 +154,7 @@ def test_column_runs_across_blocks_match_one_shot_encoding(case):
 
 
 
-@settings(max_examples=2000, deadline=None, database=None)
+@settings(max_examples=2000)
 @given(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True))
 @example(5e-324)
 @example(-2.2250738585072014e-308)
