@@ -20,7 +20,7 @@ clusters: the residual-energy election sorts the alive nodes by
 (cluster, residual descending, id) and takes the first node of each
 cluster; round-robin sorts (cluster, id) keys and finds each cluster's
 next head with one binary search.  Members join the nearest head
-through one members x heads matrix of squared distances.
+through one alive nodes x heads matrix of squared distances.
 """
 
 from __future__ import annotations
@@ -116,13 +116,14 @@ def _join_nearest(net: Network, alive_idx, head_idx, costs: ElectionCosts) -> tu
     """Install ``head_idx`` (ascending) as the heads of clusters 0, 1, ...
     and let every other alive node join the nearest of them."""
     head_ids = _install(net, head_idx, alive_idx, costs)
-    member_idx = alive_idx[~net.head[alive_idx]]
     x, y = net.positions.T
-    dx = x[member_idx][:, None] - x[head_idx]  # gathered first: one member per broadcast row
-    dy = y[member_idx][:, None] - y[head_idx]
+    # every alive node, heads too, is measured: gathered first, one node per broadcast row
+    dx = x[alive_idx][:, None] - x[head_idx]
+    dy = y[alive_idx][:, None] - y[head_idx]
     np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dy)  # dx**2 + dy**2, in place
+    net.cluster[alive_idx] = dy.argmin(axis=1)
+    # a head heads its own cluster, even where another head stands as close
     net.cluster[head_idx] = np.arange(len(head_idx))
-    net.cluster[member_idx] = dy.argmin(axis=1)
     return head_ids
 
 
@@ -148,15 +149,16 @@ def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) 
     alive_idx = _new_round(net, costs)
     if len(alive_idx) == 0:
         return ()
-    labels = net.cluster[alive_idx]
-    if (labels == NO_CLUSTER).all():
-        if partition_rng is None:
-            raise ValueError("initial cluster formation needs a partition rng")
-        labels = geometric_partition(
-            net.positions[alive_idx], min(c, len(alive_idx)), partition_rng
-        )
-    clustered = labels != NO_CLUSTER
-    ids, labels = alive_idx[clustered], labels[clustered]
+    ids, labels = alive_idx, net.cluster[alive_idx]
+    if labels.min() < 0:  # an alive node has no cluster yet, as before the first round
+        if (labels == NO_CLUSTER).all():
+            if partition_rng is None:
+                raise ValueError("initial cluster formation needs a partition rng")
+            labels = geometric_partition(
+                net.positions[alive_idx], min(c, len(alive_idx)), partition_rng
+            )
+        clustered = labels != NO_CLUSTER
+        ids, labels = alive_idx[clustered], labels[clustered]
     # by cluster, then highest residual; ids ascend and lexsort is stable, so ties
     # keep the lowest id first: each cluster's winner comes first
     order = np.lexsort((-net.residual[ids], labels))

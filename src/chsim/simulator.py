@@ -81,9 +81,10 @@ class SimTrace:
     """Per-frame history and final energy books of one run.
 
     Columns (``alive``, ``packets_cum``, ``chn_count``) are parallel
-    int64 arrays indexed by frame; :func:`run` fills one ``(frames, 3)``
-    array a segment at a time and gives its three columns as views of
-    it.  ``residual_log``, when recorded, is the
+    int64 arrays indexed by frame, views of one ``(frames, 3)`` array:
+    :func:`run` writes each frame's deliveries as it goes and, once the
+    run ends, sums them and spreads its per-span alive and head counts
+    over the frames.  ``residual_log``, when recorded, is the
     ``(frames, S)`` array of every node's residual after each frame.
     Head sets are stored as change points (``head_change_frames``
     ascending, with the head ids that took over at each);
@@ -302,10 +303,10 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
     room = min(cfg.max_frames, _FIRST_ROWS)
     log = np.empty((room, 3), dtype=np.int64)  # per frame: alive, packets_cum, chn_count
     residual_log = np.empty((room, s)) if cfg.record_residuals else None
+    spans: list[tuple[int, int, int]] = []  # (frames, alive, heads) of each run of frames
     change_frames: list[int] = []
     change_ids: list[tuple[int, ...]] = []
     reelections: list[tuple[int, int, int | None]] = []
-    packets = 0
     termination = "max-frames"
     frame = 0
     died = False  # whether the last segment ended with a death or held a dead head
@@ -350,7 +351,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                 alive = net.alive
                 n_alive = int(np.count_nonzero(alive))
                 live_heads = np.nonzero(net.head & alive)[0]
-                cut = not n_alive or (net.head & ~alive).any()
+                cut = not n_alive or len(live_heads) < np.count_nonzero(net.head)
                 rows = slice(row, row + 1 if cut else min(k, row + fpr - frame % fpr))
                 if not mobile:
                     head_uplinks = uplink[live_heads]
@@ -365,8 +366,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                 clean, charged, residuals = _commit(net, charges, n_alive, cfg.record_residuals,
                                                     residual_rows, consumed_rows)
                 stop = frame + charged
-                log[frame:stop, 1] = packets + delivered[:charged].cumsum()
-                packets = int(log[stop - 1, 1])
+                log[frame:stop, 1] = delivered[:charged]  # summed into packets_cum at the end
                 if cfg.record_residuals:
                     residual_log[frame:stop] = residuals
                 died = cut or charged > clean
@@ -378,7 +378,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                         if not change_ids or heads != change_ids[-1]:
                             change_frames.append(frame)
                             change_ids.append(heads)
-                        log[frame : frame + span, ::2] = n_alive, len(heads)
+                        spans.append((span, n_alive, len(heads)))
                         frame += span
                     if frame < stop:
                         alive = net.alive
@@ -390,14 +390,18 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
             if mobile:
                 net.positions = moves[-1]
 
+    log = log[:frame]
+    counts = np.array(spans, dtype=np.int64).reshape(-1, 3)
+    log[:, ::2] = np.repeat(counts[:, 1:], counts[:, 0], axis=0)
+    np.cumsum(log[:, 1], out=log[:, 1])
     if residual_log is not None and frame < len(residual_log):
         residual_log = residual_log[:frame].copy()  # give back the room no frame used
     return SimTrace(
         config=cfg,
         termination=termination,
-        alive=log[:frame, 0],
-        packets_cum=log[:frame, 1],
-        chn_count=log[:frame, 2],
+        alive=log[:, 0],
+        packets_cum=log[:, 1],
+        chn_count=log[:, 2],
         head_change_frames=tuple(change_frames),
         head_change_ids=tuple(change_ids),
         reelections=tuple(reelections),

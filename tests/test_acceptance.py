@@ -290,7 +290,11 @@ def _superiority(matrix, label, criterion):
         )
         return
     if last[2]:
-        why = "balanced depletion retires the fleet together"
+        why = ("balanced depletion retires the fleet together: residual-balanced "
+               "election equalizes depletion, so its final node dies before the final "
+               "node of policies whose head-dead clusters idle (idling saves the fixed "
+               "scheduling cost plus the distance^4 uplink, which always exceeds the "
+               "members' wasted transmissions under activity-only energy accounting)")
     else:
         alive = ", ".join("{} {}-{}".format(p, *matrix.survivors(p)) for p in POLICIES)
         why = (f"censored at {matrix.horizon} frames: every run's last node survives, "
@@ -301,15 +305,8 @@ def _superiority(matrix, label, criterion):
         f"last-node-death {_counts(last)} (clause FAIL — {why}) "
         f"in {matrix.elapsed:.0f}s"
     )
-    pytest.xfail(
-        "last-node-death clause: residual-balanced election equalizes "
-        "depletion, so its final node dies before the final node of "
-        "policies whose head-dead clusters idle (idling saves the fixed "
-        "scheduling cost plus the distance^4 uplink, which always exceeds "
-        "the members' wasted transmissions under activity-only energy "
-        "accounting); superiority holds on delivered packets and on the "
-        "first-death lifetime endpoint"
-    )
+    pytest.xfail(f"last-node-death clause: {why}; superiority holds on delivered "
+                 "packets and on the first-death lifetime endpoint")
 
 
 def test_c5_saturated_traffic_policy_superiority(saturated_matrix):

@@ -271,5 +271,6 @@ def with_changes(changes):
 @example(["run"], with_changes({"arena": {"bs_position": [float("nan"), float("inf"), 0.0]}}))
 @example(["run"], with_changes({"policy": 50}))
 @example(["sweep", "--nodes", "4..8..2"], with_changes({"energy": {"e_radio_x": 1e-8}}))
+@example(["run"], with_changes({"energy": {"e_radio": 0}}))  # integer election costs
 def test_any_config_file_exits_cleanly(argv, config):
     assert_exits_cleanly(argv, config)

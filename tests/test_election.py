@@ -13,6 +13,7 @@ from chsim.election import (
 )
 from chsim.energy import (
     ControlMessageSizes,
+    ElectionCosts,
     EnergyParams,
     election_costs,
     setup_energy_chn,
@@ -299,6 +300,27 @@ class TestWholeVectorDebit:
         untouched = np.array(clusters) != 1
         np.testing.assert_array_equal(net.residual[untouched].view(np.int64),
                                       np.array(residuals)[untouched].view(np.int64))
+
+    def test_integer_costs_charge_as_their_floats(self):
+        # integer costs give int64 charge vectors, which the debit must take as
+        # floats; the trigger kills node 1 and the member handshake nodes 3, 5 and 7
+        ints = ElectionCosts(trigger=1, head=3, member=2)
+        floats = ElectionCosts(*map(float, ints))
+        residuals = [5.0, 0.5, 9.0, 2.5, 7.0, 1.5, 4.0, 3.0, 6.0]
+        net, ref = self.twins(residuals, clusters=[0, 0, 0, 1, 1, 1, 2, 2, 2])
+        assert dchne_elect(net, 3, ints) == dchne_elect(ref, 3, floats) == (2, 4, 8)
+        self.assert_same_bits(net, ref)
+        np.testing.assert_array_equal(np.nonzero(~net.alive)[0], [1, 3, 5, 7])
+        # head 4 dies; in its cluster the trigger kills node 6, and node 0
+        # dies of its head setup charge
+        label = int(net.cluster[4])
+        for n in (net, ref):
+            kill(n, 4)
+            n.head[4] = False
+        assert dchne_reelect_cluster(net, label, ints) == 0
+        assert dchne_reelect_cluster(ref, label, floats) == 0
+        self.assert_same_bits(net, ref)
+        assert not net.alive[[0, 6]].any()
 
     @pytest.mark.parametrize("policy", ["dchne", "leach", "rrch"])
     def test_whole_rounds_match_per_index_debits(self, policy):
