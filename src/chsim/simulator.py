@@ -14,19 +14,22 @@ where they fit) takes its traffic and draws its movement path at once.
 The traffic depends on the seed and the scenario but not on the policy,
 so one :class:`Traffic` can serve every policy's run of a seed: it
 draws each block once and keeps it, packed, for the next run; scenario1,
-where every node is always awake and senses an event, draws no traffic.
+where every node is always awake and senses an event, draws no traffic,
+and one row of flags stands for every frame of a block.
 A segment starts with the frame prelude: an election on a round
 boundary, else, after a death, the dismissal of dead heads and dchne's
 re-election of their clusters.  It reads the alive and head sets once,
 charges the frames up to the next round boundary or the block's end on
 the network as it then stands (pricing the uplinks of its live heads
 only: once per run when nodes stand still, along the segment's path
-when they move), and commits them in :func:`_commit` up to and
-including the first frame with a death, as one
-:meth:`~chsim.network.Network.debit` per frame would.  With nobody
-alive, or a head killed by its setup charge, it is one frame.  A run
-trusts its config, which checked its own fields when built
-(:mod:`chsim.config`).
+when they move), as ``(k, S)`` rows or as one row for every frame when
+neither the flags nor the uplinks differ between its frames, and
+commits them in :func:`_commit` up to and including the first frame
+with a death, as one :meth:`~chsim.network.Network.debit` per frame
+would; the frame of a death is found in the columns of the nodes that
+die.  With nobody alive, or a head killed by its setup charge, it is
+one frame.  A run trusts its config, which checked its own fields when
+built (:mod:`chsim.config`).
 """
 
 from __future__ import annotations
@@ -119,8 +122,10 @@ class Traffic:
     drawn from the seed's ``SCENARIO`` substream, in block order, the
     first time a run asks for it, and kept as packed bits for the runs
     after it: 2 bits a node-frame, 0.58 MB for 12 000 frames of 190
-    nodes, where bools would take 4.6 MB.  Scenario1 draws nothing: its
-    nodes are always awake and always sense an event.
+    nodes, where bools would take 4.6 MB.  A traffic whose duty cycle and
+    event probability are both 1.0 (scenario1) draws nothing: its nodes
+    are always awake and always sense an event, so each of its blocks is
+    one row that stands for every frame.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -144,11 +149,11 @@ class Traffic:
 
     def block(self, index: int) -> np.ndarray:
         """The awake and event flags of block ``index``, a ``(2, k, S)``
-        bool array of its ``k`` frames."""
+        bool array of its ``k`` frames, or ``(2, 1, S)`` for every frame
+        of the block when the traffic draws nothing."""
         if self._rng is None:
             # random() < 1.0 always holds, and the scenario substream feeds nothing else
-            k = min(self._frames - index * self.rows, self.rows)
-            return np.ones((2, k, self._nodes), dtype=bool)
+            return np.ones((2, 1, self._nodes), dtype=bool)
         if index < len(self._packed):
             return np.unpackbits(self._packed[index], axis=-1, count=self._nodes).view(bool)
         while len(self._packed) <= index:
@@ -173,20 +178,23 @@ def _room(column: np.ndarray, rows: int, limit: int) -> np.ndarray:
 def _frame_charges(net: Network, alive: np.ndarray, heads: np.ndarray, awake: np.ndarray,
                    sends: np.ndarray, uplink: np.ndarray, member_tx: float,
                    d_size: int, params: EnergyParams) -> tuple[np.ndarray, np.ndarray]:
-    """The charges and deliveries of ``k`` frames on the network as it stands.
+    """The charges and deliveries of a segment's frames on the network as
+    it stands.
 
     ``alive`` is ``net.alive``; ``heads`` are the ids of the alive heads,
-    ascending, if any; ``awake`` and ``sends`` are the frames' ``(k, S)``
-    flags of who is awake and who is awake and senses an event, and
-    ``uplink`` holds the heads' :func:`~chsim.energy.head_uplink`,
-    ``(H,)`` for every frame or ``(k, H)`` one row per frame.  Each
-    alive, clustered member that sends pays ``member_tx``; each alive
-    head that is awake and has a packet, its own or a member's, pays its
-    uplink plus the per-packet cost of its inbound count: together,
-    :func:`~chsim.energy.frame_consumption_chn` at its distance.  A head
-    counts the members that share its cluster label, so the members of a
-    dead head pay for packets no head counts.  Returns the ``(k, S)``
-    charges and the ``(k,)`` int64 packets delivered.
+    ascending, if any; ``awake`` and ``sends`` are the flags of who is
+    awake and who is awake and senses an event, ``(k, S)`` one row per
+    frame or ``(1, S)`` for every frame, and ``uplink`` holds the heads'
+    :func:`~chsim.energy.head_uplink`, ``(H,)`` for every frame or
+    ``(k, H)`` one row per frame.  Each alive, clustered member that sends
+    pays ``member_tx``; each alive head that is awake and has a packet,
+    its own or a member's, pays its uplink plus the per-packet cost of its
+    inbound count: together, :func:`~chsim.energy.frame_consumption_chn`
+    at its distance.  A head counts the members that share its cluster
+    label, so the members of a dead head pay for packets no head counts.
+    Returns the ``(k, S)`` charges, or ``(1, S)`` when neither the flags
+    nor the uplinks differ by frame, and the int64 packets delivered, one
+    per row of flags.
     """
     tx = (sends & (alive & ~net.head & (net.cluster >= 0))).astype(float)
     charges = tx * member_tx
@@ -196,46 +204,60 @@ def _frame_charges(net: Network, alive: np.ndarray, heads: np.ndarray, awake: np
     # the packets each head forwards: its members' if it is awake, and its own if it sends
     packets = inbound * awake[:, heads] + sends[:, heads]
     head_cost = _frame_consumption_chn(inbound, d_size, uplink, params)
+    if len(head_cost) > len(charges):  # alike flags, but uplinks that move every frame
+        charges = np.repeat(charges, len(head_cost), axis=0)
     charges[:, heads] = np.where(packets > 0, head_cost, 0.0)
     return charges, packets.sum(axis=1)
 
 
-def _commit(net: Network, charges: np.ndarray, n_alive: int, logged: bool,
+def _commit(net: Network, charges: np.ndarray, k: int, n_alive: int, logged: bool,
             residual_rows: np.ndarray, consumed_rows: np.ndarray):
-    """Charge the rows of ``charges`` to ``net`` as one
+    """Charge a segment's ``k`` rows to ``net`` as one
     :meth:`~chsim.network.Network.debit` per row would, up to and
     including the first row after which fewer than ``n_alive`` nodes are
-    alive; a node that is not alive must be charged 0.0.  The row with
-    the death is capped at the residual left, as ``debit`` caps it:
+    alive.  ``charges`` is ``(k, S)``, or one ``(1, S)`` row that stands
+    for every row; a node that is not alive must be charged 0.0.  The
+    rows that kill nobody are counted in the columns of the nodes that
+    die, alive before the segment and dead after it, and the row with the
+    first death is capped at the residual left, as ``debit`` caps it:
     ``r - min(c, r)`` is exactly 0.0 when ``c >= r``
     (tests/test_numeric_contracts.py).  The scratch buffers hold at least
-    ``len(charges) + 1`` rows.  Returns the rows that kill nobody, the
-    rows charged (one more than those, when a row kills) and, when
-    ``logged``, the residuals after each charged row.
+    ``k + 1`` rows.  Returns the rows that kill nobody, the rows charged
+    (one more than those, when a row kills) and, when ``logged``, the
+    residuals after each charged row.
     """
-    rows = len(charges)
-    path = residual_rows[: rows + 1]
+    path = residual_rows[: k + 1]
     path[0] = net.residual
-    path[1:] = charges
-    clean = charged = rows
-    consumed = path  # its rows 1.. hold the charges until they are accumulated
+    path[1:] = charges  # a lone row is charged k times
     # The residuals after the segment, by one reduce; after each of its rows
-    # only when logged or a node dies.  Both go row after row
-    # (tests/test_numeric_contracts.py).
-    last = None if logged else np.subtract.reduce(path)
-    if last is None or np.count_nonzero(last > 0.0) < n_alive:
+    # only when logged, else only in the columns of the nodes that die.  All
+    # go row after row (tests/test_numeric_contracts.py).
+    if logged:
         np.subtract.accumulate(path, out=path)
+        last = path[-1].copy()
+    else:
+        last = np.subtract.reduce(path)
+    clean = charged = k
+    if np.count_nonzero(last > 0.0) < n_alive:
+        dying = path[:, (path[0] > 0.0) & ~(last > 0.0)]
+        if not logged:
+            np.subtract.accumulate(dying, out=dying)
         # residuals only fall: the rows that kill nobody are those after
-        # which every alive node is still alive
-        if np.count_nonzero(path[-1] > 0.0) < n_alive:
-            clean = int(np.count_nonzero(np.count_nonzero(path[1:] > 0.0, axis=1) == n_alive))
-        charged = min(clean + 1, rows)
+        # which every dying node is still alive
+        clean = int(np.count_nonzero((dying[1:] > 0.0).all(axis=1)))
+        charged = clean + 1
+        before = path[clean] if logged else np.subtract.reduce(path[:charged])
+        take = np.minimum(charges[clean if len(charges) > 1 else 0], before)
+        last = before - take
+        if logged:
+            path[charged] = last
+    if logged:
         consumed = consumed_rows[: charged + 1]
         consumed[1 : clean + 1] = charges[:clean]
-        if charged > clean:
-            consumed[charged] = np.minimum(charges[clean], path[clean])
-            np.subtract(path[clean], consumed[charged], out=path[charged])
-        last = path[charged].copy()
+    else:
+        consumed = path[: charged + 1]  # its rows 1.. still hold the charges
+    if charged > clean:
+        consumed[charged] = take
     consumed[0] = net.consumed
     if charges.shape[1] > 1:
         net.consumed = np.add.reduce(consumed, axis=0)  # row after row
@@ -320,6 +342,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                 residual_log = _room(residual_log, start + k, cfg.max_frames)
             awake, events = traffic.block(start // block_rows)
             sends = awake & events
+            alike = len(sends) < k  # one row of flags stands for every frame
             if mobile:
                 moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed,
                                       mobility_rng, k)
@@ -359,12 +382,14 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
                     where = moves[rows, live_heads]
                     r_bs = np.hypot(where[..., 0] - bs[0], where[..., 1] - bs[1])
                     head_uplinks = head_uplink(scen.d_size, r_bs, s, c, params)
+                flags = slice(None) if alike else rows
                 charges, delivered = _frame_charges(
-                    net, alive, live_heads, awake[rows], sends[rows], head_uplinks,
+                    net, alive, live_heads, awake[flags], sends[flags], head_uplinks,
                     member_tx, scen.d_size, params,
                 )
-                clean, charged, residuals = _commit(net, charges, n_alive, cfg.record_residuals,
-                                                    residual_rows, consumed_rows)
+                clean, charged, residuals = _commit(net, charges, rows.stop - row, n_alive,
+                                                    cfg.record_residuals, residual_rows,
+                                                    consumed_rows)
                 stop = frame + charged
                 log[frame:stop, 1] = delivered[:charged]  # summed into packets_cum at the end
                 if cfg.record_residuals:

@@ -260,42 +260,64 @@ class TestRun:
             assert len(heads) == trace.chn_count[i]
             assert all(residuals[h] > 0.0 for h in heads)
 
-    def test_frame_debits_are_the_energy_module_formulas(self, monkeypatch):
+    @pytest.mark.parametrize("scenario, speed, flag_rows, charge_rows", [
+        ("scenario2", 0.0, 20, 20),  # drawn flags: one row per frame
+        ("scenario1", 0.0, 1, 1),  # alike flags and still nodes: one row for 20 frames
+        ("scenario1", 1.0, 1, 20),  # alike flags, but the heads' uplinks move every frame
+    ], ids=["scenario2", "scenario1-still", "scenario1-mobile"])
+    def test_frame_debits_are_the_energy_module_formulas(self, monkeypatch, scenario, speed,
+                                                         flag_rows, charge_rows):
         # Committed frames and death frames alike take their charges from
-        # one helper; record what it returns.
-        calls = []
+        # one helper; record what it returns, and where the nodes moved.
+        calls, paths = [], []
         original = simulator._frame_charges
+        original_step = simulator.step_mobility
 
         def recording_charges(net, alive, heads, awake, sends, uplink, *args):
             assert np.array_equal(alive, net.alive)  # the mask of the network as it stands
             charges, delivered = original(net, alive, heads, awake, sends, uplink, *args)
             state = (net.head.copy(), alive, net.cluster.copy(), net.consumed.copy())
-            calls.append((net, state, awake, sends, uplink, charges))
+            calls.append((net, state, awake, sends, uplink, charges, delivered))
             return charges, delivered
 
+        def recording_step(*args):
+            paths.append(original_step(*args))
+            return paths[-1]
+
         monkeypatch.setattr(simulator, "_frame_charges", recording_charges)
-        cfg = SimConfig(scenario=ScenarioConfig(kind="scenario2"), max_frames=20)
+        monkeypatch.setattr(simulator, "step_mobility", recording_step)
+        cfg = SimConfig(scenario=ScenarioConfig(kind=scenario), mobility_speed=speed,
+                        max_frames=20)
         trace = run(cfg)
         # One round and no death: after the election, one segment of 20 frames.
         assert trace.alive[-1] == cfg.arena.node_count
-        [(net, (head, alive, cluster, consumed), awake, sends, uplink, charges)] = calls
-        assert charges.shape == (20, len(net))
+        [(net, (head, alive, cluster, consumed), awake, sends, uplink, charges,
+          delivered)] = calls
+        s = len(net)
+        assert awake.shape == sends.shape == (flag_rows, s)
+        assert charges.shape == (charge_rows, s) and delivered.shape == (flag_rows,)
         heads = np.nonzero(head & alive)[0]
-        assert uplink.shape == (len(heads),)  # nodes that stand still: one uplink per head
+        # nodes that stand still: one uplink per head; moving ones: one per head and frame
+        assert uplink.shape == ((20, len(heads)) if speed else (len(heads),))
+        awake, sends, charges = (np.broadcast_to(a, (20, s)) for a in (awake, sends, charges))
         d, c, params = cfg.scenario.d_size, cfg.cluster_count, cfg.energy
         bs = np.asarray(cfg.arena.bs_position, dtype=float)
-        r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
         member_cost = frame_consumption_nchn(d, cfg.arena.side_a, c, params)
+        per_frame = np.diff(trace.packets_cum, prepend=0)
         for frame in range(20):
+            where = paths[0][frame] if speed else net.positions
+            r_bs = np.hypot(where[:, 0] - bs[0], where[:, 1] - bs[1])
             members = np.nonzero(alive & ~head & sends[frame])[0]
             assert np.all(charges[frame, members] == member_cost)
             inbound = np.array([np.count_nonzero(cluster[members] == cluster[h]) for h in heads])
             fwd = awake[frame, heads] & ((inbound > 0) | sends[frame, heads])
-            expected = frame_consumption_chn(inbound[fwd], d, r_bs[heads[fwd]], len(net), c, params)
+            expected = frame_consumption_chn(inbound[fwd], d, r_bs[heads[fwd]], s, c, params)
             assert np.all(charges[frame, heads[fwd]] == expected)
-            idle = np.ones(len(net), dtype=bool)
+            idle = np.ones(s, dtype=bool)
             idle[members] = idle[heads[fwd]] = False
             assert np.all(charges[frame, idle] == 0.0)
+            packets = inbound * awake[frame, heads] + sends[frame, heads]
+            assert delivered[frame % flag_rows] == packets.sum() == per_frame[frame]
         # the run charged exactly these costs, frame after frame
         np.testing.assert_array_equal(
             trace.final_consumed, np.add.accumulate(np.vstack([consumed, charges]))[-1]

@@ -57,14 +57,31 @@ def test_a_later_run_draws_blocks_an_earlier_one_never_reached():
         assert len(traffic._packed) == math.ceil(len(alone[cfg.policy]) / 400)
 
 
+class RowPerFrame(Traffic):
+    """The same flags, with a row for each frame of a block."""
+
+    def block(self, index):
+        return np.repeat(super().block(index), min(self._frames - index * self.rows, self.rows),
+                         axis=1)
+
+
 def test_saturated_traffic_draws_and_keeps_nothing():
-    saturated = dict(arena=ArenaConfig(node_count=30, seed=2), cluster_count=3, max_frames=777,
-                     record_residuals=True)
-    traffic = Traffic(SimConfig(**saturated))
-    for policy in POLICIES:
-        cfg = SimConfig(policy=policy, **saturated)
-        assert_same_trace(run(cfg, traffic), run(cfg))
-    assert traffic._packed == []
+    for scenario in (ScenarioConfig(),
+                     ScenarioConfig(kind="scenario2", duty_cycle=1.0, event_probability=1.0)):
+        saturated = dict(arena=ArenaConfig(node_count=30, seed=2), cluster_count=3,
+                         max_frames=777, scenario=scenario, record_residuals=True)
+        traffic = Traffic(SimConfig(**saturated))
+        # 30 nodes: blocks of 540 frames, so 777 frames take two
+        assert traffic.rows == 540
+        for index in range(2):
+            flags = traffic.block(index)  # one row stands for every frame of the block
+            assert flags.dtype == bool and flags.shape == (2, 1, 30) and flags.all()
+        for policy in POLICIES:
+            cfg = SimConfig(policy=policy, **saturated)
+            shared = run(cfg, traffic)
+            assert_same_trace(shared, run(cfg))
+            assert_same_trace(shared, run(cfg, RowPerFrame(cfg)))
+        assert traffic._packed == []
 
 
 @pytest.mark.parametrize("change", [
