@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -14,6 +15,7 @@ __all__ = [
     "substream",
     "place_nodes",
     "step_mobility",
+    "Headings",
     "PLACEMENT",
     "MOBILITY",
     "SCENARIO",
@@ -53,11 +55,113 @@ def place_nodes(cfg: ArenaConfig) -> np.ndarray:
 _WALK_CELLS_PER_ROW = 32
 
 
+# Mobility steps a Headings keeps for the runs after the first: 1 << 16
+# steps of 16 bytes, 1 MiB, about 4 blocks of a 190-node run.  Measured
+# on a 2-core Xeon VM (Python 3.11, numpy 2.4) against keeping none, on
+# perfbench's sweep-mobile workload: peak RSS of a fresh process, and
+# wall time as the median ratio of in-process alternating pairs.
+#   kept steps        peak RSS              wall time
+#   64 Ki (1 MiB)     +1.05 MiB (+2.7 %)    0.87-0.88x
+#   96 Ki             +1.45 MiB (+3.7 %)    0.81-0.83x
+#   all of them       +8.5 MiB (+22 %)      not timed
+# 64 Ki keeps the rise well inside perfbench's 5 % bound on peak RSS.
+_KEPT_STEPS = 1 << 16
+
+
+def _draw_steps(rng, speed: float, out: np.ndarray) -> None:
+    """Fill ``out``, ``(..., 2)``, with the steps ``speed·cos θ`` and
+    ``speed·sin θ`` of the next uniform angles ``θ`` that ``rng`` draws,
+    ``out.shape[:-1]`` of them: ``np.cos`` and ``np.sin`` write straight
+    into ``out``, which is then scaled in place."""
+    theta = rng.uniform(0.0, 2.0 * math.pi, size=out.shape[:-1])
+    np.cos(theta, out=out[..., 0])
+    np.sin(theta, out=out[..., 1])
+    out *= speed
+
+
+class Headings:
+    """The mobility steps of the runs of one seed and speed, whatever
+    their node count or policy.
+
+    A run's steps are the angles of the seed's ``MOBILITY`` substream in
+    draw order, frame after frame and node after node, each made into the
+    step :func:`_draw_steps` gives it, so the k-th step is the same in
+    every run of the seed and speed.  The first ``_KEPT_STEPS`` steps are
+    drawn, in order, the first time a run asks for them, and kept for the
+    runs after it.  Each run reads from the first step on through a
+    :meth:`cursor` of its own, which draws the steps past the kept ones
+    from a generator of its own, advanced past them.  Nothing is drawn or
+    kept before a run asks for a step, so runs whose nodes stand still
+    cost nothing here.
+    """
+
+    # the config fields a run's steps depend on
+    FIELDS = ("arena.seed", "mobility_speed")
+
+    def __init__(self, cfg):
+        self.key = attrgetter(*self.FIELDS)(cfg)
+        self.seed, self.speed = self.key
+        self._rng = None  # draws the kept steps
+        self._kept = np.empty((0, 2))
+        self._filled = 0
+
+    def fits(self, cfg) -> bool:
+        """Whether ``cfg``'s run sees these steps."""
+        return attrgetter(*self.FIELDS)(cfg) == self.key
+
+    def cursor(self) -> _Cursor:
+        """A new run's read of the steps, from the first one on."""
+        return _Cursor(self)
+
+    def _keep(self, stop: int) -> np.ndarray:
+        """The kept steps, a read-only view, once every step before
+        ``stop`` is kept or ``_KEPT_STEPS`` are.  Their buffer is made
+        whole when the first step is asked for, so it is never copied;
+        only the pages of the steps kept are touched."""
+        if self._rng is None:
+            self._rng = substream(self.seed, MOBILITY)
+            self._kept = np.empty((_KEPT_STEPS, 2))
+        stop = min(stop, len(self._kept))
+        if stop > self._filled:
+            _draw_steps(self._rng, self.speed, self._kept[self._filled : stop])
+            self._filled = stop
+        kept = self._kept[: self._filled]
+        kept.flags.writeable = False
+        return kept
+
+
+class _Cursor:
+    """One run's read of a :class:`Headings`, from its first step on."""
+
+    def __init__(self, headings: Headings):
+        self.headings = headings
+        self._read = 0
+        self._rng = None  # draws the steps past the kept ones
+
+    def steps(self, frames: int, nodes: int) -> np.ndarray:
+        """The next ``frames * nodes`` steps, ``(frames, nodes, 2)``: a
+        read-only view of the kept steps when they hold them all, else a
+        new array of the kept ones followed by those drawn past them."""
+        start = self._read
+        self._read += frames * nodes
+        kept = self.headings._keep(self._read)
+        if self._read <= len(kept):
+            return kept[start : self._read].reshape(frames, nodes, 2)
+        steps = np.empty((frames * nodes, 2))
+        head = kept[start:]
+        steps[: len(head)] = head
+        if self._rng is None:  # PCG64: one output per angle drawn
+            self._rng = substream(self.headings.seed, MOBILITY)
+            self._rng.bit_generator.advance(start + len(head))
+        _draw_steps(self._rng, self.headings.speed, steps[len(head) :])
+        return steps.reshape(frames, nodes, 2)
+
+
 def step_mobility(
     positions: np.ndarray,
     side_a: float,
     speed: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _Cursor,
     frames: int,
 ) -> np.ndarray:
     """Move every node ``speed`` meters per frame for ``frames`` frames,
@@ -65,11 +169,13 @@ def step_mobility(
     arena boundaries.
 
     Returns the ``(frames, S, 2)`` positions after each frame; the input
-    is not modified.  The angles are drawn as one ``(frames, S)`` block,
-    which is the same stream as ``frames`` draws of ``S``.  ``speed = 0``
-    is the identity and draws nothing.  ``np.cos`` and ``np.sin`` write
-    the steps straight into one ``(frames, S, 2)`` buffer, which is
-    scaled by ``speed`` in place and copied once, under the positions.
+    is not modified.  ``speed = 0`` is the identity and draws nothing.
+    ``rng`` is a generator, which draws the angles as one ``(frames, S)``
+    block (the same stream as ``frames`` draws of ``S``) and makes them
+    into steps in one buffer, or a run's :meth:`Headings.cursor`, which
+    gives the steps of a :class:`Headings` made for ``speed`` from where
+    it stands, the kept ones as a view.  The steps are copied once, under
+    the positions.
 
     Frame by frame, each coordinate adds its step and, when that takes it
     out of ``[0, side_a]``, folds back: ``f = y mod 2 side_a``, mirrored
@@ -86,11 +192,13 @@ def step_mobility(
     positions = np.asarray(positions, dtype=float)
     if speed == 0:
         return np.repeat(positions[None], frames, axis=0)
-    theta = rng.uniform(0.0, 2.0 * math.pi, size=(frames, len(positions)))
-    steps = np.empty((frames, *positions.shape))
-    np.cos(theta, out=steps[..., 0])
-    np.sin(theta, out=steps[..., 1])
-    steps *= speed
+    if isinstance(rng, _Cursor):
+        if rng.headings.speed != speed:
+            raise ValueError(f"the headings move at {rng.headings.speed!r} m, not {speed!r}")
+        steps = rng.steps(frames, len(positions))
+    else:
+        steps = np.empty((frames, *positions.shape))
+        _draw_steps(rng, speed, steps)
     path = np.empty((frames + 1, *positions.shape))
     path[0] = positions
     path[1:] = steps

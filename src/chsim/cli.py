@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import POLICIES, SimConfig, config_from_dict
 from .metrics import compare, export, outcome, summarize
-from .simulator import Traffic, run
+from .simulator import Headings, Traffic, run
 
 __all__ = ["parse_args", "plan_runs", "execute", "main"]
 
@@ -170,15 +170,20 @@ def plan_runs(inv: argparse.Namespace) -> Iterator[SimConfig]:
                 yield _config_for(inv, base, seed=seed, nodes=n)
 
 
-def _outcomes(configs):
-    """Each planned compare run's outcome, in plan order.  The runs of a
-    seed, next to each other in the plan, share one :class:`Traffic`,
-    which is dropped when the next seed's runs begin."""
-    traffic = None
+def _each_run(configs, reduce):
+    """``reduce`` of each planned run's trace, in plan order, the trace
+    dropped before the next run.  Runs next to each other in the plan
+    share one :class:`Traffic` and one :class:`Headings` while they fit
+    them: compare's runs of a seed share both, a sweep's runs of a seed
+    (and speed) their headings.  Each is dropped when a run it does not
+    fit begins."""
+    traffic = headings = None
     for cfg in configs:
         if traffic is None or not traffic.fits(cfg):
             traffic = Traffic(cfg)
-        yield outcome(run(cfg, traffic))
+        if headings is None or not headings.fits(cfg):
+            headings = Headings(cfg)
+        yield reduce(run(cfg, traffic, headings))
 
 
 def execute(inv: argparse.Namespace) -> int:
@@ -194,9 +199,9 @@ def execute(inv: argparse.Namespace) -> int:
     if inv.subcommand == "run":
         artifact = run(next(configs))
     elif inv.subcommand == "compare":
-        artifact = compare(_outcomes(configs))
+        artifact = compare(_each_run(configs, outcome))
     else:
-        artifact = (summarize(run(cfg)) for cfg in configs)
+        artifact = _each_run(configs, summarize)
     destination = inv.out if inv.out is not None else sys.stdout.buffer
     export(artifact, inv.format, destination)
     return 0

@@ -10,12 +10,16 @@ cumulative deliveries and head set of every frame.
 A run advances a segment at a time (next-event time advance).  Every
 frame draws the same number of uniforms (and of angles, when nodes
 move) whatever the network's state, so a block of frames (whole rounds,
-where they fit) takes its traffic and draws its movement path at once.
+where they fit) takes its traffic and its movement path at once.
 The traffic depends on the seed and the scenario but not on the policy,
 so one :class:`Traffic` can serve every policy's run of a seed: it
 draws each block once and keeps it, packed, for the next run; scenario1,
 where every node is always awake and senses an event, draws no traffic,
-and one row of flags stands for every frame of a block.
+and one row of flags stands for every frame of a block.  The k-th angle
+is the k-th draw of the seed's mobility stream whatever the node count
+or policy, so one :class:`~chsim.arena.Headings` can serve every run of
+a seed and speed: it keeps the first steps that any run asks for, which
+a block inside them reads as they are, with nothing drawn.
 A segment starts with the frame prelude: an election on a round
 boundary, else, after a death, the dismissal of dead heads and dchne's
 re-election of their clusters.  It reads the alive and head sets once,
@@ -41,9 +45,9 @@ import numpy as np
 
 from .arena import (
     LEACH_DRAWS,
-    MOBILITY,
     PARTITION,
     SCENARIO,
+    Headings,
     place_nodes,
     step_mobility,
     substream,
@@ -267,27 +271,40 @@ def _commit(net: Network, charges: np.ndarray, k: int, n_alive: int, logged: boo
     return clean, charged, path[1 : charged + 1] if logged else None
 
 
-def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
+def _differ(fields: tuple[str, ...], key: tuple, cfg: SimConfig) -> str:
+    """The ``fields`` in which ``cfg`` differs from ``key``, for an error."""
+    return "; ".join(f"{name} {mine!r}, not {theirs!r}"
+                     for name, mine, theirs in zip(fields, key, attrgetter(*fields)(cfg))
+                     if mine != theirs)
+
+
+def run(cfg: SimConfig, traffic: Traffic | None = None,
+        headings: Headings | None = None) -> SimTrace:
     """Execute one seeded run to completion and return its trace.
 
     Deterministic: the arena seed feeds independent substreams for
     placement, mobility, scenario draws, self-election draws and the
     initial geometric split, so two runs of the same config are
     identical and runs differing only in policy see the same
-    environment.  ``traffic`` shares those scenario draws with the other
-    runs it serves, without changing a bit of the trace; without it the
-    run makes its own.  A ``traffic`` made for a run that differs in
-    seed, node count, duty cycle, event probability, round length or
-    ``max_frames`` raises ValueError, as does a config whose energy
-    costs overflow a float, before the first frame.
+    environment.  ``traffic`` shares those scenario draws, and
+    ``headings`` the mobility steps, with the other runs each serves,
+    without changing a bit of the trace; without them the run makes its
+    own.  A ``traffic`` made for a run that differs in seed, node count,
+    duty cycle, event probability, round length or ``max_frames``, or
+    ``headings`` made for another seed or speed, raises ValueError, as
+    does a config whose energy costs overflow a float, before the first
+    frame.
     """
     if traffic is None:
         traffic = Traffic(cfg)
     elif not traffic.fits(cfg):
-        differ = [f"{name} {mine!r}, not {theirs!r}"
-                  for name, mine, theirs in zip(_TRAFFIC_FIELDS, traffic.key, _traffic_key(cfg))
-                  if mine != theirs]
-        raise ValueError(f"the traffic was drawn for another run: {'; '.join(differ)}")
+        raise ValueError("the traffic was drawn for another run: "
+                         + _differ(_TRAFFIC_FIELDS, traffic.key, cfg))
+    if headings is None:
+        headings = Headings(cfg)
+    elif not headings.fits(cfg):
+        raise ValueError("the headings were drawn for another run: "
+                         + _differ(Headings.FIELDS, headings.key, cfg))
     arena = cfg.arena
     scen = cfg.scenario
     params, msgs = cfg.energy, cfg.msgs
@@ -298,7 +315,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
 
     partition_rng = substream(arena.seed, PARTITION)
     leach_rng = substream(arena.seed, LEACH_DRAWS)
-    mobility_rng = substream(arena.seed, MOBILITY)
+    mobility = headings.cursor()
     headed: set[int] = set()  # LEACH: who has headed in the current epoch
     prev_head: dict[int, int] = {}  # RRCH: each cluster's last head
 
@@ -345,7 +362,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None) -> SimTrace:
             alike = len(sends) < k  # one row of flags stands for every frame
             if mobile:
                 moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed,
-                                      mobility_rng, k)
+                                      mobility, k)
             while frame < start + k:
                 row = frame - start
                 if frame % fpr == 0:  # an election dismisses every head, dead or alive

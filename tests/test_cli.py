@@ -336,7 +336,9 @@ class TestExecution:
 
     def test_sweep_memory_follows_its_output(self, tmp_path, monkeypatch):
         # a summary's curve held as tuples takes about 8 times the bytes of
-        # its JSON, so holding the runs' curves would exceed the bound
+        # its JSON, so holding the runs' curves would exceed the bound; both
+        # mobile sweeps hold one seed's kept steps (1 MiB), so holding a set
+        # of them per run would exceed it too
         summaries = []
         real_summarize, real_run = cli.summarize, cli.run
 
@@ -353,20 +355,23 @@ class TestExecution:
         monkeypatch.setattr(cli, "summarize", summarize)
         monkeypatch.setattr(cli, "run", run)
 
-        def traced_peak(nodes, out):
+        def traced_peak(nodes, out, *mobility):
             tracemalloc.start()
             try:
                 assert main(["sweep", "--nodes", nodes, "--clusters", "2", "--frames", "1500",
-                             "--seed", "0", "--format", "json", "--out", str(out)]) == 0
+                             "--seed", "0", "--format", "json", "--out", str(out),
+                             *mobility]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        one, eight = tmp_path / "one.json", tmp_path / "eight.json"
-        traced_peak("80", one)  # the first call's peak also holds one-time caches
-        peak_one = traced_peak("80", one)
-        peak_eight = traced_peak("10..80..10", eight)
-        extra_bytes = eight.stat().st_size - one.stat().st_size
-        assert extra_bytes > 7 * 1500 * 10  # each run exports its 1500-frame curve
-        assert peak_eight - peak_one < 2 * extra_bytes
-        assert len(summaries) == 10
+        for mobility in ((), ("--mobility", "1.0")):
+            one, eight = tmp_path / "one.json", tmp_path / "eight.json"
+            summaries.clear()
+            traced_peak("80", one, *mobility)  # the first call's peak also holds one-time caches
+            peak_one = traced_peak("80", one, *mobility)
+            peak_eight = traced_peak("10..80..10", eight, *mobility)
+            extra_bytes = eight.stat().st_size - one.stat().st_size
+            assert extra_bytes > 7 * 1500 * 10  # each run exports its 1500-frame curve
+            assert peak_eight - peak_one < 2 * extra_bytes, mobility
+            assert len(summaries) == 10
