@@ -86,13 +86,14 @@ class Headings:
     A run's steps are the angles of the seed's ``MOBILITY`` substream in
     draw order, frame after frame and node after node, each made into the
     step :func:`_draw_steps` gives it, so the k-th step is the same in
-    every run of the seed and speed.  The first ``_KEPT_STEPS`` steps are
-    drawn, in order, the first time a run asks for them, and kept for the
-    runs after it.  Each run reads from the first step on through a
-    :meth:`cursor` of its own, which draws the steps past the kept ones
-    from a generator of its own, advanced past them.  Nothing is drawn or
-    kept before a run asks for a step, so runs whose nodes stand still
-    cost nothing here.
+    every run of the seed and speed, and a run of S nodes finds frame
+    f's steps from step ``f * S`` on (:meth:`steps`).  The first
+    ``_KEPT_STEPS`` steps are drawn, in order, the first time a run asks
+    for them, and kept for the runs after it.  The steps past them come
+    from one generator, which a read from where the last one stopped
+    continues and any other read makes anew, advanced to its first step,
+    so a read gets the same steps whatever the reads before it.  Nothing is drawn or kept before a run asks for a step, so runs whose
+    nodes stand still cost nothing here.
     """
 
     # the config fields a run's steps depend on
@@ -104,14 +105,32 @@ class Headings:
         self._rng = None  # draws the kept steps
         self._kept = np.empty((0, 2))
         self._filled = 0
+        self._past = None  # draws the steps past the kept ones
+        self._next = 0  # the step _past draws next
 
     def fits(self, cfg) -> bool:
         """Whether ``cfg``'s run sees these steps."""
         return attrgetter(*self.FIELDS)(cfg) == self.key
 
-    def cursor(self) -> _Cursor:
-        """A new run's read of the steps, from the first one on."""
-        return _Cursor(self)
+    def steps(self, frame: int, frames: int, nodes: int) -> np.ndarray:
+        """The steps of ``nodes`` nodes in the ``frames`` frames from
+        ``frame`` on, ``(frames, nodes, 2)``: a read-only view of the kept
+        steps when they hold them all, else a new array of the kept ones
+        followed by those drawn past them."""
+        start, stop = frame * nodes, (frame + frames) * nodes
+        kept = self._keep(stop)
+        if stop <= len(kept):
+            return kept[start:stop].reshape(frames, nodes, 2)
+        steps = np.empty((stop - start, 2))
+        head = kept[start:]
+        steps[: len(head)] = head
+        first = start + len(head)
+        if self._past is None or self._next != first:  # PCG64: one output per angle drawn
+            self._past = substream(self.seed, MOBILITY)
+            self._past.bit_generator.advance(first)
+        _draw_steps(self._past, self.speed, steps[len(head) :])
+        self._next = stop
+        return steps.reshape(frames, nodes, 2)
 
     def _keep(self, stop: int) -> np.ndarray:
         """The kept steps, a read-only view, once every step before
@@ -130,52 +149,14 @@ class Headings:
         return kept
 
 
-class _Cursor:
-    """One run's read of a :class:`Headings`, from its first step on."""
+def step_mobility(positions: np.ndarray, side_a: float, steps: np.ndarray) -> np.ndarray:
+    """Move every node by its ``steps``, ``(frames, S, 2)``, one frame
+    after another, reflecting at the arena boundaries.
 
-    def __init__(self, headings: Headings):
-        self.headings = headings
-        self._read = 0
-        self._rng = None  # draws the steps past the kept ones
-
-    def steps(self, frames: int, nodes: int) -> np.ndarray:
-        """The next ``frames * nodes`` steps, ``(frames, nodes, 2)``: a
-        read-only view of the kept steps when they hold them all, else a
-        new array of the kept ones followed by those drawn past them."""
-        start = self._read
-        self._read += frames * nodes
-        kept = self.headings._keep(self._read)
-        if self._read <= len(kept):
-            return kept[start : self._read].reshape(frames, nodes, 2)
-        steps = np.empty((frames * nodes, 2))
-        head = kept[start:]
-        steps[: len(head)] = head
-        if self._rng is None:  # PCG64: one output per angle drawn
-            self._rng = substream(self.headings.seed, MOBILITY)
-            self._rng.bit_generator.advance(start + len(head))
-        _draw_steps(self._rng, self.headings.speed, steps[len(head) :])
-        return steps.reshape(frames, nodes, 2)
-
-
-def step_mobility(
-    positions: np.ndarray,
-    side_a: float,
-    speed: float,
-    rng: np.random.Generator | _Cursor,
-    frames: int,
-) -> np.ndarray:
-    """Move every node ``speed`` meters per frame for ``frames`` frames,
-    each frame in an independent uniform direction, reflecting at the
-    arena boundaries.
-
-    Returns the ``(frames, S, 2)`` positions after each frame; the input
-    is not modified.  ``speed = 0`` is the identity and draws nothing.
-    ``rng`` is a generator, which draws the angles as one ``(frames, S)``
-    block (the same stream as ``frames`` draws of ``S``) and makes them
-    into steps in one buffer, or a run's :meth:`Headings.cursor`, which
-    gives the steps of a :class:`Headings` made for ``speed`` from where
-    it stands, the kept ones as a view.  The steps are copied once, under
-    the positions.
+    Returns the ``(frames, S, 2)`` positions after each frame; neither
+    the positions nor the steps are modified, so the steps may be a
+    read-only view of :meth:`Headings.steps`.  The steps are copied once,
+    under the positions.
 
     Frame by frame, each coordinate adds its step and, when that takes it
     out of ``[0, side_a]``, folds back: ``f = y mod 2 side_a``, mirrored
@@ -187,19 +168,8 @@ def step_mobility(
     at a time when the block has few such cells per frame, else by folding
     whole rows, since the fold is the identity inside the arena.
     """
-    if speed < 0:
-        raise ValueError(f"speed must be >= 0, got {speed!r}")
-    positions = np.asarray(positions, dtype=float)
-    if speed == 0:
-        return np.repeat(positions[None], frames, axis=0)
-    if isinstance(rng, _Cursor):
-        if rng.headings.speed != speed:
-            raise ValueError(f"the headings move at {rng.headings.speed!r} m, not {speed!r}")
-        steps = rng.steps(frames, len(positions))
-    else:
-        steps = np.empty((frames, *positions.shape))
-        _draw_steps(rng, speed, steps)
-    path = np.empty((frames + 1, *positions.shape))
+    frames = len(steps)
+    path = np.empty((frames + 1, *steps.shape[1:]))
     path[0] = positions
     path[1:] = steps
     coords = path.reshape(frames + 1, -1)  # a row per frame, a column per coordinate

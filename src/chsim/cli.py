@@ -13,9 +13,10 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
+from .arena import Headings
 from .config import POLICIES, SimConfig, config_from_dict
 from .metrics import compare, export, outcome, summarize
-from .simulator import Headings, Traffic, run
+from .simulator import Traffic, run
 
 __all__ = ["parse_args", "plan_runs", "execute", "main"]
 
@@ -175,8 +176,9 @@ def _each_run(configs, reduce):
     dropped before the next run.  Runs next to each other in the plan
     share one :class:`Traffic` and one :class:`Headings` while they fit
     them: compare's runs of a seed share both, a sweep's runs of a seed
-    (and speed) their headings.  Each is dropped when a run it does not
-    fit begins."""
+    (and speed) their headings.  Each hands a run its draws by block or
+    frame number, so a run reads the same ones whatever the runs before
+    it read.  Each is dropped when a run it does not fit begins."""
     traffic = headings = None
     for cfg in configs:
         if traffic is None or not traffic.fits(cfg):

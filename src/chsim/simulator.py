@@ -18,8 +18,11 @@ where every node is always awake and senses an event, draws no traffic,
 and one row of flags stands for every frame of a block.  The k-th angle
 is the k-th draw of the seed's mobility stream whatever the node count
 or policy, so one :class:`~chsim.arena.Headings` can serve every run of
-a seed and speed: it keeps the first steps that any run asks for, which
-a block inside them reads as they are, with nothing drawn.
+a seed and speed: a block of S nodes from frame f asks it for the steps
+from step f·S on, and moves the nodes by them in
+:func:`~chsim.arena.step_mobility`.  It keeps the first steps that any
+run asks for, which a block inside them reads as they are, with nothing
+drawn.
 A segment starts with the frame prelude: an election on a round
 boundary, else, after a death, the dismissal of dead heads and dchne's
 re-election of their clusters.  It reads the alive and head sets once,
@@ -289,11 +292,12 @@ def run(cfg: SimConfig, traffic: Traffic | None = None,
     environment.  ``traffic`` shares those scenario draws, and
     ``headings`` the mobility steps, with the other runs each serves,
     without changing a bit of the trace; without them the run makes its
-    own.  A ``traffic`` made for a run that differs in seed, node count,
-    duty cycle, event probability, round length or ``max_frames``, or
-    ``headings`` made for another seed or speed, raises ValueError, as
-    does a config whose energy costs overflow a float, before the first
-    frame.
+    own.  A run reads both by frame, a block at a time, and moves its
+    nodes only when ``mobility_speed`` is above 0.  A ``traffic`` made
+    for a run that differs in seed, node count, duty cycle, event
+    probability, round length or ``max_frames``, or ``headings`` made
+    for another seed or speed, raises ValueError, as does a config whose
+    energy costs overflow a float, before the first frame.
     """
     if traffic is None:
         traffic = Traffic(cfg)
@@ -315,7 +319,6 @@ def run(cfg: SimConfig, traffic: Traffic | None = None,
 
     partition_rng = substream(arena.seed, PARTITION)
     leach_rng = substream(arena.seed, LEACH_DRAWS)
-    mobility = headings.cursor()
     headed: set[int] = set()  # LEACH: who has headed in the current epoch
     prev_head: dict[int, int] = {}  # RRCH: each cluster's last head
 
@@ -361,8 +364,7 @@ def run(cfg: SimConfig, traffic: Traffic | None = None,
             sends = awake & events
             alike = len(sends) < k  # one row of flags stands for every frame
             if mobile:
-                moves = step_mobility(net.positions, arena.side_a, cfg.mobility_speed,
-                                      mobility, k)
+                moves = step_mobility(net.positions, arena.side_a, headings.steps(start, k, s))
             while frame < start + k:
                 row = frame - start
                 if frame % fpr == 0:  # an election dismisses every head, dead or alive

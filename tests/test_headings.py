@@ -46,13 +46,13 @@ def _config(nodes, speed, residuals=False, frames=300):
 def test_shared_runs_export_the_bytes_of_lone_runs(monkeypatch, speed, residuals):
     monkeypatch.setattr(arena, "_KEPT_STEPS", KEPT)
     reads = []
-    steps = arena._Cursor.steps
+    steps = Headings.steps
 
-    def recording_steps(cursor, frames, nodes):
-        reads.append((cursor._read, cursor._read + frames * nodes))
-        return steps(cursor, frames, nodes)
+    def recording_steps(headings, frame, frames, nodes):
+        reads.append((frame * nodes, (frame + frames) * nodes))
+        return steps(headings, frame, frames, nodes)
 
-    monkeypatch.setattr(arena._Cursor, "steps", recording_steps)
+    monkeypatch.setattr(Headings, "steps", recording_steps)
     cfgs = [_config(nodes, speed, residuals) for nodes in NODES]
     headings = Headings(cfgs[0])
     shared = [_json(run(cfg, headings=headings)) for cfg in cfgs]  # in the sweep's order
@@ -75,12 +75,6 @@ def test_headings_made_for_another_run_are_refused(change):
         run(other, headings=headings)
 
 
-def test_a_cursor_moves_only_at_its_headings_speed():
-    cursor = Headings(_config(30, 1.0)).cursor()
-    with pytest.raises(ValueError, match="the headings move at 1.0 m, not 2.0"):
-        arena.step_mobility(np.full((30, 2), 50.0), 100.0, 2.0, cursor, 5)
-
-
 def test_node_count_and_policy_do_not_change_the_headings():
     headings = Headings(_config(30, 1.0))
     run(_config(30, 1.0), headings=headings)
@@ -98,8 +92,24 @@ def test_kept_steps_stop_at_the_bound():
     assert headings._filled == arena._KEPT_STEPS == 1 << 16
     assert headings._kept.nbytes == 1 << 20
     # the kept steps are read-only views: a run cannot write into them
-    view = headings.cursor().steps(1, 190)
+    view = headings.steps(0, 1, 190)
     assert np.shares_memory(view, headings._kept) and not view.flags.writeable
+
+
+def test_steps_do_not_depend_on_the_order_of_reads(monkeypatch):
+    # 30 nodes keep 10 frames' steps; frames 5..20 straddle their end and
+    # 20..40 lie past it, read in order, then out of order and twice
+    monkeypatch.setattr(arena, "_KEPT_STEPS", 300)
+    cfg = _config(30, 1.0)
+    blocks = [(0, 5), (5, 15), (20, 10), (30, 10)]
+    forward = Headings(cfg)
+    want = [forward.steps(frame, frames, 30).copy() for frame, frames in blocks]
+    shuffled = Headings(cfg)
+    for i in (3, 2, 1, 3, 0, 2):
+        assert shuffled.steps(*blocks[i], 30).tobytes() == want[i].tobytes()
+    whole = np.empty((40, 30, 2))
+    arena._draw_steps(arena.substream(7, arena.MOBILITY), 1.0, whole)
+    assert np.concatenate(want).tobytes() == whole.tobytes()
 
 
 def test_still_runs_draw_and_keep_nothing():

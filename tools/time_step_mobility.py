@@ -3,13 +3,16 @@
     python3 tools/time_step_mobility.py [--parent OTHER/src] [--reps N] [--costs]
 
 For each network size S in 10, 50 and 190 and each speed in 1, 5, 20,
-100 and 800 m per frame (350 m arena), it times one call on a block of
-as many frames as ``run()`` puts in one block at that size, with fresh
-uniform positions and a fresh seeded generator per call.  With
-``--parent``, the ``chsim`` package under that ``src`` directory is timed
-in the same process, the two sides alternating which goes first.  Prints
-one JSON object: per case, the minimum, median and quartiles in
-microseconds.
+100 and 800 m per frame (350 m arena), it times a block of as many
+frames as ``run()`` puts in one block at that size, with fresh uniform
+positions and a fresh seeded generator per block: its steps drawn by
+``_draw_steps``, then ``step_mobility`` on them, what ``run()`` pays for
+a block whose steps are drawn.  With ``--parent``, the
+``chsim`` package under that ``src`` directory is timed in the same
+process, the two sides alternating which goes first; its ``arena`` must
+have the same ``_draw_steps`` and ``step_mobility(positions, side_a,
+steps)``.  Prints one JSON object: per case, the minimum, median and
+quartiles in microseconds.
 
 ``--costs`` instead times the two ways a block redoes the coordinates
 that reach a wall: ``_walk`` per walked cell and ``_fold_rows`` per row,
@@ -72,9 +75,12 @@ def time_blocks(sides: dict, rows_of, reps: int) -> list[dict]:
                 pos = np.random.default_rng(rep).uniform(0.0, SIDE, (s, 2))
                 order = list(sides) if rep % 2 == 0 else list(sides)[::-1]
                 for name in order:
+                    arena = sides[name]
                     rng = np.random.default_rng(10_000 + rep)
                     start = time.perf_counter()
-                    sides[name].step_mobility(pos, SIDE, speed, rng, frames)
+                    steps = np.empty((frames, s, 2))
+                    arena._draw_steps(rng, speed, steps)
+                    arena.step_mobility(pos, SIDE, steps)
                     samples[name].append(time.perf_counter() - start)
             case = {"nodes": s, "frames": frames, "speed_m_per_frame": speed}
             case.update({name: spread(v) for name, v in samples.items()})
@@ -83,16 +89,13 @@ def time_blocks(sides: dict, rows_of, reps: int) -> list[dict]:
     return cases
 
 
-def hot_block(s: int, frames: int, speed: float, seed: int):
+def hot_block(arena, s: int, frames: int, speed: float, seed: int):
     """The accumulated block, steps, hot columns and first steps out that
     ``step_mobility`` hands to ``_walk`` or ``_fold_rows``."""
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0.0, SIDE, (s, 2))
-    theta = rng.uniform(0.0, 2.0 * np.pi, (frames, s))
-    steps = np.empty((frames, s, 2))  # built as step_mobility builds its step buffer
-    np.cos(theta, out=steps[..., 0])
-    np.sin(theta, out=steps[..., 1])
-    steps *= speed
+    steps = np.empty((frames, s, 2))
+    arena._draw_steps(rng, speed, steps)
     steps = steps.reshape(frames, -1)
     coords = np.concatenate([pos.reshape(1, -1), steps])
     np.add.accumulate(coords, axis=0, out=coords)
@@ -108,7 +111,7 @@ def time_costs(arena, rows_of, reps: int) -> list[dict]:
         for speed in (1.0, 20.0, 800.0):
             walk, fold, walked = [], [], []
             for rep in range(reps):
-                coords, steps, hot, first = hot_block(s, frames, speed, rep)
+                coords, steps, hot, first = hot_block(arena, s, frames, speed, rep)
                 cells = int((frames - first).sum())
                 if not cells:
                     continue
