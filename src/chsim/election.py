@@ -19,8 +19,10 @@ A round's heads are found for all clusters at once, with no loop over
 clusters: the residual-energy election sorts the alive nodes by
 (cluster, residual descending, id) and takes the first node of each
 cluster; round-robin sorts (cluster, id) keys and finds each cluster's
-next head with one binary search.  Members join the nearest head
-through one alive nodes x heads matrix of squared distances.
+next head with one binary search.  Members join the nearest head by
+one argmin down the heads' rows of squared distances to every node,
+which a static run gathers from the matrix it computed once
+(:meth:`~chsim.network.Network.gaps`).
 """
 
 from __future__ import annotations
@@ -114,14 +116,14 @@ def _install(net: Network, head_idx, alive_idx, costs: ElectionCosts) -> tuple[i
 
 def _join_nearest(net: Network, alive_idx, head_idx, costs: ElectionCosts) -> tuple[int, ...]:
     """Install ``head_idx`` (ascending) as the heads of clusters 0, 1, ...
-    and let every other alive node join the nearest of them."""
+    and let every other alive node join the nearest of them.
+
+    Every node is measured from each head in one ``(heads, S)`` row
+    gather of :meth:`~chsim.network.Network.gaps` (kept once per run when
+    nodes stand still), and the alive nodes' columns pick their heads."""
     head_ids = _install(net, head_idx, alive_idx, costs)
-    x, y = net.positions.T
-    # every alive node, heads too, is measured: gathered first, one node per broadcast row
-    dx = x[alive_idx][:, None] - x[head_idx]
-    dy = y[alive_idx][:, None] - y[head_idx]
-    np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dy)  # dx**2 + dy**2, in place
-    net.cluster[alive_idx] = dy.argmin(axis=1)
+    # one row per head; argmin takes the first minimum, so a tie goes to the lower head id
+    net.cluster[alive_idx] = net.gaps(head_idx).argmin(axis=0)[alive_idx]
     # a head heads its own cluster, even where another head stands as close
     net.cluster[head_idx] = np.arange(len(head_idx))
     return head_ids

@@ -7,6 +7,19 @@ import numpy as np
 __all__ = ["NO_CLUSTER", "Network"]
 
 NO_CLUSTER = -1
+# Most entries of the scratch rows that keep_gaps computes at a time, so
+# that building the kept matrix holds little more than the matrix itself.
+_GAP_ENTRIES = 1 << 12
+
+
+def _gaps(positions: np.ndarray, rows, out=None) -> np.ndarray:
+    """Squared distances from the nodes ``rows`` to every node, written
+    into ``out`` if given: node minus row node on each axis, squared,
+    then the x term plus the y term."""
+    x, y = positions.T
+    dx = np.subtract(x, x[rows][:, None], out=out)
+    dy = y - y[rows][:, None]
+    return np.add(np.square(dx, out=dx), np.square(dy, out=dy), out=dx)
 
 
 class Network:
@@ -20,6 +33,12 @@ class Network:
     elections call it, each with one full-length vector; a node charged
     0.0 keeps the bits of its books, which are never negative.  The
     simulator charges its frames as a debit per frame would, on its own.
+
+    :meth:`gaps` gives the squared distances from some nodes to every
+    node.  A network whose nodes stand still may compute them all once
+    (:meth:`keep_gaps`), as a static run does, and :meth:`gaps` then
+    gathers its rows from them; assigning ``positions`` drops them, so
+    moved nodes are never measured from where they stood.
     """
 
     def __init__(self, positions, initial_energy=3.5):
@@ -37,11 +56,41 @@ class Network:
         self.head = np.zeros(n, dtype=bool)
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self._positions)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._positions
+
+    @positions.setter
+    def positions(self, value) -> None:
+        self._positions = value
+        self._kept_gaps = None
 
     @property
     def alive(self) -> np.ndarray:
         return self.residual > 0.0
+
+    def gaps(self, rows) -> np.ndarray:
+        """Squared distances from the nodes ``rows`` to every node, as a
+        ``(len(rows), S)`` array, gathered from the kept matrix if there is
+        one.  ``(a - b)**2`` and ``(b - a)**2`` have the same bits, so a
+        row is also that node's column."""
+        if self._kept_gaps is not None:
+            return self._kept_gaps.take(rows, axis=0)
+        return _gaps(self._positions, rows)
+
+    def keep_gaps(self) -> None:
+        """Compute every node's squared distances once, a few rows at a
+        time, for :meth:`gaps` to gather from until ``positions`` is
+        assigned again."""
+        n = len(self)
+        kept = np.empty((n, n))
+        step = max(1, _GAP_ENTRIES // n)
+        for start in range(0, n, step):
+            _gaps(self._positions, np.arange(start, min(start + step, n)),
+                  out=kept[start:start + step])
+        self._kept_gaps = kept
 
     def debit(self, selector, amount) -> None:
         """Charge energy to the selected nodes, capping each charge at the

@@ -35,8 +35,12 @@ commits them in :func:`_commit` up to and including the first frame
 with a death, as one :meth:`~chsim.network.Network.debit` per frame
 would; the frame of a death is found in the columns of the nodes that
 die.  With nobody alive, or a head killed by its setup charge, it is
-one frame.  A run trusts its config, which checked its own fields when
-built (:mod:`chsim.config`).
+one frame.  A run whose nodes stand still computes two things once:
+every node's uplink, and, up to ``_KEPT_GAPS`` entries, the squared
+distances between every pair of nodes, from which each election's join
+gathers its heads' rows (:meth:`~chsim.network.Network.keep_gaps`).
+A run trusts its config, which checked its own fields when built
+(:mod:`chsim.config`).
 """
 
 from __future__ import annotations
@@ -71,6 +75,19 @@ __all__ = ["SimTrace", "Traffic", "run", "network_lifetime"]
 # 1 << 16 the peak memory of a scenario1 compare and of a mobile sweep
 # rose by 6-8 %; at 1 << 14, by under 2 %.
 _BLOCK_ENTRIES = 1 << 14
+# Most entries (nodes x nodes) of the squared distances that a static run
+# keeps for its elections' joins: 1 << 18 (2 MiB) keeps them up to 512
+# nodes.  Scenario1 dchne runs with S // 19 clusters, the matrix kept
+# against every join measured from positions, in-process alternating
+# pairs on 2 cores (Python 3.11, numpy 2.4), median time ratio:
+#   nodes  frames  kept/measured  pairs faster
+#     400   2 000          0.90x      12 of 12
+#     512   2 000          1.00x       7 of 10
+#   1 000   1 500   1.03x / 0.90x   3 of 8 / 9 of 10 (two series)
+#   2 000     600          0.98x       3 of 6
+# Past about 500 nodes the gain is lost in the noise while the matrix
+# grows as S squared (8 MB at 1 000 nodes, 32 MB at 2 000).
+_KEPT_GAPS = 1 << 18
 # The config fields a run's traffic depends on.
 _TRAFFIC_FIELDS = (
     "arena.seed",
@@ -337,6 +354,11 @@ def run(cfg: SimConfig, traffic: Traffic | None = None,
     if not mobile:  # one uplink per node, all run long
         r_bs = np.hypot(net.positions[:, 0] - bs[0], net.positions[:, 1] - bs[1])
         uplink = head_uplink(scen.d_size, r_bs, s, c, params)
+        if s * s <= _KEPT_GAPS:
+            # No squared distance overflows: every node stands within
+            # bs_reach of the base station, whose fourth power the config
+            # keeps a float, so two nodes stand within twice that.
+            net.keep_gaps()
     block_rows = traffic.rows
     # a segment's residuals (and consumed energy) before and after each frame
     residual_rows = np.empty((block_rows + 1, s))

@@ -610,3 +610,40 @@ class TestVectorizedElectionsMatchScan:
         assert heads == tuple(expected.values())
         assert {lab: prev_head[lab] for lab in expected} == expected
         assert net.head.tolist() == [i in heads for i in range(len(net))]
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_joins_alike_with_kept_and_fresh_gaps(self, data):
+        # a coarse grid, so that a member often stands as close to two heads
+        n = data.draw(st.integers(1, 25))
+        positions = data.draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                       min_size=n, max_size=n))
+        alive = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        heads = sorted(data.draw(st.sets(st.sampled_from(alive), min_size=1)))
+        clusters = []
+        for keep in (False, True):
+            net = make_net(positions=positions)
+            for dead in set(range(n)) - set(alive):
+                kill(net, dead)
+            if keep:
+                net.keep_gaps()
+            election._join_nearest(net, np.array(alive), np.array(heads), costs(net, len(heads)))
+            clusters.append(net.cluster.tolist())
+        expected = [NO_CLUSTER] * n
+        for i in alive:
+            gaps = [(positions[i][0] - positions[h][0]) ** 2 + (positions[i][1] - positions[h][1]) ** 2
+                    for h in heads]
+            expected[i] = heads.index(i) if i in heads else gaps.index(min(gaps))
+        assert clusters == [expected, expected]
+
+
+class TestKeptGaps:
+    def test_assigning_positions_drops_the_kept_gaps(self):
+        net = make_net(positions=[[0.0, 0.0], [10.0, 0.0], [1.0, 0.0]])
+        net.keep_gaps()
+        assert net.gaps(np.array([2]))[0].tolist() == [1.0, 81.0, 0.0]
+        net.positions = np.array([[0.0, 0.0], [10.0, 0.0], [9.0, 0.0]])
+        assert net.gaps(np.array([2]))[0].tolist() == [81.0, 1.0, 0.0]
+        # the member now stands by the second head, and joins it
+        election._join_nearest(net, np.arange(3), np.array([0, 1]), costs(net, 2))
+        assert net.cluster.tolist() == [0, 1, 1]

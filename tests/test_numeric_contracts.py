@@ -26,13 +26,18 @@ index-by-index engine only because numpy keeps these contracts:
 * Python's float ``%`` must give the bytes of ``np.mod``, so mobility's
   walked coordinates match its folded rows;
 * the streams of ``substream`` must stay the same, which NEP 19 does not
-  promise across numpy versions.
+  promise across numpy versions;
+* a row of the squared distances that a static run keeps must hold the
+  bytes of the row that ``Network.gaps`` computes fresh for that node, as
+  a mobile run does; ``(a - b)**2`` has the bits of ``(b - a)**2``, so a
+  node's row is also its column.
 """
 
 import numpy as np
 import pytest
 
 from chsim.arena import substream
+from chsim.network import Network
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -193,3 +198,21 @@ FIRST_DRAWS = [
 @pytest.mark.parametrize("channel", range(5))
 def test_substream_first_draws_are_pinned(channel):
     assert substream(0, channel).random(3).tolist() == FIRST_DRAWS[channel]
+
+
+# any arena the config accepts: every corner within about 1.16e77 m of the base station
+COORDINATES = st.floats(min_value=0.0, max_value=1e77)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=30))
+@example([(0.0, 0.0), (SMALLEST_SUBNORMAL, 1e77), (1e77, LARGEST_SUBNORMAL), (0.1, 0.3)])
+def test_a_kept_row_holds_the_bytes_of_a_fresh_row(points):
+    net = Network(points)
+    fresh = [net.gaps(np.array([r])) for r in range(len(net))]
+    net.keep_gaps()
+    kept = net.gaps(np.arange(len(net)))
+    for r, row in enumerate(fresh):
+        assert row.shape == (1, len(net))
+        assert kept[r:r + 1].tobytes() == row.tobytes()
+    assert kept.tobytes() == np.ascontiguousarray(kept.T).tobytes()
