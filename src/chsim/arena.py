@@ -89,11 +89,13 @@ class Headings:
     every run of the seed and speed, and a run of S nodes finds frame
     f's steps from step ``f * S`` on (:meth:`steps`).  The first
     ``_KEPT_STEPS`` steps are drawn, in order, the first time a run asks
-    for them, and kept for the runs after it.  The steps past them come
-    from one generator, which a read from where the last one stopped
-    continues and any other read makes anew, advanced to its first step,
-    so a read gets the same steps whatever the reads before it.  Nothing is drawn or kept before a run asks for a step, so runs whose
-    nodes stand still cost nothing here.
+    for them, and kept for the runs after it.  One generator draws both
+    those and the steps past them: a draw that starts where its last one
+    stopped continues it, and any other makes it anew, advanced to the
+    draw's first step, so a read gets the same steps whatever the reads
+    before it.  Nothing is drawn or kept before a run asks for a step,
+    so runs whose nodes stand still cost nothing here.  ``key`` holds the
+    ``FIELDS`` of the config it was made for.
     """
 
     # the config fields a run's steps depend on
@@ -102,15 +104,10 @@ class Headings:
     def __init__(self, cfg):
         self.key = attrgetter(*self.FIELDS)(cfg)
         self.seed, self.speed = self.key
-        self._rng = None  # draws the kept steps
-        self._kept = np.empty((0, 2))
+        self._kept = None
         self._filled = 0
-        self._past = None  # draws the steps past the kept ones
-        self._next = 0  # the step _past draws next
-
-    def fits(self, cfg) -> bool:
-        """Whether ``cfg``'s run sees these steps."""
-        return attrgetter(*self.FIELDS)(cfg) == self.key
+        self._rng = None  # draws every step, the kept ones and those past them
+        self._next = 0  # the step _rng draws next
 
     def steps(self, frame: int, frames: int, nodes: int) -> np.ndarray:
         """The steps of ``nodes`` nodes in the ``frames`` frames from
@@ -124,12 +121,7 @@ class Headings:
         steps = np.empty((stop - start, 2))
         head = kept[start:]
         steps[: len(head)] = head
-        first = start + len(head)
-        if self._past is None or self._next != first:  # PCG64: one output per angle drawn
-            self._past = substream(self.seed, MOBILITY)
-            self._past.bit_generator.advance(first)
-        _draw_steps(self._past, self.speed, steps[len(head) :])
-        self._next = stop
+        self._draw(start + len(head), steps[len(head) :])
         return steps.reshape(frames, nodes, 2)
 
     def _keep(self, stop: int) -> np.ndarray:
@@ -137,16 +129,25 @@ class Headings:
         ``stop`` is kept or ``_KEPT_STEPS`` are.  Their buffer is made
         whole when the first step is asked for, so it is never copied;
         only the pages of the steps kept are touched."""
-        if self._rng is None:
-            self._rng = substream(self.seed, MOBILITY)
+        if self._kept is None:
             self._kept = np.empty((_KEPT_STEPS, 2))
         stop = min(stop, len(self._kept))
         if stop > self._filled:
-            _draw_steps(self._rng, self.speed, self._kept[self._filled : stop])
+            self._draw(self._filled, self._kept[self._filled : stop])
             self._filled = stop
         kept = self._kept[: self._filled]
         kept.flags.writeable = False
         return kept
+
+    def _draw(self, start: int, out: np.ndarray) -> None:
+        """Fill ``out``, ``(n, 2)``, with the steps from step ``start`` on,
+        from the generator when it draws ``start`` next, else from a new
+        one advanced to it (PCG64: one output per angle drawn)."""
+        if self._rng is None or self._next != start:
+            self._rng = substream(self.seed, MOBILITY)
+            self._rng.bit_generator.advance(start)
+        _draw_steps(self._rng, self.speed, out)
+        self._next = start + len(out)
 
 
 def step_mobility(positions: np.ndarray, side_a: float, steps: np.ndarray) -> np.ndarray:

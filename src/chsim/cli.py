@@ -13,10 +13,9 @@ import sys
 from collections.abc import Iterator
 from pathlib import Path
 
-from .arena import Headings
 from .config import POLICIES, SimConfig, config_from_dict
 from .metrics import compare, export, outcome, summarize
-from .simulator import Traffic, run
+from .simulator import Draws, run
 
 __all__ = ["parse_args", "plan_runs", "execute", "main"]
 
@@ -171,39 +170,26 @@ def plan_runs(inv: argparse.Namespace) -> Iterator[SimConfig]:
                 yield _config_for(inv, base, seed=seed, nodes=n)
 
 
-def _each_run(configs, reduce):
-    """``reduce`` of each planned run's trace, in plan order, the trace
-    dropped before the next run.  Runs next to each other in the plan
-    share one :class:`Traffic` and one :class:`Headings` while they fit
-    them: compare's runs of a seed share both, a sweep's runs of a seed
-    (and speed) their headings.  Each hands a run its draws by block or
-    frame number, so a run reads the same ones whatever the runs before
-    it read.  Each is dropped when a run it does not fit begins."""
-    traffic = headings = None
-    for cfg in configs:
-        if traffic is None or not traffic.fits(cfg):
-            traffic = Traffic(cfg)
-        if headings is None or not headings.fits(cfg):
-            headings = Headings(cfg)
-        yield reduce(run(cfg, traffic, headings))
-
-
 def execute(inv: argparse.Namespace) -> int:
     """Run the planned simulations and export the artifact for the
     subcommand: a trace (run), a comparison table (compare), or the
     summary list (sweep).
 
-    compare and sweep take their runs from generators, one at a time:
-    compare keeps two numbers of each, and sweep's export keeps only
-    each summary's exported bytes.  Nothing is written until every run
-    has succeeded, so a run that fails leaves no output."""
+    compare and sweep take their runs from a generator, one at a time in
+    plan order, each trace dropped before the next run: compare keeps two
+    numbers of each, and sweep's export keeps only each summary's
+    exported bytes.  Their runs share one :class:`~chsim.simulator.Draws`:
+    compare's runs of a seed share its traffic and headings, a sweep's
+    runs of a seed (and speed) its headings.  Nothing is written until
+    every run has succeeded, so a run that fails leaves no output."""
     configs = plan_runs(inv)
     if inv.subcommand == "run":
         artifact = run(next(configs))
-    elif inv.subcommand == "compare":
-        artifact = compare(_each_run(configs, outcome))
     else:
-        artifact = _each_run(configs, summarize)
+        draws = Draws()
+        traces = (run(cfg, draws) for cfg in configs)
+        artifact = (compare(map(outcome, traces)) if inv.subcommand == "compare"
+                    else map(summarize, traces))
     destination = inv.out if inv.out is not None else sys.stdout.buffer
     export(artifact, inv.format, destination)
     return 0

@@ -11,9 +11,9 @@ multicast by each new head) and differ only in how winners are picked:
 Every election takes the per-node charges that
 :func:`~chsim.energy.election_costs` computes once per run.  A policy
 writes its charges, head flags and cluster labels into the
-:class:`~chsim.network.Network` it is given and returns only the tuple
-of elected head ids, which is empty when no node is alive after the
-election trigger.
+:class:`~chsim.network.Network` it is given.  A round's election returns
+nothing: its heads are the ``net.head`` flags, none when no node is
+alive after the election trigger.
 
 A round's heads are found for all clusters at once, with no loop over
 clusters: the residual-energy election sorts the alive nodes by
@@ -103,30 +103,28 @@ def _new_round(net: Network, costs: ElectionCosts) -> np.ndarray:
     return _trigger(net, net.alive, costs.trigger)
 
 
-def _install(net: Network, head_idx, alive_idx, costs: ElectionCosts) -> tuple[int, ...]:
-    """Flag the heads ``head_idx``, charge them the head's setup cost and
-    every other node of ``alive_idx`` the member's, and return their ids."""
+def _install(net: Network, head_idx, alive_idx, costs: ElectionCosts) -> None:
+    """Flag the heads ``head_idx``, and charge them the head's setup cost
+    and every other node of ``alive_idx`` the member's."""
     net.head[head_idx] = True
     charge = np.zeros(len(net))
     charge[alive_idx] = costs.member
     charge[head_idx] = costs.head
     net.debit(slice(None), charge)
-    return tuple(head_idx.tolist())
 
 
-def _join_nearest(net: Network, alive_idx, head_idx, costs: ElectionCosts) -> tuple[int, ...]:
+def _join_nearest(net: Network, alive_idx, head_idx, costs: ElectionCosts) -> None:
     """Install ``head_idx`` (ascending) as the heads of clusters 0, 1, ...
     and let every other alive node join the nearest of them.
 
     Every node is measured from each head in one ``(heads, S)`` row
     gather of :meth:`~chsim.network.Network.gaps` (kept once per run when
     nodes stand still), and the alive nodes' columns pick their heads."""
-    head_ids = _install(net, head_idx, alive_idx, costs)
+    _install(net, head_idx, alive_idx, costs)
     # one row per head; argmin takes the first minimum, so a tie goes to the lower head id
     net.cluster[alive_idx] = net.gaps(head_idx).argmin(axis=0)[alive_idx]
     # a head heads its own cluster, even where another head stands as close
     net.cluster[head_idx] = np.arange(len(head_idx))
-    return head_ids
 
 
 def _group_starts(sorted_labels: np.ndarray) -> np.ndarray:
@@ -134,7 +132,7 @@ def _group_starts(sorted_labels: np.ndarray) -> np.ndarray:
     return np.nonzero(np.concatenate(([True], sorted_labels[1:] != sorted_labels[:-1])))[0]
 
 
-def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) -> tuple[int, ...]:
+def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) -> None:
     """Elect the highest-residual node of each current cluster as its head.
 
     Every alive node is charged for receiving the election trigger; each
@@ -150,7 +148,7 @@ def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) 
         raise ValueError(f"cluster count must be >= 1, got {c}")
     alive_idx = _new_round(net, costs)
     if len(alive_idx) == 0:
-        return ()
+        return
     ids, labels = alive_idx, net.cluster[alive_idx]
     if labels.min() < 0:  # an alive node has no cluster yet, as before the first round
         if (labels == NO_CLUSTER).all():
@@ -165,7 +163,7 @@ def dchne_elect(net: Network, c: int, costs: ElectionCosts, partition_rng=None) 
     # keep the lowest id first: each cluster's winner comes first
     order = np.lexsort((-net.residual[ids], labels))
     winners = ids[order][_group_starts(labels[order])]
-    return _join_nearest(net, alive_idx, np.sort(winners), costs)
+    _join_nearest(net, alive_idx, np.sort(winners), costs)
 
 
 def dchne_reelect_cluster(net: Network, cluster: int, costs: ElectionCosts) -> int | None:
@@ -186,7 +184,7 @@ def dchne_reelect_cluster(net: Network, cluster: int, costs: ElectionCosts) -> i
 
 def leach_elect(
     net: Network, c: int, round_index: int, costs: ElectionCosts, rng, headed: set[int]
-) -> tuple[int, ...]:
+) -> None:
     """Probabilistic self-election with per-epoch rotation.
 
     Each alive node that has not yet headed in the current epoch (is not
@@ -210,7 +208,7 @@ def leach_elect(
     draws = rng.random(s)
     alive_idx = _new_round(net, costs)
     if len(alive_idx) == 0:
-        return ()
+        return
     epoch = math.ceil(s / c)
     if round_index % epoch == 0:
         headed.clear()
@@ -222,13 +220,13 @@ def leach_elect(
     if len(head_idx) == 0:
         head_idx = np.array([_argmax_residual(net, alive_idx)])
     headed.update(head_idx.tolist())
-    return _join_nearest(net, alive_idx, head_idx, costs)
+    _join_nearest(net, alive_idx, head_idx, costs)
 
 
 def rrch_elect(
     net: Network, c: int, round_index: int, costs: ElectionCosts, prev_head: dict[int, int],
     partition_rng=None,
-) -> tuple[int, ...]:
+) -> None:
     """Round-robin headship inside clusters that are formed once and frozen.
 
     The first call (``prev_head`` empty) forms clusters and picks first
@@ -239,14 +237,15 @@ def rrch_elect(
     updates it.  Charges are as in :func:`dchne_elect`.
     """
     if not prev_head:
-        head_ids = dchne_elect(net, c, costs, partition_rng)
-        prev_head.update(enumerate(head_ids))
-        return head_ids
+        dchne_elect(net, c, costs, partition_rng)
+        # dchne's heads ascend by id, which is their clusters' order
+        prev_head.update(enumerate(np.flatnonzero(net.head).tolist()))
+        return
     if round_index < 0:
         raise ValueError(f"round index must be >= 0, got {round_index}")
     alive_idx = _new_round(net, costs)
     if len(alive_idx) == 0:
-        return ()
+        return
     labels = net.cluster[alive_idx]  # every node alive now joined a cluster in the first round
     # one sorted key per node, grouping by cluster and ascending id within it
     span = len(net) + 1
@@ -259,4 +258,4 @@ def rrch_elect(
     later = np.searchsorted(keys, clusters * span + last, side="right")
     head_idx = keys[np.where(later < ends, later, starts)] % span
     prev_head.update(zip(clusters.tolist(), head_idx.tolist()))
-    return _install(net, head_idx, alive_idx, costs)
+    _install(net, head_idx, alive_idx, costs)

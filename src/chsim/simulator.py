@@ -22,7 +22,8 @@ a seed and speed: a block of S nodes from frame f asks it for the steps
 from step f·S on, and moves the nodes by them in
 :func:`~chsim.arena.step_mobility`.  It keeps the first steps that any
 run asks for, which a block inside them reads as they are, with nothing
-drawn.
+drawn.  Runs share both through one :class:`Draws`, which hands each
+run those made for its config's key and makes fresh ones for any other.
 A segment starts with the frame prelude: an election on a round
 boundary, else, after a death, the dismissal of dead heads and dchne's
 re-election of their clusters.  It reads the alive and head sets once,
@@ -69,7 +70,7 @@ from .energy import (
 )
 from .network import Network
 
-__all__ = ["SimTrace", "Traffic", "run", "network_lifetime"]
+__all__ = ["SimTrace", "Traffic", "Draws", "run", "network_lifetime"]
 
 # Most matrix entries (frames x nodes) one block of frames may hold.  At
 # 1 << 16 the peak memory of a scenario1 compare and of a mobile sweep
@@ -88,16 +89,11 @@ _BLOCK_ENTRIES = 1 << 14
 # Past about 500 nodes the gain is lost in the noise while the matrix
 # grows as S squared (8 MB at 1 000 nodes, 32 MB at 2 000).
 _KEPT_GAPS = 1 << 18
-# The config fields a run's traffic depends on.
-_TRAFFIC_FIELDS = (
-    "arena.seed",
-    "arena.node_count",
-    "scenario.duty_cycle",
-    "scenario.event_probability",
-    "scenario.frames_per_round",
-    "max_frames",
-)
-_traffic_key = attrgetter(*_TRAFFIC_FIELDS)
+# The config fields a run's traffic depends on, and those its headings do.
+_traffic_key = attrgetter("arena.seed", "arena.node_count", "scenario.duty_cycle",
+                          "scenario.event_probability", "scenario.frames_per_round",
+                          "max_frames")
+_headings_key = attrgetter(*Headings.FIELDS)
 # Frames the trace columns first hold room for: every run of the default
 # profiles fits, and a huge max_frames grows them only as frames are run.
 _FIRST_ROWS = 1 << 14
@@ -149,7 +145,8 @@ class Traffic:
     nodes, where bools would take 4.6 MB.  A traffic whose duty cycle and
     event probability are both 1.0 (scenario1) draws nothing: its nodes
     are always awake and always sense an event, so each of its blocks is
-    one row that stands for every frame.
+    one row that stands for every frame.  ``key`` holds the config
+    fields it depends on, by which :class:`Draws` hands it out.
     """
 
     def __init__(self, cfg: SimConfig):
@@ -166,10 +163,6 @@ class Traffic:
         drawn = scen.duty_cycle < 1.0 or scen.event_probability < 1.0
         self._rng = substream(cfg.arena.seed, SCENARIO) if drawn else None
         self._packed: list[np.ndarray] = []
-
-    def fits(self, cfg: SimConfig) -> bool:
-        """Whether ``cfg``'s run sees this traffic."""
-        return _traffic_key(cfg) == self.key
 
     def block(self, index: int) -> np.ndarray:
         """The awake and event flags of block ``index``, a ``(2, k, S)``
@@ -291,41 +284,40 @@ def _commit(net: Network, charges: np.ndarray, k: int, n_alive: int, logged: boo
     return clean, charged, path[1 : charged + 1] if logged else None
 
 
-def _differ(fields: tuple[str, ...], key: tuple, cfg: SimConfig) -> str:
-    """The ``fields`` in which ``cfg`` differs from ``key``, for an error."""
-    return "; ".join(f"{name} {mine!r}, not {theirs!r}"
-                     for name, mine, theirs in zip(fields, key, attrgetter(*fields)(cfg))
-                     if mine != theirs)
+@dataclass(eq=False)
+class Draws:
+    """The traffic and headings that runs share: each run gets the ones
+    made for its config's key (:meth:`of`), so runs of one seed see the
+    same environment, and no run can be handed another's."""
+
+    traffic: Traffic | None = None
+    headings: Headings | None = None
+
+    def of(self, cfg: SimConfig) -> tuple[Traffic, Headings]:
+        """The traffic and headings of ``cfg``'s run: those held when
+        ``cfg`` has their key, else fresh ones, held from then on."""
+        if self.traffic is None or self.traffic.key != _traffic_key(cfg):
+            self.traffic = Traffic(cfg)
+        if self.headings is None or self.headings.key != _headings_key(cfg):
+            self.headings = Headings(cfg)
+        return self.traffic, self.headings
 
 
-def run(cfg: SimConfig, traffic: Traffic | None = None,
-        headings: Headings | None = None) -> SimTrace:
+def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
     """Execute one seeded run to completion and return its trace.
 
     Deterministic: the arena seed feeds independent substreams for
     placement, mobility, scenario draws, self-election draws and the
     initial geometric split, so two runs of the same config are
     identical and runs differing only in policy see the same
-    environment.  ``traffic`` shares those scenario draws, and
-    ``headings`` the mobility steps, with the other runs each serves,
-    without changing a bit of the trace; without them the run makes its
-    own.  A run reads both by frame, a block at a time, and moves its
-    nodes only when ``mobility_speed`` is above 0.  A ``traffic`` made
-    for a run that differs in seed, node count, duty cycle, event
-    probability, round length or ``max_frames``, or ``headings`` made
-    for another seed or speed, raises ValueError, as does a config whose
-    energy costs overflow a float, before the first frame.
+    environment.  ``draws`` shares the scenario draws and the mobility
+    steps with the other runs it serves, without changing a bit of the
+    trace; without it the run makes its own.  A run reads both by frame,
+    a block at a time, and moves its nodes only when ``mobility_speed``
+    is above 0.  A config whose energy costs overflow a float raises
+    ValueError before the first frame.
     """
-    if traffic is None:
-        traffic = Traffic(cfg)
-    elif not traffic.fits(cfg):
-        raise ValueError("the traffic was drawn for another run: "
-                         + _differ(_TRAFFIC_FIELDS, traffic.key, cfg))
-    if headings is None:
-        headings = Headings(cfg)
-    elif not headings.fits(cfg):
-        raise ValueError("the headings were drawn for another run: "
-                         + _differ(Headings.FIELDS, headings.key, cfg))
+    traffic, headings = (draws or Draws()).of(cfg)
     arena = cfg.arena
     scen = cfg.scenario
     params, msgs = cfg.energy, cfg.msgs

@@ -52,6 +52,13 @@ def kill(net, index):
     net.debit(np.array([index]), net.residual[index])
 
 
+def elected(net):
+    """The heads that an election flagged, in the order of their clusters:
+    by id for dchne and leach, whose heads head clusters 0, 1, ... in
+    ascending id order."""
+    return tuple(sorted(np.flatnonzero(net.head).tolist(), key=lambda h: net.cluster[h]))
+
+
 class TestDchne:
     @pytest.mark.parametrize("residuals, clusters, heads", [
         ([3.1, 2.0, 3.1], [0, 0, 0], (0,)),
@@ -61,11 +68,13 @@ class TestDchne:
     def test_tie_breaks_to_lowest_id(self, residuals, clusters, heads):
         net = make_net(len(residuals), residuals=residuals, clusters=clusters)
         c = len(set(clusters))
-        assert dchne_elect(net, c, costs(net, c)) == heads
+        dchne_elect(net, c, costs(net, c))
+        assert elected(net) == heads
 
     def test_single_node_heads_sole_cluster(self):
         net = make_net(1)
-        assert dchne_elect(net, 1, costs(net, 1), np.random.default_rng(3)) == (0,)
+        dchne_elect(net, 1, costs(net, 1), np.random.default_rng(3))
+        assert elected(net) == (0,)
         assert net.cluster.tolist() == [0]
         assert net.head[0]
 
@@ -73,7 +82,8 @@ class TestDchne:
         net = make_net(4)
         for i in range(4):
             kill(net, i)
-        assert dchne_elect(net, 2, costs(net, 2), np.random.default_rng(0)) == ()
+        dchne_elect(net, 2, costs(net, 2), np.random.default_rng(0))
+        assert elected(net) == ()
         assert not net.head.any()
 
     def test_bad_cluster_count_raises(self):
@@ -90,7 +100,8 @@ class TestDchne:
         )
         before = net.residual.copy()
         labels = net.cluster.copy()
-        head_ids = dchne_elect(net, 5, costs(net, 5))
+        dchne_elect(net, 5, costs(net, 5))
+        head_ids = elected(net)
         expected = set()
         for lab in np.unique(labels):
             members = np.nonzero(labels == lab)[0]
@@ -101,7 +112,8 @@ class TestDchne:
     def test_charges_follow_setup_formulas(self):
         net = make_net(8, clusters=[0, 0, 0, 0, 1, 1, 1, 1])
         c = 2
-        head_ids = dchne_elect(net, c, costs(net, c))
+        dchne_elect(net, c, costs(net, c))
+        head_ids = elected(net)
         s = len(net)
         preamble = MSGS.d_preamble * PARAMS.e_radio
         head_cost = preamble + setup_energy_chn(MSGS, AREA, s, c, PARAMS) + tx_intra(
@@ -115,7 +127,8 @@ class TestDchne:
 
     def test_members_join_nearest_head(self):
         net = make_net(40, seed=5)
-        head_ids = dchne_elect(net, 4, costs(net, 4), np.random.default_rng(5))
+        dchne_elect(net, 4, costs(net, 4), np.random.default_rng(5))
+        head_ids = elected(net)
         head_positions = {k: net.positions[h] for k, h in enumerate(head_ids)}
         for node_id, cluster in enumerate(net.cluster):
             if node_id in head_ids:
@@ -130,7 +143,8 @@ class TestDchne:
         net.residual[0] = 5.0  # would win cluster 0 if it were alive
         net.initial[0] = 5.0
         kill(net, 0)
-        head_ids = dchne_elect(net, 2, costs(net, 2))
+        dchne_elect(net, 2, costs(net, 2))
+        head_ids = elected(net)
         assert 0 not in head_ids
         assert not net.head[0]
         # every alive node joined a cluster that an alive head leads
@@ -140,7 +154,8 @@ class TestDchne:
         net = make_net(10)
         for i in range(7):
             kill(net, i)
-        head_ids = dchne_elect(net, 10, costs(net, 10), np.random.default_rng(1))
+        dchne_elect(net, 10, costs(net, 10), np.random.default_rng(1))
+        head_ids = elected(net)
         assert len(head_ids) == 3
         assert set(np.nonzero(net.cluster != NO_CLUSTER)[0].tolist()) == {7, 8, 9}
 
@@ -153,7 +168,8 @@ class TestDchne:
         outcomes = []
         for _ in range(2):
             net = make_net(25, seed=9)
-            head_ids = dchne_elect(net, 3, costs(net, 3), np.random.default_rng(7))
+            dchne_elect(net, 3, costs(net, 3), np.random.default_rng(7))
+            head_ids = elected(net)
             outcomes.append((head_ids, net.cluster.tolist(), net.consumed.tolist()))
         assert outcomes[0] == outcomes[1]
 
@@ -278,10 +294,10 @@ class TestWholeVectorDebit:
         net, ref = self.twins(residuals, clusters=[0, 0, 0, 1, 1, 1])
         alive_idx = np.nonzero(net.alive)[0]
         head_idx = np.array([0, 3])
-        ids = election._install(net, head_idx, alive_idx, charges)
+        election._install(net, head_idx, alive_idx, charges)
         ref_ids = reference_engine._install(
             ref, head_idx, reference_engine._non_heads(ref, alive_idx, head_idx), charges)
-        assert ids == ref_ids == (0, 3)
+        assert elected(net) == ref_ids == (0, 3)
         self.assert_same_bits(net, ref)
         assert net.residual[0] == 0.0 and net.consumed[0] == net.initial[0]
         assert not net.alive[0] and net.head[0]  # the next frame dismisses it
@@ -308,7 +324,9 @@ class TestWholeVectorDebit:
         floats = ElectionCosts(*map(float, ints))
         residuals = [5.0, 0.5, 9.0, 2.5, 7.0, 1.5, 4.0, 3.0, 6.0]
         net, ref = self.twins(residuals, clusters=[0, 0, 0, 1, 1, 1, 2, 2, 2])
-        assert dchne_elect(net, 3, ints) == dchne_elect(ref, 3, floats) == (2, 4, 8)
+        dchne_elect(net, 3, ints)
+        dchne_elect(ref, 3, floats)
+        assert elected(net) == elected(ref) == (2, 4, 8)
         self.assert_same_bits(net, ref)
         np.testing.assert_array_equal(np.nonzero(~net.alive)[0], [1, 3, 5, 7])
         # head 4 dies; in its cluster the trigger kills node 6, and node 0
@@ -338,7 +356,8 @@ class TestWholeVectorDebit:
         }[policy]
         call, ours, theirs = elect
         for _ in range(3):  # later rounds run on the books the earlier ones left
-            assert call(net, ours) == call(ref, theirs)
+            assert call(net, ours) is None  # the heads are net.head's flags
+            assert elected(net) == call(ref, theirs)
             self.assert_same_bits(net, ref)
 
 
@@ -359,7 +378,8 @@ class TestLeach:
         headed = set()
         net = make_net(6)
         for round_index in range(4):
-            head_ids = leach_elect(net, 6, round_index, costs(net, 6), rng, headed)
+            leach_elect(net, 6, round_index, costs(net, 6), rng, headed)
+            head_ids = elected(net)
             assert set(head_ids) == set(np.nonzero(net.alive)[0].tolist())
 
     def test_every_node_heads_during_an_epoch(self):
@@ -368,7 +388,8 @@ class TestLeach:
         net = make_net(12, residuals=1000.0)
         served = []
         for round_index in range(4):  # epoch length = ceil(12 / 3)
-            served.extend(leach_elect(net, 3, round_index, costs(net, 3), rng, headed))
+            leach_elect(net, 3, round_index, costs(net, 3), rng, headed)
+            served.extend(elected(net))
         assert set(served) == set(range(12))
 
     def test_headed_nodes_sit_out_rest_of_epoch(self):
@@ -388,7 +409,8 @@ class TestLeach:
         draws = _ScriptedDraws()
         seen = set()
         for round_index in range(3):
-            head_ids = leach_elect(net, 3, round_index, costs(net, 3), draws, headed)
+            leach_elect(net, 3, round_index, costs(net, 3), draws, headed)
+            head_ids = elected(net)
             assert set(head_ids) == {4 * round_index + k for k in range(4)}
             assert seen.isdisjoint(head_ids)
             seen.update(head_ids)
@@ -398,12 +420,14 @@ class TestLeach:
         residuals = np.full(12, 5.0)
         residuals[8] = 9.0
         net = make_net(12, residuals=residuals)
-        assert leach_elect(net, 3, 1, costs(net, 3), _ConstantDraws(1.0), headed) == (8,)
+        leach_elect(net, 3, 1, costs(net, 3), _ConstantDraws(1.0), headed)
+        assert elected(net) == (8,)
         assert headed == {8}
         # a residual tie drafts the lowest id
         headed = set()
         net = make_net(12, residuals=5.0)
-        assert leach_elect(net, 3, 1, costs(net, 3), _ConstantDraws(1.0), headed) == (0,)
+        leach_elect(net, 3, 1, costs(net, 3), _ConstantDraws(1.0), headed)
+        assert elected(net) == (0,)
         assert headed == {0}
 
     def test_all_dead_elects_no_head_and_still_draws(self):
@@ -411,7 +435,8 @@ class TestLeach:
         for i in range(6):
             kill(net, i)
         rng, twin = np.random.default_rng(5), np.random.default_rng(5)
-        assert leach_elect(net, 3, 1, costs(net, 3), rng, set()) == ()
+        leach_elect(net, 3, 1, costs(net, 3), rng, set())
+        assert elected(net) == ()
         assert not net.head.any()
         # one draw per configured node, as in every round
         twin.random(6)
@@ -421,10 +446,10 @@ class TestLeach:
         rng = np.random.default_rng(77)
         headed = set()
         net = make_net(100, residuals=1000.0)
-        counts = [
-            len(leach_elect(net, 5, r, costs(net, 5), rng, headed))
-            for r in range(2000)
-        ]
+        counts = []
+        for r in range(2000):
+            leach_elect(net, 5, r, costs(net, 5), rng, headed)
+            counts.append(len(elected(net)))
         assert np.mean(counts) == pytest.approx(5.0, abs=0.5)
 
     def test_draw_stream_is_fixed_size_per_round(self):
@@ -435,12 +460,11 @@ class TestLeach:
             headed = set()
             net = make_net(10, residuals=100.0)
             kill(net, 3)
-            results.append(
-                [
-                    leach_elect(net, 2, r, costs(net, 2), rng, headed)
-                    for r in range(5)
-                ]
-            )
+            rounds = []
+            for r in range(5):
+                leach_elect(net, 2, r, costs(net, 2), rng, headed)
+                rounds.append(elected(net))
+            results.append(rounds)
         assert results[0] == results[1]
 
 
@@ -449,9 +473,8 @@ class TestRrch:
         prev_head = {}
         heads = []
         for r in range(rounds):
-            heads.append(
-                rrch_elect(net, c, r, costs(net, c), prev_head, np.random.default_rng(rng_seed))
-            )
+            rrch_elect(net, c, r, costs(net, c), prev_head, np.random.default_rng(rng_seed))
+            heads.append(elected(net))
             if on_round is not None:
                 on_round(r, net)
         return heads
@@ -491,7 +514,8 @@ class TestRrch:
         prev_head = {}
         rng = np.random.default_rng(8)
         for r in range(8):
-            head_ids = rrch_elect(net, 4, r, costs(net, 4), prev_head, rng)
+            rrch_elect(net, 4, r, costs(net, 4), prev_head, rng)
+            head_ids = elected(net)
             labels = [net.cluster[h] for h in head_ids]
             assert len(set(labels)) == len(head_ids)
             for h in head_ids:
@@ -568,7 +592,8 @@ class TestVectorizedElectionsMatchScan:
         net, k = case
         after, rosters = triggered(net, k)
         if not rosters:
-            assert dchne_elect(net, k, costs(net, k)) == ()
+            dchne_elect(net, k, costs(net, k))
+            assert elected(net) == ()
             assert not net.head.any()
             return
         expected = []
@@ -578,7 +603,8 @@ class TestVectorizedElectionsMatchScan:
                 if after.residual[i] > after.residual[best]:
                     best = i
             expected.append(best)
-        heads = dchne_elect(net, k, costs(net, k))
+        dchne_elect(net, k, costs(net, k))
+        heads = elected(net)
         assert heads == tuple(sorted(expected))
         positions = net.positions.tolist()
         for i in (i for roster in rosters.values() for i in roster if i not in heads):
@@ -602,11 +628,13 @@ class TestVectorizedElectionsMatchScan:
             expected[lab] = later[0] if later else roster[0]
         if not rosters:
             last_heads = dict(prev_head)
-            assert rrch_elect(net, k, 1, costs(net, k), prev_head) == ()
+            rrch_elect(net, k, 1, costs(net, k), prev_head)
+            assert elected(net) == ()
             assert not net.head.any()
             assert prev_head == last_heads
             return
-        heads = rrch_elect(net, k, 1, costs(net, k), prev_head)
+        rrch_elect(net, k, 1, costs(net, k), prev_head)
+        heads = elected(net)
         assert heads == tuple(expected.values())
         assert {lab: prev_head[lab] for lab in expected} == expected
         assert net.head.tolist() == [i in heads for i in range(len(net))]

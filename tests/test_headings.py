@@ -14,7 +14,7 @@ from chsim.arena import Headings
 from chsim.cli import main, parse_args, plan_runs
 from chsim.config import ArenaConfig, SimConfig
 from chsim.metrics import export, summarize
-from chsim.simulator import run
+from chsim.simulator import Draws, run
 
 from reference_engine import reference_run
 
@@ -54,8 +54,9 @@ def test_shared_runs_export_the_bytes_of_lone_runs(monkeypatch, speed, residuals
 
     monkeypatch.setattr(Headings, "steps", recording_steps)
     cfgs = [_config(nodes, speed, residuals) for nodes in NODES]
-    headings = Headings(cfgs[0])
-    shared = [_json(run(cfg, headings=headings)) for cfg in cfgs]  # in the sweep's order
+    draws = Draws()
+    _, headings = draws.of(cfgs[0])
+    shared = [_json(run(cfg, draws)) for cfg in cfgs]  # in the sweep's order
     assert reads == [(0, 3_000), (0, 9_000),
                      (0, 15_200), (15_200, 30_400), (30_400, 45_600), (45_600, 57_000)]
     assert headings._filled == len(headings._kept) == KEPT
@@ -66,29 +67,33 @@ def test_shared_runs_export_the_bytes_of_lone_runs(monkeypatch, speed, residuals
 @pytest.mark.parametrize("change", [{"seed": 8}, {"mobility_speed": 2.0}],
                          ids=["seed", "mobility_speed"])
 def test_headings_made_for_another_run_are_refused(change):
-    headings = Headings(_config(30, 1.0))
+    # Draws hands the run fresh headings of its own key, not the headings held
+    draws = Draws()
+    run(_config(30, 1.0), draws)
+    headings = draws.headings
     other = SimConfig(arena=ArenaConfig(node_count=30, seed=change.get("seed", 7)),
-                      cluster_count=5, mobility_speed=change.get("mobility_speed", 1.0))
-    assert not headings.fits(other)
-    field = "arena.seed" if "seed" in change else "mobility_speed"
-    with pytest.raises(ValueError, match=f"headings were drawn for another run: {field} "):
-        run(other, headings=headings)
+                      cluster_count=5, mobility_speed=change.get("mobility_speed", 1.0),
+                      max_frames=300)
+    assert _json(run(other, draws)) == _json(run(other))
+    assert draws.headings is not headings and draws.of(other)[1] is draws.headings
 
 
 def test_node_count_and_policy_do_not_change_the_headings():
-    headings = Headings(_config(30, 1.0))
-    run(_config(30, 1.0), headings=headings)
+    draws = Draws()
+    run(_config(30, 1.0), draws)
+    headings = draws.headings
     other = SimConfig(arena=ArenaConfig(node_count=190, seed=7), policy="rrch",
                       mobility_speed=1.0, max_frames=300)
-    assert headings.fits(other)
-    assert _json(run(other, headings=headings)) == _json(run(other))
+    assert draws.of(other)[1] is headings
+    assert _json(run(other, draws)) == _json(run(other))
 
 
 def test_kept_steps_stop_at_the_bound():
     # 190 nodes over 400 frames ask for 76 000 steps, past the 65 536 kept
     cfg = _config(190, 1.0, frames=400)
-    headings = Headings(cfg)
-    run(cfg, headings=headings)
+    draws = Draws()
+    _, headings = draws.of(cfg)
+    run(cfg, draws)
     assert headings._filled == arena._KEPT_STEPS == 1 << 16
     assert headings._kept.nbytes == 1 << 20
     # the kept steps are read-only views: a run cannot write into them
@@ -113,9 +118,10 @@ def test_steps_do_not_depend_on_the_order_of_reads(monkeypatch):
 
 
 def test_still_runs_draw_and_keep_nothing():
-    headings = Headings(_config(30, 0.0))
-    run(_config(30, 0.0), headings=headings)
-    assert headings._filled == 0 and headings._rng is None
+    draws = Draws()
+    run(_config(30, 0.0), draws)
+    assert draws.headings._filled == 0 and draws.headings._rng is None
+    assert draws.headings._kept is None
 
 
 @pytest.mark.parametrize("seeds", [("--seed", "7"), ("--seeds", "7..8")],

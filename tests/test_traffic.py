@@ -13,7 +13,7 @@ from chsim import metrics
 from chsim.cli import main, parse_args, plan_runs
 from chsim.config import POLICIES, ArenaConfig, ScenarioConfig, SimConfig
 from chsim.metrics import compare, export, outcome, summarize
-from chsim.simulator import Traffic, run
+from chsim.simulator import Draws, Traffic, run
 
 # 40 nodes: blocks of 400 frames (409 rounded down to whole rounds)
 SCENARIO2 = dict(arena=ArenaConfig(node_count=40, seed=5), cluster_count=4,
@@ -33,10 +33,11 @@ def assert_same_trace(shared, alone):
 def test_each_policy_sees_the_traffic_it_draws_alone():
     # 1013 frames: two whole blocks and a last one of 213 frames
     cfgs = [SimConfig(policy=policy, max_frames=1013, **SCENARIO2) for policy in POLICIES]
-    traffic = Traffic(cfgs[0])
+    draws = Draws()
+    traffic, _ = draws.of(cfgs[0])
     assert traffic.rows == 400
     for cfg in cfgs:
-        shared = run(cfg, traffic)
+        shared = run(cfg, draws)
         assert len(shared) == 1013 and shared.termination == "max-frames"
         assert_same_trace(shared, run(cfg))
     assert [p.shape[1] for p in traffic._packed] == [400, 400, 213]
@@ -51,9 +52,10 @@ def test_a_later_run_draws_blocks_an_earlier_one_never_reached():
     first, last = len(alone[cfgs[0].policy]), len(alone[cfgs[-1].policy])
     assert alone[cfgs[0].policy].termination == "all-dead"
     assert math.ceil(first / 400) < math.ceil(last / 400)
-    traffic = Traffic(cfgs[0])
+    draws = Draws()
+    traffic, _ = draws.of(cfgs[0])
     for cfg in cfgs:
-        assert_same_trace(run(cfg, traffic), alone[cfg.policy])
+        assert_same_trace(run(cfg, draws), alone[cfg.policy])
         assert len(traffic._packed) == math.ceil(len(alone[cfg.policy]) / 400)
 
 
@@ -70,7 +72,8 @@ def test_saturated_traffic_draws_and_keeps_nothing():
                      ScenarioConfig(kind="scenario2", duty_cycle=1.0, event_probability=1.0)):
         saturated = dict(arena=ArenaConfig(node_count=30, seed=2), cluster_count=3,
                          max_frames=777, scenario=scenario, record_residuals=True)
-        traffic = Traffic(SimConfig(**saturated))
+        draws = Draws()
+        traffic, _ = draws.of(SimConfig(**saturated))
         # 30 nodes: blocks of 540 frames, so 777 frames take two
         assert traffic.rows == 540
         for index in range(2):
@@ -78,9 +81,9 @@ def test_saturated_traffic_draws_and_keeps_nothing():
             assert flags.dtype == bool and flags.shape == (2, 1, 30) and flags.all()
         for policy in POLICIES:
             cfg = SimConfig(policy=policy, **saturated)
-            shared = run(cfg, traffic)
+            shared = run(cfg, draws)
             assert_same_trace(shared, run(cfg))
-            assert_same_trace(shared, run(cfg, RowPerFrame(cfg)))
+            assert_same_trace(shared, run(cfg, Draws(traffic=RowPerFrame(cfg))))
         assert traffic._packed == []
 
 
@@ -94,19 +97,23 @@ def test_saturated_traffic_draws_and_keeps_nothing():
 ], ids=["seed", "node_count", "duty_cycle", "event_probability", "frames_per_round",
         "max_frames"])
 def test_traffic_made_for_another_run_is_refused(change):
-    traffic = Traffic(SimConfig(max_frames=1013, **SCENARIO2))
+    # Draws hands the run fresh traffic of its own key, not the traffic held
+    draws = Draws()
+    first = SimConfig(max_frames=1013, **SCENARIO2)
+    run(first, draws)
+    traffic = draws.traffic
     other = SimConfig(**{**SCENARIO2, "max_frames": 1013, **change})
-    assert not traffic.fits(other)
-    with pytest.raises(ValueError, match="traffic was drawn for another run"):
-        run(other, traffic)
+    assert_same_trace(run(other, draws), run(other))
+    assert draws.traffic is not traffic and draws.of(other)[0] is draws.traffic
 
 
 def test_policy_mobility_and_energy_do_not_change_the_traffic():
-    traffic = Traffic(SimConfig(max_frames=50, **SCENARIO2))
+    draws = Draws()
+    traffic, _ = draws.of(SimConfig(max_frames=50, **SCENARIO2))
     other = SimConfig(policy="rrch", mobility_speed=2.0, initial_energy=1.0, max_frames=50,
                       **SCENARIO2)
-    assert traffic.fits(other)
-    assert_same_trace(run(other, traffic), run(other))
+    assert draws.of(other)[0] is traffic
+    assert_same_trace(run(other, draws), run(other))
 
 
 def test_compare_plans_each_seeds_policies_together():

@@ -36,7 +36,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SIZES = (10, 50, 190)
 SPEEDS = (1.0, 5.0, 20.0, 100.0, 800.0)
 SIDE = 350.0
-FRAMES_PER_ROUND = 20
 
 
 def load(src: Path, name: str):
@@ -46,13 +45,14 @@ def load(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    return importlib.import_module(f"{name}.arena"), importlib.import_module(f"{name}.simulator")
+    return tuple(importlib.import_module(f"{name}.{part}")
+                 for part in ("arena", "simulator", "config"))
 
 
-def block_rows(simulator, s: int) -> int:
-    """Frames per block of ``run()`` at ``s`` nodes in 20-frame rounds."""
-    rows = max(1, simulator._BLOCK_ENTRIES // s)
-    return rows - rows % FRAMES_PER_ROUND if rows > FRAMES_PER_ROUND else rows
+def block_rows(simulator, config, s: int) -> int:
+    """Frames per block of ``run()`` at ``s`` nodes in the default
+    profile, as its ``Traffic`` cuts them."""
+    return simulator.Traffic(config.SimConfig(arena=config.ArenaConfig(node_count=s))).rows
 
 
 def spread(samples: list[float]) -> dict:
@@ -141,8 +141,8 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=40)
     parser.add_argument("--costs", action="store_true")
     args = parser.parse_args(argv)
-    arena, simulator = load(SRC, "chsim")
-    rows_of = partial(block_rows, simulator)
+    arena, simulator, config = load(SRC, "chsim")
+    rows_of = partial(block_rows, simulator, config)
     if args.costs:
         result = {"costs": time_costs(arena, rows_of, args.reps)}
     else:
