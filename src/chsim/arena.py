@@ -55,17 +55,26 @@ def place_nodes(cfg: ArenaConfig) -> np.ndarray:
 _WALK_CELLS_PER_ROW = 32
 
 
-# Mobility steps a Headings keeps for the runs after the first: 1 << 16
-# steps of 16 bytes, 1 MiB, about 4 blocks of a 190-node run.  Measured
-# on a 2-core Xeon VM (Python 3.11, numpy 2.4) against keeping none, on
-# perfbench's sweep-mobile workload: peak RSS of a fresh process, and
-# wall time as the median ratio of in-process alternating pairs.
-#   kept steps        peak RSS              wall time
-#   64 Ki (1 MiB)     +1.05 MiB (+2.7 %)    0.87-0.88x
-#   96 Ki             +1.45 MiB (+3.7 %)    0.81-0.83x
-#   all of them       +8.5 MiB (+22 %)      not timed
-# 64 Ki keeps the rise well inside perfbench's 5 % bound on peak RSS.
-_KEPT_STEPS = 1 << 16
+# Mobility steps a Headings keeps for the runs after the first: 1 << 17
+# steps of 16 bytes, 2 MiB, about 8 blocks of a 190-node run.  That is
+# the memory a static run may keep for its squared distances
+# (simulator._KEPT_GAPS), so a mobile and a static invocation keep the
+# same 2 MiB budget.  Measured on a 2-core Xeon VM (Python 3.11, numpy
+# 2.4) on perfbench's sweep-mobile workload, which reads 1 500 000 steps:
+# peak RSS of a fresh process (perfbench/probe.py once, 3 to 6 each)
+# over keeping none and over keeping 64 Ki, and wall time as the median
+# ratio of alternating pairs.
+#   kept steps       drawn     peak RSS over none / 64 Ki    wall time
+#   none           1 500 000   39.2 MiB                      1x
+#   64 Ki (1 MiB)    981 248   +0.97 MiB (+2.5 %)            0.88x of none (BENCH_30.json)
+#   96 Ki            775 176   +1.47 MiB (+3.7 %) / +1.2 %   0.81-0.83x of none, in-process
+#   128 Ki (2 MiB)   604 640   +1.76 MiB (+4.5 %) / +2.0 %   0.89x of 64 Ki (BENCH_34.json)
+#   192 Ki           371 784   +2.75 MiB (+7.0 %) / +4.4 %   not timed
+#   all 285 000      285 000   +3.8 MiB (+9.7 %) / +7.1 %    not timed
+# perfbench's own pairs read 128 Ki at +0.95 MiB (+2.4 %) over 64 Ki,
+# inside its 5 % bound on peak RSS; the rows above come too close to
+# that bound or pass it.
+_KEPT_STEPS = 1 << 17
 
 
 def _draw_steps(rng, speed: float, out: np.ndarray) -> None:
@@ -88,22 +97,24 @@ class Headings:
     step :func:`_draw_steps` gives it, so the k-th step is the same in
     every run of the seed and speed, and a run of S nodes finds frame
     f's steps from step ``f * S`` on (:meth:`steps`).  The first
-    ``_KEPT_STEPS`` steps are drawn, in order, the first time a run asks
-    for them, and kept for the runs after it.  One generator draws both
-    those and the steps past them: a draw that starts where its last one
-    stopped continues it, and any other makes it anew, advanced to the
-    draw's first step, so a read gets the same steps whatever the reads
-    before it.  Nothing is drawn or kept before a run asks for a step,
-    so runs whose nodes stand still cost nothing here.  ``key`` holds the
-    ``FIELDS`` of the config it was made for.
+    ``_KEPT_STEPS`` steps (2 MiB) are drawn, in order, the first time a
+    run asks for them, and kept for the runs after it; headings made with
+    ``keep`` false, as a lone run's are, keep none.  One generator draws
+    both those and the steps past them: a draw that starts where its last
+    one stopped continues it, and any other makes it anew, advanced to
+    the draw's first step, so a read gets the same steps whatever the
+    reads before it.  Nothing is drawn or kept before a run asks for a
+    step, so runs whose nodes stand still cost nothing here.  ``key``
+    holds the ``FIELDS`` of the config it was made for.
     """
 
     # the config fields a run's steps depend on
     FIELDS = ("arena.seed", "mobility_speed")
 
-    def __init__(self, cfg):
+    def __init__(self, cfg, keep: bool = True):
         self.key = attrgetter(*self.FIELDS)(cfg)
         self.seed, self.speed = self.key
+        self._keeps = keep
         self._kept = None
         self._filled = 0
         self._rng = None  # draws every step, the kept ones and those past them
@@ -126,11 +137,12 @@ class Headings:
 
     def _keep(self, stop: int) -> np.ndarray:
         """The kept steps, a read-only view, once every step before
-        ``stop`` is kept or ``_KEPT_STEPS`` are.  Their buffer is made
-        whole when the first step is asked for, so it is never copied;
-        only the pages of the steps kept are touched."""
+        ``stop`` is kept or ``_KEPT_STEPS`` are, or none when the
+        headings keep nothing.  Their buffer is made whole when the first
+        step is asked for, so it is never copied; only the pages of the
+        steps kept are touched."""
         if self._kept is None:
-            self._kept = np.empty((_KEPT_STEPS, 2))
+            self._kept = np.empty((_KEPT_STEPS if self._keeps else 0, 2))
         stop = min(stop, len(self._kept))
         if stop > self._filled:
             self._draw(self._filled, self._kept[self._filled : stop])

@@ -44,11 +44,13 @@ __all__ = [
 
 
 def geometric_partition(positions, k: int, rng) -> np.ndarray:
-    """Split points into ``k`` spatial groups with a fixed-iteration k-means.
+    """Split points into ``k`` spatial groups with a bounded k-means.
 
-    Runs exactly 20 assignment/update sweeps from a random
+    Runs at most 20 assignment/update sweeps from a random
     (seed-deterministic) choice of initial centers; a cluster that empties
-    out is re-seeded to the point farthest from its assigned center.
+    out is re-seeded to the point farthest from its assigned center.  It
+    stops early once an update with no empty cluster leaves every center's
+    bytes as they were: every later sweep would give the same labels.
     Returns an integer label in ``0..k-1`` per point.
     """
     positions = np.asarray(positions, dtype=float)
@@ -62,10 +64,13 @@ def geometric_partition(positions, k: int, rng) -> np.ndarray:
         labels = d2.argmin(axis=1)
         counts = np.bincount(labels, minlength=k)
         if counts.all():
+            before = centers.tobytes()
             # bincount sums each group in ascending index order, as mean() does
             # (tests/test_numeric_contracts.py)
             centers[:, 0] = np.bincount(labels, weights=positions[:, 0], minlength=k) / counts
             centers[:, 1] = np.bincount(labels, weights=positions[:, 1], minlength=k) / counts
+            if centers.tobytes() == before:
+                break
             continue
         for j in range(k):
             chosen = labels == j

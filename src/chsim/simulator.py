@@ -78,9 +78,11 @@ __all__ = ["SimTrace", "Traffic", "Draws", "run", "network_lifetime"]
 _BLOCK_ENTRIES = 1 << 14
 # Most entries (nodes x nodes) of the squared distances that a static run
 # keeps for its elections' joins: 1 << 18 (2 MiB) keeps them up to 512
-# nodes.  Scenario1 dchne runs with S // 19 clusters, the matrix kept
-# against every join measured from positions, in-process alternating
-# pairs on 2 cores (Python 3.11, numpy 2.4), median time ratio:
+# nodes.  A mobile run's shared Headings keeps the same 2 MiB of steps
+# (arena._KEPT_STEPS), so both kinds of run keep one budget.  Scenario1
+# dchne runs with S // 19 clusters, the matrix kept against every join
+# measured from positions, in-process alternating pairs on 2 cores
+# (Python 3.11, numpy 2.4), median time ratio:
 #   nodes  frames  kept/measured  pairs faster
 #     400   2 000          0.90x      12 of 12
 #     512   2 000          1.00x       7 of 10
@@ -145,13 +147,17 @@ class Traffic:
     nodes, where bools would take 4.6 MB.  A traffic whose duty cycle and
     event probability are both 1.0 (scenario1) draws nothing: its nodes
     are always awake and always sense an event, so each of its blocks is
-    one row that stands for every frame.  ``key`` holds the config
-    fields it depends on, by which :class:`Draws` hands it out.
+    one row that stands for every frame.  A traffic made with ``keep``
+    false keeps no block: a block asked for again is drawn again, from a
+    new generator advanced to it.  ``key`` holds the config fields it
+    depends on, by which :class:`Draws` hands it out.
     """
 
-    def __init__(self, cfg: SimConfig):
+    def __init__(self, cfg: SimConfig, keep: bool = True):
         scen = cfg.scenario
         self.key = _traffic_key(cfg)
+        self._seed = cfg.arena.seed
+        self._keeps = keep
         self._nodes = cfg.arena.node_count
         self._frames = cfg.max_frames
         rows = max(1, _BLOCK_ENTRIES // self._nodes)
@@ -163,6 +169,7 @@ class Traffic:
         drawn = scen.duty_cycle < 1.0 or scen.event_probability < 1.0
         self._rng = substream(cfg.arena.seed, SCENARIO) if drawn else None
         self._packed: list[np.ndarray] = []
+        self._next = 0  # the block _rng draws next
 
     def block(self, index: int) -> np.ndarray:
         """The awake and event flags of block ``index``, a ``(2, k, S)``
@@ -173,12 +180,18 @@ class Traffic:
             return np.ones((2, 1, self._nodes), dtype=bool)
         if index < len(self._packed):
             return np.unpackbits(self._packed[index], axis=-1, count=self._nodes).view(bool)
-        while len(self._packed) <= index:
-            k = min(self._frames - len(self._packed) * self.rows, self.rows)
+        if index < self._next:  # drawn before and not kept (PCG64: one output per uniform)
+            self._rng = substream(self._seed, SCENARIO)
+            self._rng.bit_generator.advance(index * self.rows * 2 * self._nodes)
+            self._next = index
+        while self._next <= index:
+            k = min(self._frames - self._next * self.rows, self.rows)
             draws = self._rng.random((k, 2, self._nodes))
             flags = np.less(draws.swapaxes(0, 1), self._thresholds,
                             out=np.empty((2, k, self._nodes), dtype=bool))
-            self._packed.append(np.packbits(flags, axis=-1))
+            if self._keeps:
+                self._packed.append(np.packbits(flags, axis=-1))
+            self._next += 1
         return flags
 
 
@@ -288,18 +301,21 @@ def _commit(net: Network, charges: np.ndarray, k: int, n_alive: int, logged: boo
 class Draws:
     """The traffic and headings that runs share: each run gets the ones
     made for its config's key (:meth:`of`), so runs of one seed see the
-    same environment, and no run can be handed another's."""
+    same environment, and no run can be handed another's.  Made with
+    ``keep`` false, as :func:`run` makes its own, they keep nothing for
+    later runs: no packed traffic block and no mobility step."""
 
     traffic: Traffic | None = None
     headings: Headings | None = None
+    keep: bool = True
 
     def of(self, cfg: SimConfig) -> tuple[Traffic, Headings]:
         """The traffic and headings of ``cfg``'s run: those held when
         ``cfg`` has their key, else fresh ones, held from then on."""
         if self.traffic is None or self.traffic.key != _traffic_key(cfg):
-            self.traffic = Traffic(cfg)
+            self.traffic = Traffic(cfg, self.keep)
         if self.headings is None or self.headings.key != _headings_key(cfg):
-            self.headings = Headings(cfg)
+            self.headings = Headings(cfg, self.keep)
         return self.traffic, self.headings
 
 
@@ -312,12 +328,12 @@ def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
     identical and runs differing only in policy see the same
     environment.  ``draws`` shares the scenario draws and the mobility
     steps with the other runs it serves, without changing a bit of the
-    trace; without it the run makes its own.  A run reads both by frame,
-    a block at a time, and moves its nodes only when ``mobility_speed``
-    is above 0.  A config whose energy costs overflow a float raises
+    trace; without it the run makes its own, which keep nothing.  A run
+    reads both by frame, a block at a time, and moves its nodes only when
+    ``mobility_speed`` is above 0.  A config whose energy costs overflow a float raises
     ValueError before the first frame.
     """
-    traffic, headings = (draws or Draws()).of(cfg)
+    traffic, headings = (draws or Draws(keep=False)).of(cfg)
     arena = cfg.arena
     scen = cfg.scenario
     params, msgs = cfg.energy, cfg.msgs

@@ -337,7 +337,7 @@ class TestExecution:
     def test_sweep_memory_follows_its_output(self, tmp_path, monkeypatch):
         # a summary's curve held as tuples takes about 8 times the bytes of
         # its JSON, so holding the runs' curves would exceed the bound; both
-        # mobile sweeps hold one seed's kept steps (1 MiB), so holding a set
+        # mobile sweeps hold one seed's kept steps (2 MiB), so holding a set
         # of them per run would exceed it too
         summaries = []
         real_summarize, real_run = cli.summarize, cli.run

@@ -556,6 +556,44 @@ class TestGeometricPartition:
         with pytest.raises(ValueError):
             geometric_partition(points, 0, np.random.default_rng(0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_stopping_at_the_fixed_point_gives_the_labels_of_20_sweeps(self, data, seed):
+        # a small integer grid, so coincident points, ties and empty groups occur
+        cells = data.draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                   min_size=1, max_size=60))
+        points = np.array(cells, dtype=float)
+        k = data.draw(st.integers(1, len(points)))
+        rng, twenty_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        labels = geometric_partition(points, k, rng)
+        assert labels.tolist() == _twenty_sweeps(points, k, twenty_rng).tolist()
+        assert rng.bit_generator.state == twenty_rng.bit_generator.state
+
+
+def _twenty_sweeps(positions, k, rng):
+    """geometric_partition as it was before it stopped at a fixed point:
+    always 20 sweeps."""
+    n = len(positions)
+    centers = positions[rng.choice(n, size=k, replace=False)].copy()
+    x, y = positions[:, :1], positions[:, 1:]
+    for _ in range(20):
+        d2 = np.square(x - centers[:, 0]) + np.square(y - centers[:, 1])
+        labels = d2.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        if counts.all():
+            centers[:, 0] = np.bincount(labels, weights=positions[:, 0], minlength=k) / counts
+            centers[:, 1] = np.bincount(labels, weights=positions[:, 1], minlength=k) / counts
+            continue
+        for j in range(k):
+            chosen = labels == j
+            if chosen.any():
+                centers[j] = positions[chosen].mean(axis=0)
+            else:
+                runaway = int(d2[np.arange(n), labels].argmax())
+                centers[j] = positions[runaway]
+                labels[runaway] = j
+    return labels
+
 
 @st.composite
 def clustered_networks(draw):

@@ -5,6 +5,7 @@ and a sweep, which shares them, exports the bytes of its runs made
 alone."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,13 +90,13 @@ def test_node_count_and_policy_do_not_change_the_headings():
 
 
 def test_kept_steps_stop_at_the_bound():
-    # 190 nodes over 400 frames ask for 76 000 steps, past the 65 536 kept
-    cfg = _config(190, 1.0, frames=400)
+    # 190 nodes over 800 frames ask for 152 000 steps, past the 131 072 kept
+    cfg = _config(190, 1.0, frames=800)
     draws = Draws()
     _, headings = draws.of(cfg)
     run(cfg, draws)
-    assert headings._filled == arena._KEPT_STEPS == 1 << 16
-    assert headings._kept.nbytes == 1 << 20
+    assert headings._filled == arena._KEPT_STEPS == 1 << 17
+    assert headings._kept.nbytes == 2 << 20
     # the kept steps are read-only views: a run cannot write into them
     view = headings.steps(0, 1, 190)
     assert np.shares_memory(view, headings._kept) and not view.flags.writeable
@@ -115,6 +116,46 @@ def test_steps_do_not_depend_on_the_order_of_reads(monkeypatch):
     whole = np.empty((40, 30, 2))
     arena._draw_steps(arena.substream(7, arena.MOBILITY), 1.0, whole)
     assert np.concatenate(want).tobytes() == whole.tobytes()
+
+
+def test_a_lone_run_keeps_no_steps(monkeypatch):
+    handed = []
+    of = Draws.of
+
+    def recording_of(draws, cfg):
+        handed.append(draws)
+        return of(draws, cfg)
+
+    monkeypatch.setattr(Draws, "of", recording_of)
+    cfg = _config(190, 1.0, frames=400)
+    run(cfg)
+    (draws,) = handed
+    assert len(draws.headings._kept) == draws.headings._filled == 0
+
+
+def _traced_peak(cfg, draws=None) -> int:
+    tracemalloc.start()
+    try:
+        run(cfg, draws)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mobile_runs_keep_at_most_the_budget():
+    # A 190-node run moves its nodes an 80-frame block at a time: its
+    # steps, and the path of positions with a row more.  Beyond those, a
+    # mobile run may hold the 2 MiB of kept steps (those of a shared run)
+    # over the static run, and 16 KiB for array headers and small objects.
+    cfg = SimConfig(arena=ArenaConfig(node_count=190, seed=0), mobility_speed=1.0,
+                    max_frames=1500)
+    still = SimConfig(arena=ArenaConfig(node_count=190, seed=0), max_frames=1500)
+    rows = Draws().of(cfg)[0].rows
+    buffers = (2 * rows + 1) * 190 * 2 * 8 + (1 << 14)
+    _traced_peak(cfg)  # the first call's peak also holds one-time caches
+    static = _traced_peak(still)
+    assert _traced_peak(cfg, Draws()) - static <= (2 << 20) + buffers
+    assert _traced_peak(cfg) - static <= buffers
 
 
 def test_still_runs_draw_and_keep_nothing():

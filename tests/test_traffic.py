@@ -165,3 +165,28 @@ def test_unpacked_blocks_are_the_drawn_ones():
         again = traffic.block(i)
         assert again.dtype == bool and again.shape == flags.shape == (2, len(flags[0]), 40)
         np.testing.assert_array_equal(again, flags)
+
+
+def test_a_lone_run_packs_no_block(monkeypatch):
+    handed = []
+    of = Draws.of
+
+    def recording_of(draws, cfg):
+        handed.append(draws)
+        return of(draws, cfg)
+
+    monkeypatch.setattr(Draws, "of", recording_of)
+    run(SimConfig(max_frames=1013, **SCENARIO2))
+    (draws,) = handed
+    assert draws.traffic._packed == [] and draws.traffic._next == 3
+
+
+def test_traffic_that_keeps_nothing_draws_a_block_asked_again_anew():
+    cfg = SimConfig(max_frames=1013, **SCENARIO2)
+    kept = Traffic(cfg)
+    want = [kept.block(i).copy() for i in range(3)]
+    lone = Traffic(cfg, keep=False)
+    # block 2 first draws the blocks before it; 0 and the second 1 go back
+    for i in (2, 0, 1, 1, 2):
+        np.testing.assert_array_equal(lone.block(i), want[i])
+    assert lone._packed == []
