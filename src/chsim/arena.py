@@ -169,7 +169,10 @@ def step_mobility(positions: np.ndarray, side_a: float, steps: np.ndarray) -> np
     Returns the ``(frames, S, 2)`` positions after each frame; neither
     the positions nor the steps are modified, so the steps may be a
     read-only view of :meth:`Headings.steps`.  The steps are copied once,
-    under the positions.
+    under the positions, and not accumulated where they stand: the hot
+    coordinates below are redone from the steps after the accumulate has
+    overwritten the path, and the difference of two path rows need not
+    give a step back bit for bit.
 
     Frame by frame, each coordinate adds its step and, when that takes it
     out of ``[0, side_a]``, folds back: ``f = y mod 2 side_a``, mirrored

@@ -18,8 +18,9 @@ alive after the election trigger.
 A round's heads are found for all clusters at once, with no loop over
 clusters: the residual-energy election sorts the alive nodes by
 (cluster, residual descending, id) and takes the first node of each
-cluster; round-robin sorts (cluster, id) keys and finds each cluster's
-next head with one binary search.  Members join the nearest head by
+cluster; round-robin keeps a :class:`HeadRing` per run, formed with the
+clusters in its first round, and reads each cluster's next head from it
+with one gather.  Members join the nearest head by
 one argmin down the heads' rows of squared distances to every node,
 which a static run gathers from the matrix it computed once
 (:meth:`~chsim.network.Network.gaps`).
@@ -40,6 +41,7 @@ __all__ = [
     "dchne_reelect_cluster",
     "leach_elect",
     "rrch_elect",
+    "HeadRing",
 ]
 
 
@@ -228,39 +230,91 @@ def leach_elect(
     _join_nearest(net, alive_idx, head_idx, costs)
 
 
+class HeadRing:
+    """Round-robin headship of one run's frozen clusters, kept as a ring.
+
+    ``next[i]`` is the next alive member of node ``i``'s cluster after
+    ``i`` in cyclic ascending-id order, for every clustered node, dead
+    ones too, since a cluster's last head may be dead.  ``last[j]`` is
+    cluster ``j``'s last head, and ``live`` the clusters with an alive
+    member, ascending.  A round's heads are ``next[last[live]]``.
+
+    The ring stays unformed (``last`` is ``None``) until :meth:`form`.
+    It holds the nodes alive when it last looked; a node that has died
+    since is spliced out of it, in any order: whoever pointed to it
+    points to its successor, and a node that was its own successor takes
+    its cluster out of ``live``.  Clusters never gain members, so a
+    cluster left without one stays out.
+    """
+
+    def __init__(self) -> None:
+        self.last: np.ndarray | None = None
+
+    def form(self, net: Network, last) -> None:
+        """Start the rotation from ``net``'s clusters as they stand, with
+        ``last[j]`` the last head of cluster ``j``, dead or alive."""
+        s = len(net)
+        ids = np.flatnonzero(net.cluster != NO_CLUSTER)
+        labels = net.cluster[ids]
+        alive = net.alive[ids]
+        span = s + 1
+        keys = labels * span + ids
+        # the alive members' keys by cluster and ascending id, closed by a key of no cluster
+        members = np.append(np.sort(keys[alive]), -1)
+        later = members[np.searchsorted(members[:-1], keys, side="right")]
+        first = members[np.searchsorted(members[:-1], labels * span)]  # on wrap-around
+        succ = np.where(later // span == labels, later, first)
+        self.next = np.arange(s)  # a node of no cluster, or of none alive, stands alone
+        self.next[ids] = np.where(succ // span == labels, succ % span, ids)
+        self.last = np.array(last, dtype=np.intp)
+        # not np.unique, whose first call imports numpy.ma: 1.1 MiB more peak memory in compare
+        self.live = np.flatnonzero(np.bincount(labels[alive], minlength=len(self.last)))
+        self.held = net.alive  # a fresh array
+        self.count = int(np.count_nonzero(self.held))
+
+    def turn(self, net: Network, n_alive: int) -> np.ndarray:
+        """Splice out the nodes that died since the last turn (``n_alive``
+        are left), advance every live cluster's headship and return its
+        new heads."""
+        if n_alive < self.count:
+            nxt = self.next
+            for d in np.flatnonzero(self.held & ~net.alive).tolist():
+                after = nxt[d]
+                if after == d:  # its cluster's last alive member
+                    self.live = self.live[self.live != net.cluster[d]]
+                else:
+                    nxt[nxt == d] = after
+            self.held = net.alive
+            self.count = n_alive
+        heads = self.next[self.last[self.live]]
+        self.last[self.live] = heads
+        return heads
+
+
 def rrch_elect(
-    net: Network, c: int, round_index: int, costs: ElectionCosts, prev_head: dict[int, int],
+    net: Network, c: int, round_index: int, costs: ElectionCosts, ring: HeadRing,
     partition_rng=None,
 ) -> None:
     """Round-robin headship inside clusters that are formed once and frozen.
 
-    The first call (``prev_head`` empty) forms clusters and picks first
-    heads exactly like :func:`dchne_elect`; afterwards ``net.cluster``
-    never changes and each cluster's headship advances to the next alive
-    member in cyclic ascending-id order, skipping dead nodes.
-    ``prev_head`` maps each cluster to its last head, and this call
-    updates it.  Charges are as in :func:`dchne_elect`.
+    The first call (``ring`` unformed) forms clusters and picks first
+    heads exactly like :func:`dchne_elect`, and forms ``ring`` from them;
+    afterwards ``net.cluster`` never changes and each cluster's headship
+    advances to the next alive member in cyclic ascending-id order,
+    skipping dead nodes, read from the ring.  If the trigger kills every
+    node in the first call, no ring is formed and the next call forms
+    clusters again.  Charges are as in :func:`dchne_elect`.
     """
-    if not prev_head:
+    if ring.last is None:
         dchne_elect(net, c, costs, partition_rng)
         # dchne's heads ascend by id, which is their clusters' order
-        prev_head.update(enumerate(np.flatnonzero(net.head).tolist()))
+        heads = np.flatnonzero(net.head)
+        if len(heads):
+            ring.form(net, heads)
         return
     if round_index < 0:
         raise ValueError(f"round index must be >= 0, got {round_index}")
     alive_idx = _new_round(net, costs)
     if len(alive_idx) == 0:
         return
-    labels = net.cluster[alive_idx]  # every node alive now joined a cluster in the first round
-    # one sorted key per node, grouping by cluster and ascending id within it
-    span = len(net) + 1
-    keys = np.sort(labels * span + alive_idx)
-    starts = _group_starts(keys // span)
-    ends = np.append(starts[1:], len(keys))
-    clusters = keys[starts] // span
-    last = np.array([prev_head[lab] for lab in clusters.tolist()])
-    # the first member above the last head, or the cluster's first member on wrap-around
-    later = np.searchsorted(keys, clusters * span + last, side="right")
-    head_idx = keys[np.where(later < ends, later, starts)] % span
-    prev_head.update(zip(clusters.tolist(), head_idx.tolist()))
-    _install(net, head_idx, alive_idx, costs)
+    _install(net, ring.turn(net, len(alive_idx)), alive_idx, costs)

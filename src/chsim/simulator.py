@@ -61,7 +61,7 @@ from .arena import (
     substream,
 )
 from .config import EnergyParams, SimConfig
-from .election import dchne_elect, dchne_reelect_cluster, leach_elect, rrch_elect
+from .election import HeadRing, dchne_elect, dchne_reelect_cluster, leach_elect, rrch_elect
 from .energy import (
     _frame_consumption_chn,
     election_costs,
@@ -345,7 +345,7 @@ def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
     partition_rng = substream(arena.seed, PARTITION)
     leach_rng = substream(arena.seed, LEACH_DRAWS)
     headed: set[int] = set()  # LEACH: who has headed in the current epoch
-    prev_head: dict[int, int] = {}  # RRCH: each cluster's last head
+    ring = HeadRing()  # RRCH: each node's successor and each cluster's last head, from round 1
 
     fpr = scen.frames_per_round
     costs = election_costs(msgs, arena.side_a, s, c, params)
@@ -406,7 +406,7 @@ def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
                     elif cfg.policy == "leach":
                         leach_elect(net, c, round_index, costs, leach_rng, headed)
                     else:
-                        rrch_elect(net, c, round_index, costs, prev_head, partition_rng)
+                        rrch_elect(net, c, round_index, costs, ring, partition_rng)
                 elif died:
                     dead_heads = np.nonzero(net.head & ~net.alive)[0]
                     net.head[dead_heads] = False

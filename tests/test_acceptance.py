@@ -28,7 +28,7 @@ import pytest
 from chsim.arena import ArenaConfig
 from chsim.cli import main
 from chsim.config import ScenarioConfig, SimConfig
-from chsim.election import dchne_elect, leach_elect, rrch_elect
+from chsim.election import HeadRing, dchne_elect, leach_elect, rrch_elect
 from chsim.energy import (
     ControlMessageSizes,
     EnergyParams,
@@ -233,11 +233,11 @@ def test_c4_rotation_and_probabilistic_head_rates():
     # |members| rounds.
     rng = np.random.default_rng(44)
     net = Network(rng.uniform(0, AREA, (7, 2)), initial_energy=1e6)
-    prev_head = {}
+    ring = HeadRing()
     costs = election_costs(MSGS, AREA, 7, 1, params)
     heads = []
     for rnd in range(7):
-        rrch_elect(net, 1, rnd, costs, prev_head, rng)
+        rrch_elect(net, 1, rnd, costs, ring, rng)
         heads.extend(np.flatnonzero(net.head).tolist())
     assert sorted(heads) == list(range(7))
 

@@ -5,6 +5,7 @@ import pytest
 
 from chsim import election
 from chsim.election import (
+    HeadRing,
     dchne_elect,
     dchne_reelect_cluster,
     geometric_partition,
@@ -351,7 +352,7 @@ class TestWholeVectorDebit:
             "leach": (lambda n, engine: engine(n, c, 1, charges, np.random.default_rng(1), set()),
                       leach_elect, reference_engine._leach_elect),
             "rrch": (lambda n, engine: engine(n, c, charges, {}, np.random.default_rng(1)),
-                     lambda n, c_, costs_, prev, rng: rrch_elect(n, c_, 0, costs_, prev, rng),
+                     lambda n, c_, costs_, prev, rng: rrch_elect(n, c_, 0, costs_, HeadRing(), rng),
                      reference_engine._rrch_elect),
         }[policy]
         call, ours, theirs = elect
@@ -470,10 +471,10 @@ class TestLeach:
 
 class TestRrch:
     def rotate(self, net, rounds, c=1, rng_seed=0, on_round=None):
-        prev_head = {}
+        ring = HeadRing()
         heads = []
         for r in range(rounds):
-            rrch_elect(net, c, r, costs(net, c), prev_head, np.random.default_rng(rng_seed))
+            rrch_elect(net, c, r, costs(net, c), ring, np.random.default_rng(rng_seed))
             heads.append(elected(net))
             if on_round is not None:
                 on_round(r, net)
@@ -502,25 +503,96 @@ class TestRrch:
 
     def test_membership_never_changes(self):
         net = make_net(20, seed=8)
-        prev_head = {}
-        rrch_elect(net, 4, 0, costs(net, 4), prev_head, np.random.default_rng(8))
+        ring = HeadRing()
+        rrch_elect(net, 4, 0, costs(net, 4), ring, np.random.default_rng(8))
         first = net.cluster.copy()
         for r in range(1, 6):
-            rrch_elect(net, 4, r, costs(net, 4), prev_head, None)
+            rrch_elect(net, 4, r, costs(net, 4), ring, None)
             np.testing.assert_array_equal(net.cluster, first)
 
     def test_heads_are_alive_and_one_per_cluster(self):
         net = make_net(20, seed=8)
-        prev_head = {}
+        ring = HeadRing()
         rng = np.random.default_rng(8)
         for r in range(8):
-            rrch_elect(net, 4, r, costs(net, 4), prev_head, rng)
+            rrch_elect(net, 4, r, costs(net, 4), ring, rng)
             head_ids = elected(net)
             labels = [net.cluster[h] for h in head_ids]
             assert len(set(labels)) == len(head_ids)
             for h in head_ids:
                 assert net.residual[h] >= 0.0
                 assert net.head[h]
+
+    def test_a_first_round_that_kills_every_node_forms_no_ring(self):
+        for n in (1, 3):
+            net = make_net(n, residuals=5e-6)  # below the trigger's charge
+            ring = HeadRing()
+            for r in range(3):
+                rrch_elect(net, 1, r, costs(net, 1), ring, np.random.default_rng(0))
+                assert elected(net) == ()
+                assert ring.last is None  # the next call forms clusters again
+            assert not net.alive.any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_rounds_match_the_reference_rotation_as_nodes_die(self, data):
+        # batteries that the trigger (5e-6 J), a setup charge (3e-5 J) or a few rounds use up
+        n = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, n))
+        residuals = data.draw(st.lists(st.sampled_from([5e-6, 3e-5, 3e-4, 3.5]),
+                                       min_size=n, max_size=n))
+        seed = data.draw(st.integers(0, 2**16))
+        net, ref = (make_net(n, residuals=residuals, seed=seed) for _ in range(2))
+        charges = costs(net, k)
+        ring, prev_head = HeadRing(), {}
+        for r in range(data.draw(st.integers(1, 8))):
+            alive = np.flatnonzero(net.alive).tolist()
+            if r and alive:
+                doomed = data.draw(st.sets(st.sampled_from(alive), max_size=3))
+                heads = np.flatnonzero(net.head & net.alive).tolist()
+                if heads and data.draw(st.booleans()):  # a last head
+                    doomed.add(data.draw(st.sampled_from(heads)))
+                if data.draw(st.booleans()):  # a whole cluster
+                    label = net.cluster[data.draw(st.sampled_from(alive))]
+                    doomed.update(np.flatnonzero(net.alive & (net.cluster == label)).tolist())
+                # the trigger (5e-6 J) or the setup charge (3e-5 J) of the round kills these
+                weak = data.draw(st.sets(st.sampled_from(alive))) - doomed
+                left = data.draw(st.sampled_from([5e-6, 3e-5]))
+                for twin in (net, ref):
+                    for i in doomed:
+                        kill(twin, i)
+                    for i in weak:
+                        twin.debit(np.array([i]), twin.residual[i] - left)
+            rrch_elect(net, k, r, charges, ring, np.random.default_rng(seed))
+            expected = reference_engine._rrch_elect(ref, k, charges, prev_head,
+                                                    np.random.default_rng(seed))
+            assert elected(net) == tuple(expected)
+            for name in ("residual", "consumed", "head", "cluster"):
+                np.testing.assert_array_equal(getattr(net, name), getattr(ref, name), err_msg=name)
+
+    def test_later_rounds_neither_sort_nor_search(self, monkeypatch):
+        residuals = np.linspace(3e-4, 2e-3, 20)  # the weakest nodes die round after round
+        net, ref = (make_net(20, residuals=residuals, seed=8) for _ in range(2))
+        charges = costs(net, 4)
+        prev_head = {}
+        rng = np.random.default_rng(8)
+        expected = [reference_engine._rrch_elect(ref, 4, charges, prev_head, rng) for _ in range(20)]
+        ring = HeadRing()
+        rrch_elect(net, 4, 0, charges, ring, np.random.default_rng(8))
+        heads = [elected(net)]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a later rrch round sorted or searched")
+
+        for name in ("sort", "argsort", "lexsort", "searchsorted", "unique"):
+            monkeypatch.setattr(np, name, refused)
+        monkeypatch.setattr(election, "_group_starts", refused)
+        for r in range(1, 20):
+            rrch_elect(net, 4, r, charges, ring, None)
+            heads.append(elected(net))
+        monkeypatch.undo()
+        assert heads == expected
+        assert 0 < np.count_nonzero(net.alive) < 19
 
 
 class TestGeometricPartition:
@@ -664,17 +736,18 @@ class TestVectorizedElectionsMatchScan:
         for lab, roster in sorted(rosters.items()):
             later = [i for i in roster if i > prev_head[lab]]
             expected[lab] = later[0] if later else roster[0]
+        ring = HeadRing()
+        ring.form(net, [prev_head[lab] for lab in range(k)])
         if not rosters:
-            last_heads = dict(prev_head)
-            rrch_elect(net, k, 1, costs(net, k), prev_head)
+            rrch_elect(net, k, 1, costs(net, k), ring)
             assert elected(net) == ()
             assert not net.head.any()
-            assert prev_head == last_heads
+            assert dict(enumerate(ring.last.tolist())) == prev_head
             return
-        rrch_elect(net, k, 1, costs(net, k), prev_head)
+        rrch_elect(net, k, 1, costs(net, k), ring)
         heads = elected(net)
         assert heads == tuple(expected.values())
-        assert {lab: prev_head[lab] for lab in expected} == expected
+        assert {lab: ring.last[lab] for lab in expected} == expected
         assert net.head.tolist() == [i in heads for i in range(len(net))]
 
     @settings(max_examples=200)
