@@ -8,13 +8,14 @@ invocation reproduces its output byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from collections.abc import Iterator
 from pathlib import Path
 
 from .config import POLICIES, SimConfig, config_from_dict
-from .metrics import compare, export, outcome, summarize
+from .metrics import compare, export, outcome, residual_spill, summarize
 from .simulator import Draws, run
 
 __all__ = ["parse_args", "plan_runs", "execute", "main"]
@@ -181,17 +182,28 @@ def execute(inv: argparse.Namespace) -> int:
     exported bytes.  Their runs share one :class:`~chsim.simulator.Draws`:
     compare's runs of a seed share its traffic and headings, a sweep's
     runs of a seed (and speed) its headings.  Nothing is written until
-    every run has succeeded, so a run that fails leaves no output."""
+    every run has succeeded, so a run that fails leaves no output.
+
+    A run exported as JSON that records residuals holds none of them: it
+    spills each segment's rows to an unnamed temporary file
+    (:func:`~chsim.metrics.residual_spill`, beside ``--out`` where it
+    can), which the export reads back a block at a time and which is
+    closed, and gone, once the export ends or fails."""
     configs = plan_runs(inv)
-    if inv.subcommand == "run":
-        artifact = run(next(configs))
-    else:
-        draws = Draws()
-        traces = (run(cfg, draws) for cfg in configs)
-        artifact = (compare(map(outcome, traces)) if inv.subcommand == "compare"
-                    else map(summarize, traces))
     destination = inv.out if inv.out is not None else sys.stdout.buffer
-    export(artifact, inv.format, destination)
+    with contextlib.ExitStack() as stack:
+        if inv.subcommand == "run":
+            cfg = next(configs)
+            if cfg.record_residuals and inv.format == "json":
+                artifact = run(cfg, spill=stack.enter_context(residual_spill(inv.out)))
+            else:
+                artifact = run(cfg)
+        else:
+            draws = Draws()
+            traces = (run(cfg, draws) for cfg in configs)
+            artifact = (compare(map(outcome, traces)) if inv.subcommand == "compare"
+                        else map(summarize, traces))
+        export(artifact, inv.format, destination)
     return 0
 
 

@@ -12,6 +12,10 @@ residual matrix is streamed to the destination (a temporary file beside
 a path, renamed over it once complete) a block of rows at a time, in
 the bytes ``json.dumps`` would give it: orjson formats each block whose
 values it writes as ``json.dumps`` does, and ``json.dumps`` the rest.
+The rows come from the trace's array or, for a run given a spill file
+(:func:`residual_spill`, as ``chsim run`` gives one to a JSON trace that
+records residuals), are read back from that file a block at a time, so
+neither the run nor its export holds the whole matrix.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import itertools
 import json
 import os
 import stat
+import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -30,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import config_to_dict
-from .simulator import SimTrace, network_lifetime
+from .simulator import SimTrace, SpilledRows, network_lifetime
 
 __all__ = [
     "RunSummary",
@@ -43,16 +48,20 @@ __all__ = [
     "outcome",
     "compare",
     "export",
+    "residual_spill",
 ]
 
 CURVE_COLUMNS = ("frame", "alive", "packets_cum", "chn_count")
 _SUMMARY_HEADER = (b"policy,scenario,seed,nodes,total_packets,"
                    b"first_death_frame,all_dead_frame,lifetime\n")
 # Most residuals one block of the streamed JSON matrix holds.  The peak
-# memory of exporting a 6000-frame, 190-node trace (perfbench/probe.py
-# once, one fresh interpreter a reading) was 52.1-52.3 MiB at 1 << 15,
-# 48.7-48.9 at 1 << 13 and 48.2-48.4 at 1 << 12; the writer took
-# 50.5-51.1 ms (minima of 15) at each of these sizes.
+# memory of `chsim run` exporting a 6000-frame, 190-node trace through
+# its spill file (perfbench/probe.py once, one fresh interpreter a
+# reading) was 43.3 MiB at 1 << 15, 40.3 at 1 << 13, 39.7-39.8 at
+# 1 << 12 and 39.5-39.6 at 1 << 11.  The writer took 71-112 ms (minima
+# of 15, four fresh interpreters a size) at each of 1 << 12, 1 << 13
+# and 1 << 15, on a 2-core VM whose speed drifted more than the sizes
+# differ.
 _JSON_BLOCK_ENTRIES = 1 << 12
 
 
@@ -286,10 +295,12 @@ def _summary_list_chunks(summaries, fmt: str) -> list[bytes]:
     return chunks
 
 
-def _matrix_json(matrix: np.ndarray):
-    """Yield the JSON text of a 2-D float array as bytes pieces: ``[``,
-    one piece per block of at most ``_JSON_BLOCK_ENTRIES`` entries (at
-    least one row), then ``]``.  The bytes are those of ``json.dumps``.
+def _matrix_json(matrix):
+    """Yield the JSON text of a 2-D float array, or of the
+    :class:`~chsim.simulator.SpilledRows` that stand for one, as bytes
+    pieces: ``[``, one piece per block of at most ``_JSON_BLOCK_ENTRIES``
+    entries (at least one row), then ``]``.  The bytes are those of
+    ``json.dumps``.  Spilled rows are read a block at a time.
 
     orjson writes the same shortest round-trip digits as ``float.__repr__``
     (by a Ryu-family algorithm, in the same notation) for ±0.0 and
@@ -305,7 +316,8 @@ def _matrix_json(matrix: np.ndarray):
     # `python3 -X importtime -c "import orjson"`).
     import orjson
 
-    values = np.ascontiguousarray(matrix, dtype=np.float64)
+    values = matrix if isinstance(matrix, SpilledRows) else np.ascontiguousarray(
+        matrix, dtype=np.float64)
     step = max(1, _JSON_BLOCK_ENTRIES // values.shape[1])
     yield b"["
     for start in range(0, len(values), step):
@@ -405,10 +417,7 @@ def _write_path(chunks, path) -> int:
     symlink, a directory) is opened and written in place, never replaced
     or removed, as is a regular file beside which no temporary file can
     be made."""
-    try:
-        mode = os.lstat(path).st_mode
-    except FileNotFoundError:
-        mode = None
+    mode = _mode(path)
     fd = None
     if mode is None or stat.S_ISREG(mode):
         head, name = os.path.split(path)
@@ -428,3 +437,31 @@ def _write_path(chunks, path) -> int:
         os.unlink(temp)
         raise
     return written
+
+
+def _mode(path) -> int | None:
+    """The ``st_mode`` of what is at ``path`` itself, or None when nothing is."""
+    try:
+        return os.lstat(path).st_mode
+    except FileNotFoundError:
+        return None
+
+
+def residual_spill(path=None):
+    """A new unnamed temporary file to spill a trace's residual rows to on
+    its way to ``path`` (None for stdout), as :func:`~chsim.simulator.run`
+    takes it.
+
+    It goes beside ``path``, on the same filesystem, when a regular file
+    or nothing is there yet, which :func:`_write_path` replaces through a
+    temporary file beside it; else, or when no temporary file can be
+    made there, in the default temporary directory.
+    ``tempfile.TemporaryFile`` opens it with ``O_TMPFILE`` where the
+    filesystem allows, so it never has a name and nothing is left of it
+    once closed, even by a crash."""
+    if path is not None:
+        mode = _mode(path)
+        if mode is None or stat.S_ISREG(mode):
+            with contextlib.suppress(OSError):
+                return tempfile.TemporaryFile(dir=os.path.dirname(path) or os.curdir)
+    return tempfile.TemporaryFile()

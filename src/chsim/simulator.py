@@ -46,6 +46,7 @@ A run trusts its config, which checked its own fields when built
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -70,7 +71,7 @@ from .energy import (
 )
 from .network import Network
 
-__all__ = ["SimTrace", "Traffic", "Draws", "run", "network_lifetime"]
+__all__ = ["SimTrace", "SpilledRows", "Traffic", "Draws", "run", "network_lifetime"]
 
 # Most matrix entries (frames x nodes) one block of frames may hold.  At
 # 1 << 16 the peak memory of a scenario1 compare and of a mobile sweep
@@ -109,8 +110,10 @@ class SimTrace:
     int64 arrays indexed by frame, views of one ``(frames, 3)`` array:
     :func:`run` writes each frame's deliveries as it goes and, once the
     run ends, sums them and spreads its per-span alive and head counts
-    over the frames.  ``residual_log``, when recorded, is the
-    ``(frames, S)`` array of every node's residual after each frame.
+    over the frames.  ``residual_log``, when recorded, holds every
+    node's residual after each frame: the ``(frames, S)`` array, or,
+    when :func:`run` was given a ``spill`` file, the
+    :class:`SpilledRows` that read the rows back from it.
     Head sets are stored as change points (``head_change_frames``
     ascending, with the head ids that took over at each);
     ``reelections`` lists mid-round replacements of dead heads as
@@ -128,10 +131,45 @@ class SimTrace:
     final_residual: np.ndarray
     final_consumed: np.ndarray
     initial_energy_per_node: np.ndarray
-    residual_log: np.ndarray | None = None
+    residual_log: np.ndarray | SpilledRows | None = None
 
     def __len__(self) -> int:
         return len(self.alive)
+
+
+class SpilledRows:
+    """A run's ``(frames, S)`` residual log, kept as raw float64 rows in
+    the binary file it was spilled to, from byte ``offset`` on; it holds
+    no row itself.
+
+    ``log[a:b]`` reads rows ``a`` up to ``b`` into a new array by
+    ``os.preadv``, which leaves the file's position alone, and iterating
+    yields every row, reading ``_BLOCK_ENTRIES`` entries at a time.  It
+    reads only while the file is open: whoever opened it closes it.
+    """
+
+    def __init__(self, spill, offset: int, frames: int, nodes: int):
+        self._spill = spill
+        self._offset = offset
+        self.shape = (frames, nodes)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("spilled rows are read in runs of consecutive rows")
+        block = np.empty((max(stop - start, 0), self.shape[1]))
+        at = self._offset + start * self.shape[1] * block.itemsize
+        if os.preadv(self._spill.fileno(), [block], at) != block.nbytes:
+            raise OSError(f"the residual spill ends before row {stop} of {len(self)}")
+        return block
+
+    def __iter__(self):
+        step = max(1, _BLOCK_ENTRIES // self.shape[1])
+        for start in range(0, len(self), step):
+            yield from self[start : start + step]
 
 
 class Traffic:
@@ -319,7 +357,7 @@ class Draws:
         return self.traffic, self.headings
 
 
-def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
+def run(cfg: SimConfig, draws: Draws | None = None, spill=None) -> SimTrace:
     """Execute one seeded run to completion and return its trace.
 
     Deterministic: the arena seed feeds independent substreams for
@@ -332,6 +370,14 @@ def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
     reads both by frame, a block at a time, and moves its nodes only when
     ``mobility_speed`` is above 0.  A config whose energy costs overflow a float raises
     ValueError before the first frame.
+
+    A run that records residuals holds them as one ``(frames, S)``
+    array, unless it is given ``spill``, a binary file open for reading
+    and writing such as :func:`tempfile.TemporaryFile`: then it writes
+    each segment's rows to it as raw float64 bytes as it commits them,
+    holds none of them, and returns a :class:`SpilledRows` as the
+    trace's ``residual_log``, which reads them back from ``spill`` while
+    it stays open.
     """
     traffic, headings = (draws or Draws(keep=False)).of(cfg)
     arena = cfg.arena
@@ -374,7 +420,10 @@ def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
 
     room = min(cfg.max_frames, _FIRST_ROWS)
     log = np.empty((room, 3), dtype=np.int64)  # per frame: alive, packets_cum, chn_count
-    residual_log = np.empty((room, s)) if cfg.record_residuals else None
+    spilled = cfg.record_residuals and spill is not None
+    held = cfg.record_residuals and not spilled
+    residual_log = np.empty((room, s)) if held else None
+    spill_start = spill.tell() if spilled else 0
     spans: list[tuple[int, int, int]] = []  # (frames, alive, heads) of each run of frames
     change_frames: list[int] = []
     change_ids: list[tuple[int, ...]] = []
@@ -388,7 +437,7 @@ def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
             start = frame
             k = min(cfg.max_frames - start, block_rows)
             log = _room(log, start + k, cfg.max_frames)
-            if cfg.record_residuals:
+            if held:
                 residual_log = _room(residual_log, start + k, cfg.max_frames)
             awake, events = traffic.block(start // block_rows)
             sends = awake & events
@@ -441,8 +490,10 @@ def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
                                                     consumed_rows)
                 stop = frame + charged
                 log[frame:stop, 1] = delivered[:charged]  # summed into packets_cum at the end
-                if cfg.record_residuals:
+                if held:
                     residual_log[frame:stop] = residuals
+                elif spilled:
+                    spill.write(residuals)  # consecutive rows of one buffer
                 died = cut or charged > clean
                 # the alive and head sets hold over the frames that kill
                 # nobody, and are read again for the frame of a death
@@ -468,8 +519,11 @@ def run(cfg: SimConfig, draws: Draws | None = None) -> SimTrace:
     counts = np.array(spans, dtype=np.int64).reshape(-1, 3)
     log[:, ::2] = np.repeat(counts[:, 1:], counts[:, 0], axis=0)
     np.cumsum(log[:, 1], out=log[:, 1])
-    if residual_log is not None and frame < len(residual_log):
+    if held and frame < len(residual_log):
         residual_log = residual_log[:frame].copy()  # give back the room no frame used
+    elif spilled:
+        spill.flush()
+        residual_log = SpilledRows(spill, spill_start, frame, s)
     return SimTrace(
         config=cfg,
         termination=termination,

@@ -274,7 +274,9 @@ class TestWholeVectorDebit:
                                           getattr(ref, name).view(np.int64), err_msg=name)
         np.testing.assert_array_equal(net.head, ref.head)
         np.testing.assert_array_equal(net.cluster, ref.cluster)
-        np.testing.assert_allclose(net.residual + net.consumed, net.initial, rtol=0, atol=1e-15)
+        # the books to a few ulps of each battery, as rounds of charges leave them
+        np.testing.assert_array_less(np.abs(net.residual + net.consumed - net.initial),
+                                     4 * np.spacing(net.initial))
 
     def test_trigger_kills_a_node_and_skips_the_dead(self):
         charges = costs(make_net(6), 2)

@@ -51,14 +51,15 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-def run_cli(tmp_path, *args, failing=False) -> subprocess.CompletedProcess:
-    """``chsim run`` of PROFILE as a child process, as JSON, plus ``args``;
-    with ``failing``, its export fails part way through the matrix."""
+def run_cli(tmp_path, *args, failing=False, **env) -> subprocess.CompletedProcess:
+    """``chsim run`` of PROFILE as a child process, as JSON, plus ``args``
+    and the environment variables ``env``; with ``failing``, its export
+    fails part way through the matrix."""
     config = tmp_path / "profile.json"
     config.write_text(json.dumps(PROFILE))
     cli = ["-c", FAILING_CLI] if failing else ["-m", "chsim.cli"]
     argv = [sys.executable, *cli, "run", "--config", str(config), "--format", "json"]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
     return subprocess.run([*argv, *args], env=env, capture_output=True, timeout=120)
 
 
@@ -105,10 +106,16 @@ def test_stdout_trace_matches_file_trace(tmp_path):
     assert json.loads(to_stdout.stdout)["residuals"] == TRACE.residual_log.tolist()
 
 
-def test_export_failing_part_way_leaves_no_file(tmp_path):
+def test_export_failing_part_way_leaves_no_file(tmp_path, tmp_path_factory):
+    # the residual rows are spilled beside the trace, or to TMPDIR for stdout
     out = tmp_path / "trace.json"
-    assert_one_error(run_cli(tmp_path, "--out", str(out), failing=True))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]  # no trace, no temp file
+    temp = tmp_path_factory.mktemp("TMPDIR")
+    assert_one_error(run_cli(tmp_path, "--out", str(out), failing=True, TMPDIR=str(temp)))
+    # no trace, no temporary file, no spill
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
+    assert run_cli(tmp_path, failing=True, TMPDIR=str(temp)).returncode == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["profile.json"]
+    assert list(temp.iterdir()) == []
 
 
 def test_export_failing_part_way_keeps_the_old_file(tmp_path):
