@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import sys
 from collections.abc import Iterator
@@ -184,8 +185,9 @@ def execute(inv: argparse.Namespace) -> int:
     runs of a seed (and speed) its headings.  Nothing is written until
     every run has succeeded, so a run that fails leaves no output.
 
-    A run exported as JSON that records residuals holds none of them: it
-    spills each segment's rows to an unnamed temporary file
+    A run exported as CSV records no residuals, which its curve never
+    reads.  A run exported as JSON that records residuals holds none of
+    them: it spills each segment's rows to an unnamed temporary file
     (:func:`~chsim.metrics.residual_spill`, beside ``--out`` where it
     can), which the export reads back a block at a time and which is
     closed, and gone, once the export ends or fails."""
@@ -194,7 +196,9 @@ def execute(inv: argparse.Namespace) -> int:
     with contextlib.ExitStack() as stack:
         if inv.subcommand == "run":
             cfg = next(configs)
-            if cfg.record_residuals and inv.format == "json":
+            if inv.format == "csv":
+                cfg = dataclasses.replace(cfg, record_residuals=False)
+            if cfg.record_residuals:
                 artifact = run(cfg, spill=stack.enter_context(residual_spill(inv.out)))
             else:
                 artifact = run(cfg)

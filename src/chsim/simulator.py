@@ -46,6 +46,7 @@ A run trusts its config, which checked its own fields when built
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from operator import attrgetter
@@ -97,7 +98,7 @@ _traffic_key = attrgetter("arena.seed", "arena.node_count", "scenario.duty_cycle
                           "scenario.event_probability", "scenario.frames_per_round",
                           "max_frames")
 _headings_key = attrgetter(*Headings.FIELDS)
-# Frames the trace columns first hold room for: every run of the default
+# Frames the int trace columns first hold room for: every run of the default
 # profiles fits, and a huge max_frames grows them only as frames are run.
 _FIRST_ROWS = 1 << 14
 
@@ -111,8 +112,9 @@ class SimTrace:
     :func:`run` writes each frame's deliveries as it goes and, once the
     run ends, sums them and spreads its per-span alive and head counts
     over the frames.  ``residual_log``, when recorded, holds every
-    node's residual after each frame: the ``(frames, S)`` array, or,
-    when :func:`run` was given a ``spill`` file, the
+    node's residual after each frame, as :func:`run` wrote the rows to
+    its sink: the ``(frames, S)`` array over the bytes of its own
+    buffer, or, when it was given a ``spill`` file, the
     :class:`SpilledRows` that read the rows back from it.
     Head sets are stored as change points (``head_change_frames``
     ascending, with the head ids that took over at each);
@@ -186,15 +188,14 @@ class Traffic:
     event probability are both 1.0 (scenario1) draws nothing: its nodes
     are always awake and always sense an event, so each of its blocks is
     one row that stands for every frame.  A traffic made with ``keep``
-    false keeps no block: a block asked for again is drawn again, from a
-    new generator advanced to it.  ``key`` holds the config fields it
-    depends on, by which :class:`Draws` hands it out.
+    false keeps no block, so it serves one run, which asks for its
+    blocks in order.  ``key`` holds the config fields it depends on, by
+    which :class:`Draws` hands it out.
     """
 
     def __init__(self, cfg: SimConfig, keep: bool = True):
         scen = cfg.scenario
         self.key = _traffic_key(cfg)
-        self._seed = cfg.arena.seed
         self._keeps = keep
         self._nodes = cfg.arena.node_count
         self._frames = cfg.max_frames
@@ -218,10 +219,8 @@ class Traffic:
             return np.ones((2, 1, self._nodes), dtype=bool)
         if index < len(self._packed):
             return np.unpackbits(self._packed[index], axis=-1, count=self._nodes).view(bool)
-        if index < self._next:  # drawn before and not kept (PCG64: one output per uniform)
-            self._rng = substream(self._seed, SCENARIO)
-            self._rng.bit_generator.advance(index * self.rows * 2 * self._nodes)
-            self._next = index
+        if index < self._next:
+            raise ValueError(f"block {index} was drawn and not kept; the next is {self._next}")
         while self._next <= index:
             k = min(self._frames - self._next * self.rows, self.rows)
             draws = self._rng.random((k, 2, self._nodes))
@@ -278,8 +277,7 @@ def _frame_charges(net: Network, alive: np.ndarray, heads: np.ndarray, awake: np
     return charges, packets.sum(axis=1)
 
 
-def _commit(net: Network, charges: np.ndarray, k: int, n_alive: int, logged: bool,
-            residual_rows: np.ndarray, consumed_rows: np.ndarray):
+def _commit(net: Network, charges: np.ndarray, k: int, n_alive: int, scratch: np.ndarray):
     """Charge a segment's ``k`` rows to ``net`` as one
     :meth:`~chsim.network.Network.debit` per row would, up to and
     including the first row after which fewer than ``n_alive`` nodes are
@@ -289,41 +287,29 @@ def _commit(net: Network, charges: np.ndarray, k: int, n_alive: int, logged: boo
     die, alive before the segment and dead after it, and the row with the
     first death is capped at the residual left, as ``debit`` caps it:
     ``r - min(c, r)`` is exactly 0.0 when ``c >= r``
-    (tests/test_numeric_contracts.py).  The scratch buffers hold at least
-    ``k + 1`` rows.  Returns the rows that kill nobody, the rows charged
-    (one more than those, when a row kills) and, when ``logged``, the
-    residuals after each charged row.
+    (tests/test_numeric_contracts.py).  The ``scratch`` buffer holds at
+    least ``k + 1`` rows.  Returns the rows that kill nobody and the rows
+    charged (one more than those, when a row kills).
     """
-    path = residual_rows[: k + 1]
+    path = scratch[: k + 1]
     path[0] = net.residual
     path[1:] = charges  # a lone row is charged k times
-    # The residuals after the segment, by one reduce; after each of its rows
-    # only when logged, else only in the columns of the nodes that die.  All
-    # go row after row (tests/test_numeric_contracts.py).
-    if logged:
-        np.subtract.accumulate(path, out=path)
-        last = path[-1].copy()
-    else:
-        last = np.subtract.reduce(path)
+    # The residuals after the segment, by one reduce, and after each of its
+    # rows only in the columns of the nodes that die; both go row after row
+    # (tests/test_numeric_contracts.py).
+    last = np.subtract.reduce(path)
     clean = charged = k
     if np.count_nonzero(last > 0.0) < n_alive:
-        dying = path[:, (path[0] > 0.0) & ~(last > 0.0)]
-        if not logged:
-            np.subtract.accumulate(dying, out=dying)
+        dying = path[:, (path[0] > 0.0) & ~(last > 0.0)]  # a copy: path keeps the charges
+        np.subtract.accumulate(dying, out=dying)
         # residuals only fall: the rows that kill nobody are those after
         # which every dying node is still alive
         clean = int(np.count_nonzero((dying[1:] > 0.0).all(axis=1)))
         charged = clean + 1
-        before = path[clean] if logged else np.subtract.reduce(path[:charged])
+        before = np.subtract.reduce(path[:charged])
         take = np.minimum(charges[clean if len(charges) > 1 else 0], before)
         last = before - take
-        if logged:
-            path[charged] = last
-    if logged:
-        consumed = consumed_rows[: charged + 1]
-        consumed[1 : clean + 1] = charges[:clean]
-    else:
-        consumed = path[: charged + 1]  # its rows 1.. still hold the charges
+    consumed = path[: charged + 1]  # its rows 1.. still hold the charges
     if charged > clean:
         consumed[charged] = take
     consumed[0] = net.consumed
@@ -332,7 +318,7 @@ def _commit(net: Network, charges: np.ndarray, k: int, n_alive: int, logged: boo
     else:  # numpy sums a lone column pairwise, not row after row
         net.consumed = np.add.accumulate(consumed)[-1]
     net.residual = last
-    return clean, charged, path[1 : charged + 1] if logged else None
+    return clean, charged
 
 
 @dataclass(eq=False)
@@ -371,13 +357,14 @@ def run(cfg: SimConfig, draws: Draws | None = None, spill=None) -> SimTrace:
     ``mobility_speed`` is above 0.  A config whose energy costs overflow a float raises
     ValueError before the first frame.
 
-    A run that records residuals holds them as one ``(frames, S)``
-    array, unless it is given ``spill``, a binary file open for reading
-    and writing such as :func:`tempfile.TemporaryFile`: then it writes
-    each segment's rows to it as raw float64 bytes as it commits them,
-    holds none of them, and returns a :class:`SpilledRows` as the
-    trace's ``residual_log``, which reads them back from ``spill`` while
-    it stays open.
+    A run that records residuals writes each segment's rows, once it has
+    committed them, as raw float64 bytes to one sink: ``spill``, when it
+    is given a binary file open for reading and writing such as
+    :func:`tempfile.TemporaryFile`, else an :class:`io.BytesIO` of its
+    own.  With ``spill`` it holds none of the rows and returns a
+    :class:`SpilledRows` as the trace's ``residual_log``, which reads
+    them back from ``spill`` while it stays open; without it the log is
+    the ``(frames, S)`` array over the buffer's bytes.
     """
     traffic, headings = (draws or Draws(keep=False)).of(cfg)
     arena = cfg.arena
@@ -414,16 +401,13 @@ def run(cfg: SimConfig, draws: Draws | None = None, spill=None) -> SimTrace:
             # keeps a float, so two nodes stand within twice that.
             net.keep_gaps()
     block_rows = traffic.rows
-    # a segment's residuals (and consumed energy) before and after each frame
-    residual_rows = np.empty((block_rows + 1, s))
-    consumed_rows = np.empty((block_rows + 1, s))
+    # a segment's residuals before and after each frame, or its consumed energy
+    scratch = np.empty((block_rows + 1, s))
 
     room = min(cfg.max_frames, _FIRST_ROWS)
     log = np.empty((room, 3), dtype=np.int64)  # per frame: alive, packets_cum, chn_count
-    spilled = cfg.record_residuals and spill is not None
-    held = cfg.record_residuals and not spilled
-    residual_log = np.empty((room, s)) if held else None
-    spill_start = spill.tell() if spilled else 0
+    sink = (spill if spill is not None else io.BytesIO()) if cfg.record_residuals else None
+    sink_start = sink.tell() if sink is not None else 0
     spans: list[tuple[int, int, int]] = []  # (frames, alive, heads) of each run of frames
     change_frames: list[int] = []
     change_ids: list[tuple[int, ...]] = []
@@ -437,8 +421,6 @@ def run(cfg: SimConfig, draws: Draws | None = None, spill=None) -> SimTrace:
             start = frame
             k = min(cfg.max_frames - start, block_rows)
             log = _room(log, start + k, cfg.max_frames)
-            if held:
-                residual_log = _room(residual_log, start + k, cfg.max_frames)
             awake, events = traffic.block(start // block_rows)
             sends = awake & events
             alike = len(sends) < k  # one row of flags stands for every frame
@@ -485,15 +467,19 @@ def run(cfg: SimConfig, draws: Draws | None = None, spill=None) -> SimTrace:
                     net, alive, live_heads, awake[flags], sends[flags], head_uplinks,
                     member_tx, scen.d_size, params,
                 )
-                clean, charged, residuals = _commit(net, charges, rows.stop - row, n_alive,
-                                                    cfg.record_residuals, residual_rows,
-                                                    consumed_rows)
+                before = net.residual
+                clean, charged = _commit(net, charges, rows.stop - row, n_alive, scratch)
                 stop = frame + charged
                 log[frame:stop, 1] = delivered[:charged]  # summed into packets_cum at the end
-                if held:
-                    residual_log[frame:stop] = residuals
-                elif spilled:
-                    spill.write(residuals)  # consecutive rows of one buffer
+                if sink is not None:
+                    # the residuals after each charged frame, row after row as
+                    # the commit goes, and the capped ones after a death
+                    path = scratch[: charged + 1]
+                    path[0] = before
+                    path[1:] = charges[:charged]
+                    np.subtract.accumulate(path, out=path)
+                    path[-1] = net.residual
+                    sink.write(path[1:])  # consecutive rows of one buffer
                 died = cut or charged > clean
                 # the alive and head sets hold over the frames that kill
                 # nobody, and are read again for the frame of a death
@@ -519,11 +505,13 @@ def run(cfg: SimConfig, draws: Draws | None = None, spill=None) -> SimTrace:
     counts = np.array(spans, dtype=np.int64).reshape(-1, 3)
     log[:, ::2] = np.repeat(counts[:, 1:], counts[:, 0], axis=0)
     np.cumsum(log[:, 1], out=log[:, 1])
-    if held and frame < len(residual_log):
-        residual_log = residual_log[:frame].copy()  # give back the room no frame used
-    elif spilled:
+    if sink is None:
+        residual_log = None
+    elif sink is spill:
         spill.flush()
-        residual_log = SpilledRows(spill, spill_start, frame, s)
+        residual_log = SpilledRows(spill, sink_start, frame, s)
+    else:
+        residual_log = np.frombuffer(sink.getbuffer()).reshape(frame, s)
     return SimTrace(
         config=cfg,
         termination=termination,

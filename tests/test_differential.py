@@ -147,7 +147,8 @@ def test_block_budget_matches_reference(budget, cfg, monkeypatch):
                  id="max-frames"),
 ])
 def test_trace_columns_grown_past_their_first_room_match_reference(cfg, monkeypatch):
-    # the columns start with room for 5 frames and double as frames are run
+    # the int columns start with room for 5 frames and double as frames are
+    # run; the residual rows go to a sink that grows by itself
     monkeypatch.setattr(simulator, "_FIRST_ROWS", 5)
     assert_same_trace(cfg)
     assert len(run(cfg)) > 5

@@ -10,6 +10,7 @@ the spill goes, and that the CLI's memory no longer grows with the
 horizon.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -204,9 +205,14 @@ def test_csv_and_unrecorded_runs_spill_nothing(tmp_path, spill_dirs, streamed_lo
     config.write_text(json.dumps(SCENARIO2))
     out = str(tmp_path / "trace.csv")
     assert cli.main(["run", "--config", str(config), "--out", out]) == 0
+    # the CSV writes only the curve, so its run records no residuals
+    assert streamed_logs == [type(None)]
+    oracle = io.BytesIO()
+    metrics.export(run(config_from_dict(SCENARIO2)), "csv", oracle)
+    assert Path(out).read_bytes() == oracle.getvalue()
     config.write_text(json.dumps({**SCENARIO2, "record_residuals": False}))
     assert cli.main(["run", "--config", str(config), "--format", "json", "--out", out]) == 0
-    assert spill_dirs == [] and SpilledRows not in streamed_logs
+    assert spill_dirs == [] and streamed_logs == [type(None)] * 2
 
 
 # -- where the spill goes ---------------------------------------------------
@@ -271,6 +277,27 @@ def test_spill_for_a_missing_directory_goes_to_the_default(tmp_path, spill_dirs)
 
 
 # -- memory --------------------------------------------------------------
+
+
+def test_lone_recorded_run_holds_little_more_than_its_rows():
+    # scenario1 defaults die long before max_frames: a run that records
+    # residuals holds the rows of the frames it ran, not room for more
+    cfg = config_from_dict({"record_residuals": True})
+
+    def traced_peak(cfg) -> tuple[int, object]:
+        tracemalloc.start()
+        try:
+            trace = run(cfg)
+            return tracemalloc.get_traced_memory()[1], trace
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(cfg)  # the first call's peak also holds one-time caches
+    recorded, trace = traced_peak(cfg)
+    unrecorded, _ = traced_peak(dataclasses.replace(cfg, record_residuals=False))
+    frames, nodes = trace.residual_log.shape
+    assert trace.termination == "all-dead" and frames < cfg.max_frames // 2
+    assert recorded - unrecorded < 1.5 * frames * nodes * 8
 
 
 def test_streamed_run_memory_does_not_grow_with_its_horizon(tmp_path):

@@ -181,12 +181,17 @@ def test_a_lone_run_packs_no_block(monkeypatch):
     assert draws.traffic._packed == [] and draws.traffic._next == 3
 
 
-def test_traffic_that_keeps_nothing_draws_a_block_asked_again_anew():
+def test_traffic_that_keeps_nothing_serves_its_blocks_in_order_only():
     cfg = SimConfig(max_frames=1013, **SCENARIO2)
     kept = Traffic(cfg)
     want = [kept.block(i).copy() for i in range(3)]
     lone = Traffic(cfg, keep=False)
-    # block 2 first draws the blocks before it; 0 and the second 1 go back
-    for i in (2, 0, 1, 1, 2):
+    for i in range(3):
         np.testing.assert_array_equal(lone.block(i), want[i])
     assert lone._packed == []
+    with pytest.raises(ValueError, match="not kept"):
+        lone.block(1)
+    skipping = Traffic(cfg, keep=False)  # block 2 first draws the blocks before it
+    np.testing.assert_array_equal(skipping.block(2), want[2])
+    with pytest.raises(ValueError, match="not kept"):
+        skipping.block(0)
