@@ -253,23 +253,17 @@ class HeadRing:
     def form(self, net: Network, last) -> None:
         """Start the rotation from ``net``'s clusters as they stand, with
         ``last[j]`` the last head of cluster ``j``, dead or alive."""
-        s = len(net)
-        ids = np.flatnonzero(net.cluster != NO_CLUSTER)
-        labels = net.cluster[ids]
-        alive = net.alive[ids]
-        span = s + 1
-        keys = labels * span + ids
-        # the alive members' keys by cluster and ascending id, closed by a key of no cluster
-        members = np.append(np.sort(keys[alive]), -1)
-        later = members[np.searchsorted(members[:-1], keys, side="right")]
-        first = members[np.searchsorted(members[:-1], labels * span)]  # on wrap-around
-        succ = np.where(later // span == labels, later, first)
-        self.next = np.arange(s)  # a node of no cluster, or of none alive, stands alone
-        self.next[ids] = np.where(succ // span == labels, succ % span, ids)
-        self.last = np.array(last, dtype=np.intp)
-        # not np.unique, whose first call imports numpy.ma: 1.1 MiB more peak memory in compare
-        self.live = np.flatnonzero(np.bincount(labels[alive], minlength=len(self.last)))
         self.held = net.alive  # a fresh array
+        self.next = np.arange(len(net))  # a node of no cluster, or of none alive, stands alone
+        self.last = np.array(last, dtype=np.intp)
+        live = []
+        for j in range(len(self.last)):
+            ids = np.flatnonzero(net.cluster == j)
+            alive = ids[self.held[ids]]  # ascending
+            if len(alive):
+                self.next[ids] = alive[np.searchsorted(alive, ids, side="right") % len(alive)]
+                live.append(j)
+        self.live = np.array(live, dtype=np.intp)
         self.count = int(np.count_nonzero(self.held))
 
     def turn(self, net: Network, n_alive: int) -> np.ndarray:

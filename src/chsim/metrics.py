@@ -8,11 +8,13 @@ fields exactly.  A summary, alone or in a list, is encoded by orjson in
 the bytes ``json.dumps`` would give.  A list, such as a sweep's, is
 encoded a summary at a time as its runs finish, and written only once
 all of them have, so it holds bytes rather than curves.  A trace's
-residual matrix is streamed to the destination (a temporary file beside
-a path, renamed over it once complete) a block of rows at a time, in
-the bytes ``json.dumps`` would give it: orjson formats each block whose
-values it writes as ``json.dumps`` does, and ``json.dumps`` the rest.
-The rows come from the trace's array or, for a run given a spill file
+JSON is streamed to the destination (a temporary file beside a path,
+renamed over it once complete) a field at a time in sorted key order,
+each array (the per-frame columns, the final books, the residual
+matrix) a block of entries at a time, in the bytes ``json.dumps`` would
+give it: orjson formats each block whose values it writes as
+``json.dumps`` does, and ``json.dumps`` the rest.  The residual rows
+come from the trace's array or, for a run given a spill file
 (:func:`residual_spill`, as ``chsim run`` gives one to a JSON trace that
 records residuals), are read back from that file a block at a time, so
 neither the run nor its export holds the whole matrix.
@@ -25,6 +27,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import stat
 import tempfile
@@ -296,32 +299,31 @@ def _summary_list_chunks(summaries, fmt: str) -> list[bytes]:
 
 
 def _matrix_json(matrix):
-    """Yield the JSON text of a 2-D float array, or of the
-    :class:`~chsim.simulator.SpilledRows` that stand for one, as bytes
-    pieces: ``[``, one piece per block of at most ``_JSON_BLOCK_ENTRIES``
-    entries (at least one row), then ``]``.  The bytes are those of
-    ``json.dumps``.  Spilled rows are read a block at a time.
+    """Yield the JSON text of a 1-D or 2-D array, in its own dtype, or of
+    the :class:`~chsim.simulator.SpilledRows` that stand for a float one,
+    as bytes pieces: ``[``, one piece per block of at most
+    ``_JSON_BLOCK_ENTRIES`` entries (at least one row), then ``]``.  The
+    bytes are those of ``json.dumps``.  Spilled rows are read a block at
+    a time.
 
-    orjson writes the same shortest round-trip digits as ``float.__repr__``
-    (by a Ryu-family algorithm, in the same notation) for ±0.0 and
-    magnitudes in ``[1e-4, 1e16)``, so a block that holds only these
-    goes through it.
+    orjson writes int64 values as ``json.dumps`` does, and the same
+    shortest round-trip digits as ``float.__repr__`` (by a Ryu-family
+    algorithm, in the same notation) for ±0.0 and magnitudes in
+    ``[1e-4, 1e16)``, so a block that holds only these goes through it.
     Outside that range orjson has its own notation (``0.00001``,
     ``1e16``) and writes NaN and infinity as ``null``, so any other block
     goes through ``json.dumps``.  The range is checked a block at a time,
     which keeps every temporary as small as a block.
     """
     # Imported here so that `import chsim`, and every command that writes
-    # no residual matrix, does not pay its load time (9-15 ms by
+    # no JSON trace or summary, does not pay its load time (9-15 ms by
     # `python3 -X importtime -c "import orjson"`).
     import orjson
 
-    values = matrix if isinstance(matrix, SpilledRows) else np.ascontiguousarray(
-        matrix, dtype=np.float64)
-    step = max(1, _JSON_BLOCK_ENTRIES // values.shape[1])
+    step = max(1, _JSON_BLOCK_ENTRIES // math.prod(matrix.shape[1:]))
     yield b"["
-    for start in range(0, len(values), step):
-        block = values[start : start + step]
+    for start in range(0, len(matrix), step):
+        block = np.ascontiguousarray(matrix[start : start + step])
         magnitude = np.abs(block)
         if np.all((magnitude >= 1e-4) & (magnitude < 1e16) | (block == 0.0)):
             text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
@@ -331,14 +333,33 @@ def _matrix_json(matrix):
     yield b"]"
 
 
+def _trace_json(trace: SimTrace):
+    """Yield a trace's JSON text as bytes pieces, one field at a time in
+    sorted key order: each array, and the spilled residual log, through
+    :func:`_matrix_json`, and the rest through :func:`_dumps`."""
+    doc = {
+        "config": config_to_dict(trace.config), "termination": trace.termination,
+        "alive": trace.alive, "packets_cum": trace.packets_cum, "chn_count": trace.chn_count,
+        "head_change_frames": trace.head_change_frames,
+        "head_change_ids": trace.head_change_ids, "reelections": trace.reelections,
+        "final_residual": trace.final_residual, "final_consumed": trace.final_consumed,
+        "residuals": trace.residual_log,
+    }
+    for i, key in enumerate(sorted(doc)):
+        yield b'%s"%s":' % (b"," if i else b"{", key.encode())
+        if isinstance(doc[key], (np.ndarray, SpilledRows)):
+            yield from _matrix_json(doc[key])
+        else:
+            yield _dumps(doc[key]).encode()
+    yield b"}\n"
+
+
 def _chunks(obj, fmt: str):
     """The export of ``obj`` in ``fmt``, as bytes pieces.
 
-    A trace's JSON puts its residuals between the keys that sort before
-    and after ``"residuals"``, each side encoded whole; neither side is
-    empty.  Summaries and table rows hold only scalars and tuples, which
-    json writes as they are, so a shallow vars() stands in for a deep
-    asdict().
+    A trace's JSON is :func:`_trace_json`'s.  Summaries and table rows
+    hold only scalars and tuples, which json writes as they are, so a
+    shallow vars() stands in for a deep asdict().
     """
     # a RunOutcome is a tuple too, but one run's, not a list of summaries
     if type(obj) in (list, tuple) or isinstance(obj, Iterator):
@@ -350,22 +371,7 @@ def _chunks(obj, fmt: str):
     if isinstance(obj, SimTrace):
         if fmt == "csv":
             return [_csv_rows((CURVE_COLUMNS, *_curve(obj)))]
-        doc = {
-            "config": config_to_dict(obj.config),
-            "termination": obj.termination,
-            "alive": obj.alive.tolist(),
-            "packets_cum": obj.packets_cum.tolist(),
-            "chn_count": obj.chn_count.tolist(),
-            "head_change_frames": list(obj.head_change_frames),
-            "head_change_ids": [list(ids) for ids in obj.head_change_ids],
-            "reelections": [list(r) for r in obj.reelections],
-            "final_residual": obj.final_residual.tolist(),
-            "final_consumed": obj.final_consumed.tolist(),
-        }
-        head = _dumps({k: v for k, v in doc.items() if k < "residuals"}).encode()
-        tail = _dumps({k: v for k, v in doc.items() if k > "residuals"}).encode()
-        residuals = [b"null"] if obj.residual_log is None else _matrix_json(obj.residual_log)
-        return itertools.chain((head[:-1], b',"residuals":'), residuals, (b",", tail[1:], b"\n"))
+        return _trace_json(obj)
     if isinstance(obj, ComparisonTable):
         if fmt == "csv":
             return [_csv_rows((

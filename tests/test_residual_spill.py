@@ -315,8 +315,7 @@ def test_streamed_run_memory_does_not_grow_with_its_horizon(tmp_path):
 
     traced_peak(1500)  # the first call's peak also holds one-time caches
     short, long = traced_peak(1500), traced_peak(6000)
-    held_rows = (6000 - 1500) * 190 * 8  # what a held log would add: 6.8 MB
-    # The per-frame columns and their JSON text still grow with the horizon:
-    # json.dumps keeps a str per number while it encodes them, about 270
-    # bytes a frame (1.19 MB here), a sixth of the 1 520 of held rows.
-    assert long - short < held_rows // 4
+    # The run keeps its per-frame columns, 24 bytes a frame, and the export
+    # writes every array a block at a time; a held log would add 1 520 bytes
+    # a frame, and a column encoded whole by json.dumps about 270.
+    assert long - short < (6000 - 1500) * 64

@@ -113,6 +113,24 @@ def test_any_float_matrix_matches_one_shot_encoding(matrix, block_entries):
         assert exported(trace) == oracle(trace)
 
 
+# small ints go to orjson; any of magnitude 1e16 or more, such as -2**63, to json.dumps
+INT64 = st.one_of(st.integers(-10**4, 10**4), st.integers(-2**63, 2**63 - 1))
+COLUMN = arrays(np.int64, st.integers(0, 30), elements=INT64)
+BOOK = arrays(np.float64, 12, elements=FLOATS)
+
+
+@settings(max_examples=200)
+@given(columns=st.tuples(COLUMN, COLUMN, COLUMN), books=st.tuples(BOOK, BOOK),
+       block_entries=st.integers(1, 40))
+def test_any_columns_and_books_match_one_shot_encoding(columns, books, block_entries):
+    # the 1-D arrays keep their dtype: an int column is never written as 190.0
+    alive, packets_cum, chn_count = columns
+    trace = dataclasses.replace(SMALL, alive=alive, packets_cum=packets_cum, chn_count=chn_count,
+                                final_residual=books[0], final_consumed=books[1])
+    with mock.patch.object(metrics, "_JSON_BLOCK_ENTRIES", block_entries):
+        assert exported(trace) == oracle(trace)
+
+
 def differs(value: float) -> float:
     """A special value whose bits differ from ``value``'s."""
     bits = np.float64(value).view(np.int64)
